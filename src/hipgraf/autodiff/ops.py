@@ -1,8 +1,12 @@
 """Differentiable network operations built on the tensor tape.
 
-Convolutions use an im2col layout so the inner loops are BLAS matmuls; the
-kernel-offset scatter loops in the backward passes run over kh*kw positions
-only. Spatial tensors are (batch, channels, height, width) throughout.
+Spatial tensors are (batch, channels, height, width) throughout. Every
+sliding-window op (conv2d, transpose_conv2d and the fusion module's
+neighborhood stack) moves data through one helper, ``_windows``, which yields
+the kh*kw strided (n, c, oh, ow) views of an array, one per kernel offset.
+Convolutions keep their patch matrix channel-major, (n, c*kh*kw, oh*ow), so
+both passes are plain batched BLAS products: ``W @ cols`` is already
+(n, c_out, oh*ow) and reshapes to the output with no transpose copy.
 """
 
 from __future__ import annotations
@@ -10,39 +14,57 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ConfigError, ContractError, DimensionError
-from .tensor import Tensor, as_tensor, make_op, _accumulate
+from .tensor import Tensor, _accumulate, add, as_tensor, make_op, reshape
 
 
 def _as_4d(x: Tensor) -> tuple[Tensor, bool]:
     if x.ndim == 4:
         return x, False
     if x.ndim == 3:
-        from .tensor import reshape
-
         return reshape(x, (1, *x.shape)), True
     raise DimensionError(f"expected a (c,h,w) or (n,c,h,w) tensor, got shape {x.shape}")
 
 
-def _im2col(x: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
-    """(n,c,h,w) -> (n, out_h*out_w, c*kh*kw) patch matrix."""
-    windows = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
-    windows = windows[:, :, ::stride, ::stride]
-    n, c, oh, ow, _, _ = windows.shape
-    cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(n, oh * ow, c * kh * kw)
-    return np.ascontiguousarray(cols)
+def _finish(out: Tensor, bias: Tensor | None, squeeze: bool) -> Tensor:
+    """Add a per-channel bias, then drop the batch axis that _as_4d added."""
+    if bias is not None:
+        out = add(out, reshape(bias, (bias.shape[0], 1, 1)))
+    return reshape(out, out.shape[1:]) if squeeze else out
 
 
-def _col_scatter(cols: np.ndarray, x_shape: tuple, kh: int, kw: int, stride: int) -> np.ndarray:
-    """Adjoint of _im2col: scatter-add patch gradients back onto the input."""
-    n, c, h, w = x_shape
-    oh = (h - kh) // stride + 1
-    ow = (w - kw) // stride + 1
-    grads = cols.reshape(n, oh, ow, c, kh, kw).transpose(0, 3, 4, 5, 1, 2)
-    out = np.zeros(x_shape, dtype=cols.dtype)
+def _windows(x: np.ndarray, kh: int, kw: int, stride: int, oh: int, ow: int):
+    """Yield (u, v, view): the strided (n,c,oh,ow) view of x at kernel offset (u,v)."""
     for u in range(kh):
         for v in range(kw):
-            out[:, :, u : u + stride * oh : stride, v : v + stride * ow : stride] += grads[:, :, u, v]
+            yield u, v, x[:, :, u : u + stride * oh : stride, v : v + stride * ow : stride]
+
+
+def _gather(x: np.ndarray, slots: np.ndarray, stride: int) -> np.ndarray:
+    """Copy every window view of x into ``slots[:, :, u, v]``; slots is (n,c,kh,kw,oh,ow)."""
+    _, _, kh, kw, oh, ow = slots.shape
+    for u, v, view in _windows(x, kh, kw, stride, oh, ow):
+        slots[:, :, u, v] = view
+    return slots
+
+
+def _scatter(slots: np.ndarray, out: np.ndarray, stride: int) -> np.ndarray:
+    """Adjoint of _gather: add ``slots[:, :, u, v]`` onto every window view of out."""
+    _, _, kh, kw, oh, ow = slots.shape
+    for u, v, view in _windows(out, kh, kw, stride, oh, ow):
+        view += slots[:, :, u, v]
     return out
+
+
+def _batched_outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Sum over the batch of a[i] @ b[i].T for (n,p,L) and (n,q,L) operands.
+
+    Computed as the transpose of the sum of b[i] @ a[i].T: with a long L and
+    the wider patch operand b on the left, OpenBLAS runs up to twice as fast.
+    """
+    out = b[0] @ a[0].T
+    for i in range(1, a.shape[0]):
+        out += b[i] @ a[i].T
+    return out.T
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, stride: int = 1, padding: int = 0) -> Tensor:
@@ -58,42 +80,40 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, stride: int = 
     xd = x4.data
     if padding:
         xd = np.pad(xd, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    cols = _im2col(xd, kh, kw, stride)
-    w_mat = weight.data.reshape(co, ci * kh * kw)
-    out_mat = cols @ w_mat.T
     oh = (hp - kh) // stride + 1
     ow = (wp - kw) // stride + 1
-    data = out_mat.transpose(0, 2, 1).reshape(n, co, oh, ow)
+    # a 1x1 stride-1 window over every pixel is the input itself
+    per_pixel = kh == kw == 1 and stride == 1
+    if per_pixel:
+        cols = xd.reshape(n, ci, oh * ow)
+    else:
+        cols = _gather(xd, np.empty((n, ci, kh, kw, oh, ow), dtype=xd.dtype), stride).reshape(n, ci * kh * kw, oh * ow)
+    w_mat = weight.data.reshape(co, ci * kh * kw)
+    data = (w_mat @ cols).reshape(n, co, oh, ow)
 
     def backward(g: np.ndarray) -> None:
-        g_mat = g.reshape(n, co, oh * ow).transpose(0, 2, 1)
+        g_mat = g.reshape(n, co, oh * ow)
         if weight.requires_grad:
-            gw = np.einsum("nlo,nlk->ok", g_mat, cols, optimize=True)
-            _accumulate(weight, gw.reshape(weight.shape))
+            _accumulate(weight, _batched_outer(g_mat, cols).reshape(weight.shape))
         if x4.requires_grad:
-            g_cols = g_mat @ w_mat
-            gx = _col_scatter(g_cols, (n, ci, hp, wp), kh, kw, stride)
+            g_cols = w_mat.T @ g_mat
+            if per_pixel:
+                gx = g_cols.reshape(n, ci, hp, wp)
+            else:
+                gx = _scatter(g_cols.reshape(n, ci, kh, kw, oh, ow), np.zeros((n, ci, hp, wp), dtype=g_cols.dtype), stride)
             if padding:
                 gx = gx[:, :, padding : padding + h, padding : padding + w]
             _accumulate(x4, gx)
 
-    out = make_op(data, (x4, weight), backward)
-    if bias is not None:
-        from .tensor import add, reshape as t_reshape
-
-        out = add(out, t_reshape(bias, (co, 1, 1)))
-    if squeeze:
-        from .tensor import reshape as t_reshape
-
-        out = t_reshape(out, out.shape[1:])
-    return out
+    return _finish(make_op(data, (x4, weight), backward), bias, squeeze)
 
 
 def transpose_conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, stride: int = 1) -> Tensor:
     """Learned upsampling; kernels are (c_in,c_out,kh,kw), no implicit padding.
 
     Output spatial size is (in-1)*stride + k, so k == stride gives exactly
-    stride times the input size.
+    stride times the input size. This is the adjoint of conv2d: each input
+    pixel's (c_out,kh,kw) product is scattered onto the output windows.
     """
     x4, squeeze = _as_4d(x)
     ci, co, kh, kw = weight.shape
@@ -103,36 +123,18 @@ def transpose_conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, stri
     oh = (h - 1) * stride + kh
     ow = (w - 1) * stride + kw
     w_mat = weight.data.reshape(ci, co * kh * kw)
-    cols = (x4.data.reshape(n, ci, h * w).transpose(0, 2, 1) @ w_mat).reshape(n, h, w, co, kh, kw)
-    data = np.zeros((n, co, oh, ow), dtype=x4.data.dtype)
-    spread = cols.transpose(0, 3, 4, 5, 1, 2)
-    for u in range(kh):
-        for v in range(kw):
-            data[:, :, u : u + stride * h : stride, v : v + stride * w : stride] += spread[:, :, u, v]
+    x_mat = x4.data.reshape(n, ci, h * w)
+    cols = (w_mat.T @ x_mat).reshape(n, co, kh, kw, h, w)
+    data = _scatter(cols, np.zeros((n, co, oh, ow), dtype=cols.dtype), stride)
 
     def backward(g: np.ndarray) -> None:
-        g_cols = np.empty((n, h, w, co, kh, kw), dtype=g.dtype)
-        for u in range(kh):
-            for v in range(kw):
-                g_cols[:, :, :, :, u, v] = g[:, :, u : u + stride * h : stride, v : v + stride * w : stride].transpose(0, 2, 3, 1)
-        g_mat = g_cols.reshape(n, h * w, co * kh * kw)
+        g_cols = _gather(g, np.empty((n, co, kh, kw, h, w), dtype=g.dtype), stride).reshape(n, co * kh * kw, h * w)
         if weight.requires_grad:
-            gw = np.einsum("nlc,nlk->ck", x4.data.reshape(n, ci, h * w).transpose(0, 2, 1), g_mat, optimize=True)
-            _accumulate(weight, gw.reshape(weight.shape))
+            _accumulate(weight, _batched_outer(x_mat, g_cols).reshape(weight.shape))
         if x4.requires_grad:
-            gx = (g_mat @ w_mat.T).transpose(0, 2, 1).reshape(n, ci, h, w)
-            _accumulate(x4, gx)
+            _accumulate(x4, (w_mat @ g_cols).reshape(n, ci, h, w))
 
-    out = make_op(data, (x4, weight), backward)
-    if bias is not None:
-        from .tensor import add, reshape as t_reshape
-
-        out = add(out, t_reshape(bias, (co, 1, 1)))
-    if squeeze:
-        from .tensor import reshape as t_reshape
-
-        out = t_reshape(out, out.shape[1:])
-    return out
+    return _finish(make_op(data, (x4, weight), backward), bias, squeeze)
 
 
 def maxpool2d(x: Tensor, kernel: int = 2) -> Tensor:
@@ -152,12 +154,7 @@ def maxpool2d(x: Tensor, kernel: int = 2) -> Tensor:
         gx = gt.reshape(n, c, oh, ow, kernel, kernel).transpose(0, 1, 2, 4, 3, 5).reshape(n, c, h, w)
         _accumulate(x4, gx)
 
-    out = make_op(data, (x4,), backward)
-    if squeeze:
-        from .tensor import reshape as t_reshape
-
-        out = t_reshape(out, out.shape[1:])
-    return out
+    return _finish(make_op(data, (x4,), backward), None, squeeze)
 
 
 # -- pointwise activations ------------------------------------------------------
@@ -348,18 +345,18 @@ def window_stack(x: Tensor, window: int) -> Tensor:
     if h < 1 or w < 1:
         raise DimensionError(f"window {window} larger than padded input {x.shape}")
     data = np.empty((n, window * window, c, h, w), dtype=x.data.dtype)
-    for u in range(window):
-        for v in range(window):
-            data[:, u * window + v] = x.data[:, :, u : u + h, v : v + w]
+    _gather(x.data, _slot_view(data, window), 1)
 
     def backward(g: np.ndarray) -> None:
-        gx = np.zeros_like(x.data)
-        for u in range(window):
-            for v in range(window):
-                gx[:, :, u : u + h, v : v + w] += g[:, u * window + v]
-        _accumulate(x, gx)
+        _accumulate(x, _scatter(_slot_view(g, window), np.zeros_like(x.data), 1))
 
     return make_op(data, (x,), backward)
+
+
+def _slot_view(stack: np.ndarray, window: int) -> np.ndarray:
+    """(n, window^2, c, h, w) stack seen as the (n, c, window, window, h, w) slots of _gather."""
+    n, _, c, h, w = stack.shape
+    return stack.reshape(n, window, window, c, h, w).transpose(0, 3, 1, 2, 4, 5)
 
 
 def unfold_neighborhoods(x: Tensor, window: int) -> Tensor:

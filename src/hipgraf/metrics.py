@@ -75,8 +75,9 @@ def decode_landmarks(heatmaps, upscale: int = 1) -> tuple[np.ndarray, list[bool]
 
     Per channel: row-major argmax (earliest index wins ties), quadratic
     refinement from the two axis neighbors, then multiplication by
-    ``upscale``. A constant channel decodes to the map center and raises its
-    degenerate flag instead of an error.
+    ``upscale``. A constant channel, or one holding a NaN or an infinity,
+    decodes to the map center and raises its degenerate flag instead of an
+    error.
     """
     stack = heatmaps.data if isinstance(heatmaps, Tensor) else np.asarray(heatmaps)
     if stack.ndim != 3:
@@ -86,7 +87,7 @@ def decode_landmarks(heatmaps, upscale: int = 1) -> tuple[np.ndarray, list[bool]
     degenerate: list[bool] = []
     for idx in range(k):
         channel = stack[idx]
-        if channel.max() == channel.min():
+        if not np.isfinite(channel).all() or channel.max() == channel.min():
             coords[idx] = ((w - 1) / 2.0 * upscale, (h - 1) / 2.0 * upscale)
             degenerate.append(True)
             continue

@@ -66,8 +66,15 @@ def modulation_weights(center: np.ndarray, neighborhood: np.ndarray) -> np.ndarr
 def modulation_weight_map(source: Tensor, guide: Tensor, window: int) -> Tensor:
     """Per-pixel filter weights, shape (n, window^2, h, w); slots sum to 1."""
     _check_pair(source, guide)
-    b, c, h, w = source.shape
-    neighbors = unfold_neighborhoods(source, window)
+    return _weights_from(unfold_neighborhoods(source, window), guide)
+
+
+def _weights_from(neighbors: Tensor, guide: Tensor) -> Tensor:
+    """Softmax over slots of each neighbor's channel dot product with the guide pixel.
+
+    ``neighbors`` is the (n, window^2, c, h, w) unfold of the source map.
+    """
+    b, c, h, w = guide.shape
     center = reshape(guide, (b, 1, c, h, w))
     scores = reduce_sum(mul(neighbors, center), axis=2)
     return softmax(scores, axis=1)
@@ -78,7 +85,7 @@ def modulated_fuse(source: Tensor, guide: Tensor, window: int) -> Tensor:
     _check_pair(source, guide)
     b, c, h, w = source.shape
     neighbors = unfold_neighborhoods(source, window)
-    weights = modulation_weight_map(source, guide, window)
+    weights = _weights_from(neighbors, guide)
     weighted = mul(neighbors, reshape(weights, (b, window * window, 1, h, w)))
     return reduce_sum(weighted, axis=1)
 

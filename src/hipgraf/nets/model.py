@@ -114,7 +114,8 @@ class LandmarkNet(Module):
             arr = arr[:, None]
         elif arr.ndim != 4:
             raise DimensionError(f"expected (h,w), (n,h,w) or (n,1,h,w) images, got shape {arr.shape}")
-        param_dtype = next(iter(self.parameters().values())).dtype
+        # read the dtype from a tensor directly: parameters() skips frozen ones
+        param_dtype = self.head.weight.data.dtype
         return Tensor(arr.astype(param_dtype, copy=False), requires_grad=False, dtype=param_dtype)
 
     def forward(self, images) -> ModelOutput:

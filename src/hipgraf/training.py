@@ -91,8 +91,19 @@ def total_loss(
     return LossBreakdown(landmark=l_landmark, classify=l_classify, lam=lam, total=total)
 
 
+# elements per Adam block: the dozen in-place passes over one block of
+# parameter, gradient and moments stay in cache instead of streaming memory
+ADAM_BLOCK = 1 << 16
+
+
 class Adam:
-    """Adam with bias correction; moments are checkpointable arrays."""
+    """Adam with bias correction; moments are checkpointable arrays.
+
+    The step runs block by block through two scratch rows per dtype, so it
+    allocates nothing. Each ufunc keeps the operand order of the textbook
+    expressions m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g and
+    p -= ((lr/c1)*m) / (sqrt(v/c2) + eps), so results are bit-identical to them.
+    """
 
     def __init__(self, params: dict[str, Tensor], lr: float = 1e-4, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.params = params
@@ -101,8 +112,9 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
-        self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
+        self.m = {k: np.zeros(p.shape, dtype=p.dtype) for k, p in params.items()}
+        self.v = {k: np.zeros(p.shape, dtype=p.dtype) for k, p in params.items()}
+        self._scratch = {p.dtype: np.empty((2, ADAM_BLOCK), dtype=p.dtype) for p in params.values()}
 
     def zero_grad(self) -> None:
         for p in self.params.values():
@@ -115,14 +127,26 @@ class Adam:
         for name, p in self.params.items():
             if p.grad is None:
                 continue
-            g = p.grad
-            m = self.m[name]
-            v = self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p.data -= (self.lr / c1) * m / (np.sqrt(v / c2) + self.eps)
+            if not p.data.flags.c_contiguous:
+                p.data = np.ascontiguousarray(p.data)  # so the flat view below writes through
+            flat = [arr.reshape(-1) for arr in (p.data, p.grad, self.m[name], self.v[name])]
+            scratch = self._scratch[p.dtype]
+            for start in range(0, p.size, ADAM_BLOCK):
+                w, g, m, v = (arr[start : start + ADAM_BLOCK] for arr in flat)
+                a, b = scratch[:, : g.size]
+                m *= self.beta1
+                np.multiply(1.0 - self.beta1, g, out=a)
+                m += a
+                v *= self.beta2
+                np.multiply(1.0 - self.beta2, g, out=a)
+                a *= g
+                v += a
+                np.multiply(self.lr / c1, m, out=a)
+                np.divide(v, c2, out=b)
+                np.sqrt(b, out=b)
+                b += self.eps
+                a /= b
+                w -= a
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         out = {f"adam.m.{k}": v for k, v in self.m.items()}
@@ -132,8 +156,8 @@ class Adam:
     def load_state_arrays(self, arrays: dict[str, np.ndarray], t: int) -> None:
         self.t = t
         for k in self.m:
-            self.m[k] = np.array(arrays[f"adam.m.{k}"], dtype=self.m[k].dtype)
-            self.v[k] = np.array(arrays[f"adam.v.{k}"], dtype=self.v[k].dtype)
+            self.m[k] = np.array(arrays[f"adam.m.{k}"], dtype=self.m[k].dtype, order="C")
+            self.v[k] = np.array(arrays[f"adam.v.{k}"], dtype=self.v[k].dtype, order="C")
 
 
 @dataclass

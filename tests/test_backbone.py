@@ -116,6 +116,18 @@ class TestBranchShapeContract:
         f_global = model.transformer.forward(x)
         assert f_local.shape == f_global.shape
 
+    def test_fully_frozen_model_forwards(self, toy_model_config):
+        model = build_model(toy_model_config, seed=0)
+        images = rng(14).random((2, 16, 16), dtype=np.float32)
+        expected = model.forward(images)
+        for _, p in model.named_parameters():
+            p.requires_grad = False
+        assert model.parameters() == {}
+        out = model.forward(images)
+        assert out.heatmaps.dtype == np.float32 and not out.heatmaps.requires_grad
+        np.testing.assert_array_equal(out.heatmaps.data, expected.heatmaps.data)
+        np.testing.assert_array_equal(out.refined.data, expected.refined.data)
+
     def test_heatmap_mse_reaches_every_branch_parameter(self, toy_model_config):
         # no dead branch: every parameter tensor gets a finite, somewhere-nonzero grad
         model = build_model(toy_model_config, seed=1)

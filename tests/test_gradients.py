@@ -91,6 +91,21 @@ class TestConvOps:
         values = {"x": rnd(2, 2, 6, 6, seed=16), "w": rnd(2, 2, 2, 2, seed=17)}
         assert_grads_match(lambda t: (conv2d(t["x"], t["w"], stride=2) * 0.7).sum(), values)
 
+    def test_conv2d_stride_two_padding_one(self):
+        values = {"x": rnd(1, 2, 7, 7, seed=47), "w": rnd(3, 2, 3, 3, seed=48)}
+        weights = rnd(1, 3, 4, 4, seed=49)
+        assert_grads_match(lambda t: (conv2d(t["x"], t["w"], stride=2, padding=1) * Tensor(weights, dtype=t["x"].dtype)).sum(), values)
+
+    def test_conv2d_non_square_kernel(self):
+        values = {"x": rnd(2, 2, 5, 6, seed=50), "w": rnd(2, 2, 2, 3, seed=51)}
+        weights = rnd(2, 2, 6, 6, seed=52)
+        assert_grads_match(lambda t: (conv2d(t["x"], t["w"], padding=1) * Tensor(weights, dtype=t["x"].dtype)).sum(), values)
+
+    def test_conv2d_one_by_one(self):
+        values = {"x": rnd(2, 3, 4, 4, seed=53), "w": rnd(2, 3, 1, 1, seed=54), "b": rnd(2, seed=55)}
+        weights = rnd(2, 2, 4, 4, seed=56)
+        assert_grads_match(lambda t: (conv2d(t["x"], t["w"], t["b"]) * Tensor(weights, dtype=t["x"].dtype)).sum(), values)
+
     def test_transpose_conv2d(self):
         values = {"x": rnd(1, 2, 3, 3, seed=18), "w": rnd(2, 3, 2, 2, seed=19), "b": rnd(3, seed=20)}
         weights = rnd(1, 3, 6, 6, seed=21)

@@ -49,6 +49,16 @@ class TestDecodeLandmarks:
         assert all(flags)
         np.testing.assert_allclose(coords, np.tile([8.0, 8.0], (6, 1)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_channel_flags_degenerate_and_centers(self, bad):
+        stack = np.zeros((6, 8, 8), dtype=np.float32)
+        stack[:, 5, 2] = 1.0
+        stack[3, 1, 6] = bad
+        coords, flags = decode_landmarks(stack, upscale=2)
+        assert flags == [False, False, False, True, False, False]
+        np.testing.assert_allclose(coords[3], [7.0, 7.0])
+        np.testing.assert_allclose(np.delete(coords, 3, axis=0), np.tile([4.0, 10.0], (5, 1)))
+
     def test_decode_of_gt_heatmaps_recovers_landmarks(self):
         rng = np.random.default_rng(0)
         landmarks = rng.uniform(20, 100, (6, 2))

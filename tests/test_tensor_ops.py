@@ -32,6 +32,49 @@ def rnd(*shape, seed=0, dtype=np.float32):
     return np.random.default_rng(seed).standard_normal(shape).astype(dtype)
 
 
+def conv2d_reference(x, w, stride, padding):
+    """Nested-loop cross-correlation: one patch dot product per output pixel."""
+    n, _, h, wd = x.shape
+    co, _, kh, kw = w.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    oh = (h + 2 * padding - kh) // stride + 1
+    ow = (wd + 2 * padding - kw) // stride + 1
+    out = np.zeros((n, co, oh, ow))
+    for b in range(n):
+        for o in range(co):
+            for i in range(oh):
+                for j in range(ow):
+                    patch = xp[b, :, i * stride : i * stride + kh, j * stride : j * stride + kw]
+                    out[b, o, i, j] = np.sum(patch * w[o])
+    return out
+
+
+def transpose_conv2d_reference(x, w, stride):
+    """Nested-loop transposed convolution: each input pixel stamps its scaled kernel."""
+    n, ci, h, wd = x.shape
+    _, co, kh, kw = w.shape
+    out = np.zeros((n, co, (h - 1) * stride + kh, (wd - 1) * stride + kw))
+    for b in range(n):
+        for c in range(ci):
+            for i in range(h):
+                for j in range(wd):
+                    out[b, :, i * stride : i * stride + kh, j * stride : j * stride + kw] += x[b, c, i, j] * w[c]
+    return out
+
+
+def window_stack_reference(xp, window):
+    """Nested-loop neighborhood stack: slot u*window+v holds pixel (i+u, j+v)."""
+    n, c, hp, wp = xp.shape
+    h, w = hp - window + 1, wp - window + 1
+    out = np.zeros((n, window * window, c, h, w))
+    for u in range(window):
+        for v in range(window):
+            for i in range(h):
+                for j in range(w):
+                    out[:, u * window + v, :, i, j] = xp[:, :, i + u, j + v]
+    return out
+
+
 class TestMatmul:
     def test_identity_leaves_operand_unchanged(self):
         b = rnd(3, 3, seed=1)
@@ -74,6 +117,36 @@ class TestConv2d:
         out = conv2d(Tensor(rnd(1, 1, 8, 8, seed=5)), Tensor(rnd(3, 1, 2, 2, seed=6)), stride=2)
         assert out.shape == (1, 3, 4, 4)
 
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    @pytest.mark.parametrize("padding", [0, 1, 2])
+    def test_matches_loop_reference_non_square_kernel(self, stride, padding):
+        x, w = rnd(2, 3, 9, 8, seed=19, dtype=np.float64), rnd(4, 3, 3, 2, seed=20, dtype=np.float64)
+        out = conv2d(Tensor(x), Tensor(w), stride=stride, padding=padding)
+        np.testing.assert_allclose(out.data, conv2d_reference(x, w, stride, padding), rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("stride,padding", [(1, 0), (1, 1), (2, 0)])
+    def test_one_by_one_matches_loop_reference(self, stride, padding):
+        x, w, b = rnd(2, 5, 6, 7, seed=21, dtype=np.float64), rnd(3, 5, 1, 1, seed=22, dtype=np.float64), rnd(3, seed=23, dtype=np.float64)
+        out = conv2d(Tensor(x), Tensor(w), Tensor(b), stride=stride, padding=padding)
+        expected = conv2d_reference(x, w, stride, padding) + b[:, None, None]
+        np.testing.assert_allclose(out.data, expected, rtol=1e-12, atol=1e-12)
+
+    def test_three_d_input_matches_loop_reference(self):
+        x, w = rnd(3, 7, 7, seed=24, dtype=np.float64), rnd(2, 3, 3, 3, seed=25, dtype=np.float64)
+        out = conv2d(Tensor(x), Tensor(w), stride=2, padding=1)
+        assert out.shape == (2, 4, 4)
+        np.testing.assert_allclose(out.data, conv2d_reference(x[None], w, 2, 1)[0], rtol=1e-12, atol=1e-12)
+
+    def test_one_by_one_input_gradient_is_a_new_array(self):
+        # an identity 1x1 kernel passes the upstream gradient through unchanged,
+        # but the input must receive its own buffer, not a view of it
+        x = Tensor(rnd(2, 3, 4, 4, seed=26), requires_grad=True)
+        w = Tensor(np.eye(3, dtype=np.float32).reshape(3, 3, 1, 1), requires_grad=True)
+        out = conv2d(x, w)
+        (out * Tensor(rnd(2, 3, 4, 4, seed=27))).sum().backward()
+        np.testing.assert_array_equal(x.grad, out.grad)
+        assert not np.shares_memory(x.grad, out.grad)
+
 
 class TestTransposeConv2d:
     def test_unit_kernel_stride_one_is_identity(self):
@@ -91,6 +164,13 @@ class TestTransposeConv2d:
     def test_output_dims_track_stride(self):
         out = transpose_conv2d(Tensor(rnd(1, 2, 5, 5, seed=8)), Tensor(rnd(2, 3, 2, 2, seed=9)), stride=2)
         assert out.shape == (1, 3, 10, 10)
+
+    @pytest.mark.parametrize("stride", [1, 2, 3], ids=["overlapping", "tiling", "gapped"])
+    def test_matches_loop_reference(self, stride):
+        # kernel 2x3: stride 1 overlaps windows, 2 tiles rows, 3 leaves gaps between them
+        x, w = rnd(2, 3, 4, 5, seed=28, dtype=np.float64), rnd(3, 2, 2, 3, seed=29, dtype=np.float64)
+        out = transpose_conv2d(Tensor(x), Tensor(w), stride=stride)
+        np.testing.assert_allclose(out.data, transpose_conv2d_reference(x, w, stride), rtol=1e-12, atol=1e-12)
 
 
 class TestSoftmax:
@@ -224,3 +304,9 @@ class TestShapeOps:
         stacked = window_stack(padded, 3)
         assert stacked.shape == (1, 9, 2, 4 + 2, 4 + 2)
         np.testing.assert_allclose(stacked.data[:, 4], x.data)
+
+    @pytest.mark.parametrize("window", [1, 3, 5])
+    def test_window_stack_matches_loop_reference(self, window):
+        xp = rnd(2, 3, 7, 8, seed=30, dtype=np.float64)
+        stacked = window_stack(Tensor(xp), window)
+        np.testing.assert_array_equal(stacked.data, window_stack_reference(xp, window))

@@ -127,6 +127,32 @@ class TestAdam:
         opt.step()
         assert (p.data < 1.0).all()
 
+    def test_five_steps_equal_textbook_formula_bit_for_bit(self):
+        # "big" spans several blocks of the blocked step, the last one partial
+        shapes = {"big": (300, 500), "vec": (7,), "conv": (3, 2, 3, 3)}
+        params = {k: Tensor(rnd(*shape, seed=i), requires_grad=True) for i, (k, shape) in enumerate(shapes.items())}
+        lr, beta1, beta2, eps = 3e-3, 0.9, 0.999, 1e-8
+        opt = Adam(params, lr=lr, beta1=beta1, beta2=beta2, eps=eps)
+        ref = {k: p.data.copy() for k, p in params.items()}
+        m = {k: np.zeros_like(p.data) for k, p in params.items()}
+        v = {k: np.zeros_like(p.data) for k, p in params.items()}
+        for t in range(1, 6):
+            c1 = 1.0 - beta1**t
+            c2 = 1.0 - beta2**t
+            for i, (k, p) in enumerate(params.items()):
+                g = rnd(*shapes[k], seed=100 * t + i) - 0.5
+                p.grad = g
+                m[k] *= beta1
+                m[k] += (1.0 - beta1) * g
+                v[k] *= beta2
+                v[k] += (1.0 - beta2) * g * g
+                ref[k] -= (lr / c1) * m[k] / (np.sqrt(v[k] / c2) + eps)
+            opt.step()
+        for k, p in params.items():
+            assert np.array_equal(p.data, ref[k]), k
+            assert np.array_equal(opt.m[k], m[k]), k
+            assert np.array_equal(opt.v[k], v[k]), k
+
 
 class TestTrainLoop:
     def test_empty_dataset_rejected(self, toy_model_config_32, fast_train_config):
