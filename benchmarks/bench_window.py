@@ -3,7 +3,9 @@
 Covers the 12 conv2d calls and the 2 transpose_conv2d calls of one forward
 pass of the default ``full`` model at batch 2 (128 px input), in float32.
 Backward times one call of the op's backward closure with a fixed upstream
-gradient, so tape bookkeeping outside the op is not included.
+gradient, so tape bookkeeping outside the op is not included. A third conv2d
+case times the tape-free forward (inside ``no_grad``) at batch 8, the batch
+``evaluate_model`` runs, where one patch buffer is reused for every sample.
 
 Run from the repository root (pytest-benchmark prints min/median/max per
 case; pin BLAS to one thread for numbers comparable with ``perfbench``):
@@ -17,9 +19,10 @@ The file lives outside ``tests/``, so the tier-1 run never collects it.
 import numpy as np
 import pytest
 
-from hipgraf.autodiff import Tensor, conv2d, transpose_conv2d
+from hipgraf.autodiff import Tensor, conv2d, no_grad, transpose_conv2d
 
 BATCH = 2
+EVAL_BATCH = 8
 
 # (c_in, h, c_out, k, padding): UNet encoders, bottleneck, decoder, MMF
 # projection and heatmap head, in forward order
@@ -52,9 +55,9 @@ def _tensors(x_shape, w_shape, seed=0):
     return x, w
 
 
-def _conv(shape):
+def _conv(shape, batch=BATCH):
     ci, h, co, k, pad = shape
-    x, w = _tensors((BATCH, ci, h, h), (co, ci, k, k))
+    x, w = _tensors((batch, ci, h, h), (co, ci, k, k))
     return x, w, lambda: conv2d(x, w, padding=pad)
 
 
@@ -83,6 +86,17 @@ def _id(shape):
 def test_conv2d_forward(benchmark, shape):
     _, _, op = _conv(shape)
     benchmark(op)
+
+
+@pytest.mark.parametrize("shape", CONV_SHAPES, ids=_id)
+def test_conv2d_forward_no_grad_batch8(benchmark, shape):
+    _, _, op = _conv(shape, batch=EVAL_BATCH)
+
+    def forward():
+        with no_grad():
+            return op()
+
+    benchmark(forward)
 
 
 @pytest.mark.parametrize("shape", CONV_SHAPES, ids=_id)

@@ -5,8 +5,13 @@ sliding-window op (conv2d, transpose_conv2d and the fusion module's
 neighborhood stack) moves data through one helper, ``_windows``, which yields
 the kh*kw strided (n, c, oh, ow) views of an array, one per kernel offset.
 Convolutions keep their patch matrix channel-major, (n, c*kh*kw, oh*ow), so
-both passes are plain batched BLAS products: ``W @ cols`` is already
-(n, c_out, oh*ow) and reshapes to the output with no transpose copy.
+both passes are plain BLAS products: ``W @ cols`` is already (n, c_out,
+oh*ow) and reshapes to the output with no transpose copy. conv2d gathers and
+multiplies one sample at a time into a preallocated output. While it records
+a tape every sample keeps its own patch slot, because backward needs the
+whole patch matrix; without a tape (``no_grad``) one (1, c, kh, kw, oh, ow)
+slot is reused for every sample, so the working set does not grow with the
+batch.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ConfigError, ContractError, DimensionError
-from .tensor import Tensor, _accumulate, add, as_tensor, make_op, reshape
+from .tensor import Tensor, _accumulate, add, as_tensor, make_op, records, reshape
 
 
 def _as_4d(x: Tensor) -> tuple[Tensor, bool]:
@@ -82,14 +87,23 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, stride: int = 
         xd = np.pad(xd, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
     oh = (hp - kh) // stride + 1
     ow = (wp - kw) // stride + 1
+    w_mat = weight.data.reshape(co, ci * kh * kw)
     # a 1x1 stride-1 window over every pixel is the input itself
     per_pixel = kh == kw == 1 and stride == 1
     if per_pixel:
         cols = xd.reshape(n, ci, oh * ow)
+        data = (w_mat @ cols).reshape(n, co, oh, ow)
     else:
-        cols = _gather(xd, np.empty((n, ci, kh, kw, oh, ow), dtype=xd.dtype), stride).reshape(n, ci * kh * kw, oh * ow)
-    w_mat = weight.data.reshape(co, ci * kh * kw)
-    data = (w_mat @ cols).reshape(n, co, oh, ow)
+        # backward needs every sample's patches; without a tape one slot serves all
+        keep = records((x4, weight))
+        slots = np.empty((n if keep else 1, ci, kh, kw, oh, ow), dtype=xd.dtype)
+        data = np.empty((n, co, oh, ow), dtype=np.result_type(w_mat, xd))
+        out = data.reshape(n, co, oh * ow)
+        for i in range(n):
+            slot = slots[i : i + 1] if keep else slots
+            _gather(xd[i : i + 1], slot, stride)
+            np.matmul(w_mat, slot.reshape(ci * kh * kw, oh * ow), out=out[i])
+        cols = slots.reshape(-1, ci * kh * kw, oh * ow)
 
     def backward(g: np.ndarray) -> None:
         g_mat = g.reshape(n, co, oh * ow)

@@ -2,10 +2,14 @@
 
 A ``Tensor`` wraps an ndarray plus an optional gradient buffer. Operations
 record parents and a backward closure only while some input requires
-gradients, so inference builds no graph. ``backward()`` visits the recorded
-graph once in reverse topological order; a tensor used twice receives the sum
-of both contributions, and calling ``backward()`` again without clearing
-grads accumulates into the existing buffers.
+gradients and recording is on. Parameters always require gradients, so a
+forward records a full graph unless it runs inside ``with no_grad():``, which
+switches recording off for the calling thread only: other threads keep
+recording, and the previous state comes back when the block exits, also
+through an exception. ``backward()`` visits the recorded graph once in
+reverse topological order; a tensor used twice receives the sum of both
+contributions, and calling ``backward()`` again without clearing grads
+accumulates into the existing buffers.
 
 Training runs in float32. A float64 mode (``using_dtype(np.float64)``) exists
 for gradient checking only.
@@ -14,6 +18,7 @@ for gradient checking only.
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import threading
 from typing import Callable, Iterator, Sequence
 
@@ -22,6 +27,32 @@ import numpy as np
 from ..errors import ContractError, DimensionError
 
 _DEFAULT_DTYPE = np.float32
+
+# glibc mallopt parameters
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _keep_freed_memory() -> None:
+    """Let glibc reuse a freed tape's memory instead of returning it to the OS.
+
+    A recorded forward allocates and frees tens of MB. Under glibc's adaptive
+    defaults the freed top of the heap is trimmed after each forward, and the
+    next one page-faults it back in: about 5,800 faults, 5 ms of a 17 ms
+    batch-1 forward of the default model. Fixed thresholds keep it mapped:
+    arrays below 32 MB (the adaptive rule's own cap) come from the heap, and
+    the heap is trimmed only when 256 MB lie free at its top. Other C
+    libraries are left as they are.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 256 << 20)
+
+
+_keep_freed_memory()
 
 
 def default_dtype() -> np.dtype:
@@ -134,14 +165,14 @@ class Tensor:
                 if id(parent) not in seen:
                     stack.append((parent, False))
         grads: dict[int, np.ndarray] = {id(self): np.ones_like(self.data)}
-        _PASS.grads = grads
+        _STATE.grads = grads
         try:
             for node in reversed(order):
                 g = grads.get(id(node))
                 if g is not None and node._backward is not None:
                     node._backward(g)
         finally:
-            _PASS.grads = None
+            _STATE.grads = None
         for node in order:
             if node.requires_grad:
                 g = grads.get(id(node))
@@ -191,14 +222,36 @@ class Tensor:
         return transpose(self, axes)
 
 
-_PASS = threading.local()
-_PASS.grads = None
+class _ThreadState(threading.local):
+    """Per-thread tape state; the class attributes are each thread's defaults."""
+
+    recording = True  # cleared inside no_grad()
+    grads: dict[int, np.ndarray] | None = None  # the running backward pass's map
+
+
+_STATE = _ThreadState()
+
+
+@contextlib.contextmanager
+def no_grad() -> Iterator[None]:
+    """Record no graph on this thread inside the block; other threads are unaffected."""
+    previous = _STATE.recording
+    _STATE.recording = False
+    try:
+        yield
+    finally:
+        _STATE.recording = previous
+
+
+def records(parents: Sequence[Tensor]) -> bool:
+    """True when this thread records and some parent needs gradients."""
+    return _STATE.recording and any(p.requires_grad for p in parents)
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
     if g.dtype != t.data.dtype:
         g = g.astype(t.data.dtype)
-    grads = getattr(_PASS, "grads", None)
+    grads = _STATE.grads
     if grads is not None:
         key = id(t)
         if key in grads:
@@ -212,12 +265,12 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
 
 
 def make_op(data: np.ndarray, parents: Sequence[Tensor], backward: Callable[[np.ndarray], None]) -> Tensor:
-    """Create a tensor recording its parents when any of them needs gradients."""
+    """Create a tensor that records its parents when ``records(parents)`` holds."""
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
     out.name = None
-    if any(p.requires_grad for p in parents):
+    if records(parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward

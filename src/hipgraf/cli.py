@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import checkpoint as ckpt
+from .autodiff import no_grad
 from .config import (
     KEY_SPECS,
     eval_config_from,
@@ -120,13 +121,14 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    from .experiments import evaluate_model
+    from .experiments import detect, score_detections
     from .metrics import MetricsReport
 
     loaded = ckpt.load_checkpoint(args.checkpoint)
     model = ckpt.restore_model(loaded)
     samples = read_manifest(args.data)
-    metrics = evaluate_model(model, samples, fold="all")
+    coords, probs = detect(model, samples)
+    metrics = score_detections(samples, coords, probs, fold="all")
     report = MetricsReport(variant=loaded.run_config()["variant"], folds=[], aggregate=metrics)
     if args.out:
         write_metrics_csv(args.out, [report])
@@ -138,11 +140,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if args.overlay_dir:
         overlay_dir = Path(args.overlay_dir)
         overlay_dir.mkdir(parents=True, exist_ok=True)
-        for sample in samples:
-            out = model.forward(sample.image[None, None])
-            coords, _ = decode_landmarks(out.detection_stack().data[0], upscale=model.upscale)
+        for sample, predicted in zip(samples, coords):
             stem = Path(sample.name).stem
-            write_overlay(overlay_dir / f"{stem}_overlay.pgm", sample.image, coords, gt=sample.landmarks)
+            write_overlay(overlay_dir / f"{stem}_overlay.pgm", sample.image, predicted, gt=sample.landmarks)
     return EXIT_OK
 
 
@@ -153,7 +153,8 @@ def cmd_infer(args: argparse.Namespace) -> int:
     size = model.config.backbone.input_size
     if image.shape != (size, size):
         raise DataError(f"{args.image}: image shape {image.shape} does not match model input {size}x{size}")
-    out = model.forward(image[None, None])
+    with no_grad():
+        out = model.forward(image[None, None])
     coords, _ = decode_landmarks(out.detection_stack().data[0], upscale=model.upscale)
     prob = ""
     if out.logit is not None:

@@ -17,6 +17,7 @@ import inspect
 
 import numpy as np
 
+from .autodiff import no_grad
 from .config import (
     BackboneConfig,
     FusionConfig,
@@ -152,7 +153,8 @@ class HipLandmarkDetector:
         """(n, 12) landmark coordinates [x1,y1..x6,y6] in input pixels."""
         self._check_fitted()
         images = check_image_batch(X, input_size=self.input_size)
-        out = self.model_.forward(images[:, None])
+        with no_grad():
+            out = self.model_.forward(images[:, None])
         stacks = out.detection_stack().data
         coords = np.stack([decode_landmarks(stacks[i], upscale=self.model_.upscale)[0] for i in range(len(images))])
         return coords.reshape(len(images), 12)
@@ -163,7 +165,8 @@ class HipLandmarkDetector:
         if self.model_.refiner is None:
             raise ConfigError(f"variant {self.variant!r} has no classification head")
         images = check_image_batch(X, input_size=self.input_size)
-        out = self.model_.forward(images[:, None])
+        with no_grad():
+            out = self.model_.forward(images[:, None])
         logits = np.asarray(out.logit.data, dtype=np.float64)
         p_abnormal = 1.0 / (1.0 + np.exp(-logits))
         return np.stack([1.0 - p_abnormal, p_abnormal], axis=1)

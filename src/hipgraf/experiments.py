@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .autodiff import no_grad
 from .config import EvalConfig, ModelConfig, TrainConfig
 from .dataset import ImageSample
 from .errors import ConfigError
@@ -60,36 +61,44 @@ def kfold_split(n: int, k: int, seed: int, groups: list[int] | None = None) -> l
     return [np.sort(np.array(f, dtype=int)) for f in folds]
 
 
-def evaluate_model(model: LandmarkNet, samples: list[ImageSample], fold: str = "all", batch_size: int = 8) -> FoldMetrics:
-    """Decode the detection stack and score MRE, SDR and (if present) accuracy."""
+def detect(model: LandmarkNet, samples: list[ImageSample], batch_size: int = 8) -> tuple[list[np.ndarray], list[float] | None]:
+    """Decoded (6,2) landmarks per sample, plus P(abnormal) when the model classifies.
+
+    One forward per batch of ``batch_size`` samples, recorded on no tape.
+    """
     upscale = model.upscale
-    per_sample_mre: list[float] = []
-    distances: list[float] = []
-    correct: list[bool] | None = [] if model.refiner is not None else None
-    for start in range(0, len(samples), batch_size):
-        chunk = samples[start : start + batch_size]
-        images = np.stack([s.image for s in chunk])[:, None]
-        out = model.forward(images)
-        stacks = out.detection_stack().data
-        probs = None
-        if out.logit is not None:
-            logits = np.asarray(out.logit.data, dtype=np.float64)
-            probs = 1.0 / (1.0 + np.exp(-logits))
-        for i, sample in enumerate(chunk):
-            coords, _ = decode_landmarks(stacks[i], upscale=upscale)
-            per_sample_mre.append(mre(coords, sample.landmarks, sample.spacing))
-            distances.extend(radial_errors_mm(coords, sample.landmarks, sample.spacing).tolist())
-            if correct is not None and probs is not None:
-                correct.append((probs[i] >= 0.5) == bool(sample.label))
-    mres = np.asarray(per_sample_mre)
+    coords: list[np.ndarray] = []
+    probs: list[float] | None = [] if model.refiner is not None else None
+    with no_grad():
+        for start in range(0, len(samples), batch_size):
+            chunk = samples[start : start + batch_size]
+            out = model.forward(np.stack([s.image for s in chunk])[:, None])
+            stacks = out.detection_stack().data
+            coords.extend(decode_landmarks(stacks[i], upscale=upscale)[0] for i in range(len(chunk)))
+            if probs is not None:
+                logits = np.asarray(out.logit.data, dtype=np.float64)
+                probs.extend(1.0 / (1.0 + np.exp(-logits)))
+    return coords, probs
+
+
+def score_detections(samples: list[ImageSample], coords: list[np.ndarray], probs: list[float] | None, fold: str = "all") -> FoldMetrics:
+    """MRE, SDR and (when ``probs`` is given) accuracy of ``detect``'s results."""
+    mres = np.asarray([mre(c, s.landmarks, s.spacing) for c, s in zip(coords, samples)])
+    distances = [d for c, s in zip(coords, samples) for d in radial_errors_mm(c, s.landmarks, s.spacing).tolist()]
+    acc = None if probs is None else float(np.mean([(p >= 0.5) == bool(s.label) for p, s in zip(probs, samples)]))
     return FoldMetrics(
         fold=fold,
         mre_mm=float(mres.mean()),
         mre_sd=float(mres.std()),
         sdr=tuple(sdr(distances)),
-        acc=None if correct is None else float(np.mean(correct)),
+        acc=acc,
         n=len(samples),
     )
+
+
+def evaluate_model(model: LandmarkNet, samples: list[ImageSample], fold: str = "all", batch_size: int = 8) -> FoldMetrics:
+    """Decode the detection stack and score MRE, SDR and (if present) accuracy."""
+    return score_detections(samples, *detect(model, samples, batch_size), fold=fold)
 
 
 def _aggregate(folds: list[FoldMetrics]) -> FoldMetrics:

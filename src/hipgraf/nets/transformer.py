@@ -22,6 +22,7 @@ from ..autodiff import (
     linear,
     matmul,
     mul,
+    no_grad,
     ones_param,
     relu,
     reshape,
@@ -87,22 +88,22 @@ class SelfAttention(Module):
         # which the softmax cancels, leaving the parameter gradient-free
         self.bv = zeros_param((dim,), dtype=dtype)
         self.bo = zeros_param((dim,), dtype=dtype)
-        self.last_attention: np.ndarray | None = None
+
+    def _split(self, t: Tensor) -> Tensor:
+        """(b, n, dim) -> (b, heads, n, head_dim)."""
+        b, n, _ = t.shape
+        return transpose(reshape(t, (b, n, self.heads, self.head_dim)), (0, 2, 1, 3))
+
+    def weights(self, x: Tensor) -> Tensor:
+        """Row-stochastic (b, heads, n, n) attention of the tokens x over each other."""
+        q = self._split(linear(x, self.wq, self.bq))
+        k = self._split(linear(x, self.wk))
+        scores = mul(matmul(q, transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(self.head_dim))
+        return softmax(scores, axis=-1)
 
     def forward(self, x: Tensor) -> Tensor:
         b, n, d = x.shape
-        h, hd = self.heads, self.head_dim
-
-        def split(t: Tensor) -> Tensor:
-            return transpose(reshape(t, (b, n, h, hd)), (0, 2, 1, 3))
-
-        q = split(linear(x, self.wq, self.bq))
-        k = split(linear(x, self.wk))
-        v = split(linear(x, self.wv, self.bv))
-        scores = mul(matmul(q, transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(hd))
-        attention = softmax(scores, axis=-1)
-        self.last_attention = attention.data
-        mixed = matmul(attention, v)
+        mixed = matmul(self.weights(x), self._split(linear(x, self.wv, self.bv)))
         merged = reshape(transpose(mixed, (0, 2, 1, 3)), (b, n, d))
         return linear(merged, self.wo, self.bo)
 
@@ -120,8 +121,11 @@ class EncoderLayer(Module):
         self.w2 = glorot_uniform(rng, (hidden, dim), hidden, dim, dtype=dtype)
         self.b2 = zeros_param((dim,), dtype=dtype)
 
+    def attention_input(self, x: Tensor) -> Tensor:
+        return self.norm1.forward(layer_norm(x, axis=-1))
+
     def forward(self, x: Tensor) -> Tensor:
-        x = add(x, self.attention.forward(self.norm1.forward(layer_norm(x, axis=-1))))
+        x = add(x, self.attention.forward(self.attention_input(x)))
         mlp = linear(relu(linear(self.norm2.forward(layer_norm(x, axis=-1)), self.w1, self.b1)), self.w2, self.b2)
         return add(x, mlp)
 
@@ -167,8 +171,8 @@ class TransformerBranch(Module):
         self.output_pos = zeros_param((config.channels, f, f), dtype=dtype)
         self.output_pos.data += (OUTPUT_POS_GAIN * table).astype(self.output_pos.data.dtype)
 
-    def tokens(self, image: Tensor) -> Tensor:
-        """Patch tokens after the encoder stack, shape (n, grid^2, token_dim)."""
+    def embed(self, image: Tensor) -> Tensor:
+        """Position-tagged patch embeddings, shape (n, grid^2, token_dim)."""
         size = self.config.input_size
         if image.ndim != 4 or image.shape[1] != 1 or image.shape[2] != size or image.shape[3] != size:
             raise DimensionError(f"expected images of shape (n,1,{size},{size}), got {image.shape}")
@@ -178,7 +182,11 @@ class TransformerBranch(Module):
         patches = reshape(image, (b, g, p, g, p))
         patches = transpose(patches, (0, 1, 3, 2, 4))
         patches = reshape(patches, (b, g * g, p * p))
-        x = add(linear(patches, self.embed_w, self.embed_b), self.pos_embedding)
+        return add(linear(patches, self.embed_w, self.embed_b), self.pos_embedding)
+
+    def tokens(self, image: Tensor) -> Tensor:
+        """Patch tokens after the encoder stack, shape (n, grid^2, token_dim)."""
+        x = self.embed(image)
         for layer in self.layers:
             x = layer.forward(x)
         return x
@@ -198,8 +206,18 @@ class TransformerBranch(Module):
                     out = relu(out)
         return add(out, self.output_pos)
 
-    def attention_maps(self) -> list[np.ndarray]:
-        return [layer.attention.last_attention for layer in self.layers]
+    def attention_maps(self, image: Tensor) -> list[np.ndarray]:
+        """Each encoder layer's (n, heads, grid^2, grid^2) attention for ``image``.
+
+        Computed afresh on no tape; the branch keeps no state between calls.
+        """
+        maps = []
+        with no_grad():
+            x = self.embed(image)
+            for layer in self.layers:
+                maps.append(layer.attention.weights(layer.attention_input(x)).data)
+                x = layer.forward(x)
+        return maps
 
 
 class _UpsampleStage(Module):

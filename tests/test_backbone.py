@@ -1,9 +1,12 @@
 """Branch shape contracts, determinism, and the no-dead-branch property."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
-from hipgraf.autodiff import Tensor, mse_loss
+from hipgraf.autodiff import Tensor, mse_loss, no_grad
 from hipgraf.config import BackboneConfig
 from hipgraf.errors import ConfigError, DimensionError
 from hipgraf.nets.model import HeatmapHead, build_model
@@ -59,9 +62,21 @@ class TestTransformerBranch:
 
     def test_attention_rows_sum_to_one(self):
         branch = TransformerBranch(toy_backbone(), rng())
-        branch.forward(Tensor(rng(4).random((2, 1, 16, 16), dtype=np.float32)))
-        for attn in branch.attention_maps():
+        for attn in branch.attention_maps(Tensor(rng(4).random((2, 1, 16, 16), dtype=np.float32))):
             np.testing.assert_allclose(attn.sum(axis=-1), np.ones(attn.shape[:-1]), atol=1e-6)
+
+    def test_attention_maps_are_pure(self):
+        branch = TransformerBranch(toy_backbone(), rng())
+        x = Tensor(rng(15).random((2, 1, 16, 16), dtype=np.float32))
+        state = {id(m): dict(vars(m)) for layer in branch.layers for m in (layer, layer.attention)}
+        first = branch.attention_maps(x)
+        branch.forward(Tensor(rng(16).random((3, 1, 16, 16), dtype=np.float32)))
+        second = branch.attention_maps(x)
+        assert len(first) == len(branch.layers)
+        assert all(a.shape == (2, 2, 4, 4) for a in first)
+        assert all(np.array_equal(a, b) for a, b in zip(first, second))
+        # neither forward nor attention_maps leaves anything behind on the modules
+        assert {id(m): dict(vars(m)) for layer in branch.layers for m in (layer, layer.attention)} == state
 
     def test_patch_permutation_equivariance_with_zero_pos_embedding(self):
         # Swapping two input patches must swap the corresponding output tokens.
@@ -127,6 +142,39 @@ class TestBranchShapeContract:
         assert out.heatmaps.dtype == np.float32 and not out.heatmaps.requires_grad
         np.testing.assert_array_equal(out.heatmaps.data, expected.heatmaps.data)
         np.testing.assert_array_equal(out.refined.data, expected.refined.data)
+
+    def test_concurrent_no_grad_forwards_match_a_single_thread(self, toy_model_config):
+        # more threads than cores and frequent switches, to interleave the forwards
+        model = build_model(toy_model_config, seed=2)
+        inputs = [rng(20 + k).random((3, 16, 16), dtype=np.float32) for k in range(4)]
+
+        def outputs(images):
+            with no_grad():
+                out = model.forward(images)
+            assert not out.heatmaps.requires_grad
+            return [t.data.tobytes() for t in (out.heatmaps, out.refined, out.logit)]
+
+        expected = [outputs(images) for images in inputs]
+        start = threading.Barrier(len(inputs))
+        results = [[] for _ in inputs]
+
+        def run(k):
+            start.wait(timeout=30)
+            for _ in range(5):
+                results[k].append(outputs(inputs[k]))
+
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(len(inputs))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert results == [[e] * 5 for e in expected]
 
     def test_heatmap_mse_reaches_every_branch_parameter(self, toy_model_config):
         # no dead branch: every parameter tensor gets a finite, somewhere-nonzero grad

@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+from hipgraf import checkpoint
 from hipgraf.cli import main
 from hipgraf.config import parse_config_file
 from hipgraf.dataset import read_manifest, read_pgm
-from hipgraf.metrics import METRICS_CSV_HEADER
+from hipgraf.metrics import METRICS_CSV_HEADER, decode_landmarks, write_overlay
+from hipgraf.nets.model import LandmarkNet
 
 TOY_ARGS = [
     "--input_size", "32",
@@ -92,6 +94,36 @@ class TestTrainEvalInfer:
         assert len(files) == 6
         img = read_pgm(files[0])
         assert (img == 1.0).any()  # burned-in prediction markers
+
+    def test_eval_overlays_reuse_the_scoring_forward(self, workspace, tmp_path, monkeypatch):
+        # the batch forward that scores the samples also places the overlay
+        # markers: the bytes equal overlays drawn from one forward per sample
+        samples = read_manifest(workspace / "data" / "manifest.csv")
+        model = checkpoint.restore_model(checkpoint.load_checkpoint(workspace / "model.ckpt"))
+        expected = {}
+        for sample in samples:
+            out = model.forward(sample.image[None, None])
+            coords, _ = decode_landmarks(out.detection_stack().data[0], upscale=model.upscale)
+            path = tmp_path / sample.name
+            write_overlay(path, sample.image, coords, gt=sample.landmarks)
+            expected[f"{path.stem}_overlay.pgm"] = path.read_bytes()
+        batch_sizes = []
+        forward = LandmarkNet.forward
+
+        def counted(self, images):
+            batch_sizes.append(len(images))
+            return forward(self, images)
+
+        monkeypatch.setattr(LandmarkNet, "forward", counted)
+        overlays = tmp_path / "overlays"
+        code = main([
+            "eval", "--checkpoint", str(workspace / "model.ckpt"),
+            "--data", str(workspace / "data" / "manifest.csv"),
+            "--out", str(tmp_path / "m.csv"), "--overlay-dir", str(overlays),
+        ])
+        assert code == 0
+        assert batch_sizes == [len(samples)]
+        assert {f.name: f.read_bytes() for f in overlays.iterdir()} == expected
 
     def test_infer_prints_coords_and_probability(self, workspace, capsys):
         code = main(["infer", "--checkpoint", str(workspace / "model.ckpt"), "--image", str(workspace / "data" / "sample_0000.tgt")])

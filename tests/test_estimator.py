@@ -5,6 +5,7 @@ import pytest
 
 from hipgraf.errors import ConfigError, ContractError, DataError, DimensionError
 from hipgraf.estimator import HipLandmarkDetector
+from hipgraf.nets.model import LandmarkNet
 
 from conftest import make_samples
 
@@ -73,6 +74,26 @@ class TestFitPredict:
         assert proba.shape == (len(X), 2)
         np.testing.assert_allclose(proba.sum(axis=1), np.ones(len(X)), atol=1e-6)
         assert np.isfinite(est.score(X, y))
+
+    def test_predictions_record_no_tape(self, monkeypatch):
+        X, y = dataset_arrays()
+        est = HipLandmarkDetector(**toy_params()).fit(X, y)
+        expected = est.model_.forward(X[:, None])
+        outputs = []
+        forward = LandmarkNet.forward
+
+        def captured(self, images):
+            outputs.append(forward(self, images))
+            return outputs[-1]
+
+        monkeypatch.setattr(LandmarkNet, "forward", captured)
+        pred = est.predict(X)
+        proba = est.predict_proba(X)
+        assert len(outputs) == 2
+        assert all(not out.heatmaps.requires_grad and out.refined._parents == () for out in outputs)
+        np.testing.assert_array_equal(outputs[0].refined.data, expected.refined.data)
+        np.testing.assert_array_equal(proba[:, 1], 1.0 / (1.0 + np.exp(-expected.logit.data.astype(np.float64))))
+        assert pred.shape == (len(X), 12)
 
     def test_predict_before_fit_rejected(self):
         with pytest.raises(ContractError, match="not fitted"):

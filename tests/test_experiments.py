@@ -14,7 +14,7 @@ from hipgraf.experiments import (
     kfold_run,
     kfold_split,
 )
-from hipgraf.metrics import METRICS_CSV_HEADER
+from hipgraf.metrics import METRICS_CSV_HEADER, FoldMetrics, decode_landmarks, mre, radial_errors_mm, sdr
 from hipgraf.nets.model import build_model
 
 from conftest import make_samples, toy_backbone
@@ -97,6 +97,32 @@ class TestEvaluateModel:
         model = build_model(model_cfg, seed=0)
         metrics = evaluate_model(model, samples)
         assert metrics.acc is not None
+
+    @pytest.mark.parametrize("variant", ["full", "no_tgcn"])
+    def test_matches_a_recorded_per_sample_evaluation(self, variant):
+        # reference: one recording batch-1 forward per sample, scored by hand
+        samples = make_samples(7, size=32, seed=26)
+        model = build_model(tiny_cfgs(variant=variant)[0], seed=3)
+        per_sample_mre, distances, correct = [], [], []
+        for sample in samples:
+            out = model.forward(sample.image[None, None])
+            assert out.heatmaps.requires_grad
+            coords, _ = decode_landmarks(out.detection_stack().data[0], upscale=model.upscale)
+            per_sample_mre.append(mre(coords, sample.landmarks, sample.spacing))
+            distances.extend(radial_errors_mm(coords, sample.landmarks, sample.spacing).tolist())
+            if out.logit is not None:
+                prob = 1.0 / (1.0 + np.exp(-np.asarray(out.logit.data, dtype=np.float64)[0]))
+                correct.append((prob >= 0.5) == bool(sample.label))
+        mres = np.asarray(per_sample_mre)
+        expected = FoldMetrics(
+            fold="x",
+            mre_mm=float(mres.mean()),
+            mre_sd=float(mres.std()),
+            sdr=tuple(sdr(distances)),
+            acc=float(np.mean(correct)) if model.refiner is not None else None,
+            n=len(samples),
+        )
+        assert evaluate_model(model, samples, fold="x", batch_size=3) == expected
 
 
 @pytest.fixture(scope="module")

@@ -7,10 +7,13 @@ float64 analytic vs float64 oracle, 1e-3 for float32 analytic vs the
 float64 oracle.
 """
 
+import threading
+
 import numpy as np
 import pytest
 
 from hipgraf.autodiff import (
+    no_grad,
     rms_norm,
     Tensor,
     bce_loss,
@@ -201,3 +204,55 @@ class TestComposedGraphs:
             return mse_loss(matmul(hidden, t["w2"]), Tensor(np.zeros((5, 2)), dtype=t["w1"].dtype))
 
         assert_grads_match(build, values)
+
+
+class TestNoGrad:
+    def test_ops_record_no_graph(self):
+        w = Tensor(rnd(3, 3, seed=45), requires_grad=True)
+        with no_grad():
+            out = mul(matmul(w, w), w).sum()
+        assert out.requires_grad is False
+        assert out._parents == ()
+        assert out._backward is None
+
+    def test_recording_returns_after_nested_blocks(self):
+        w = Tensor(rnd(2, 2, seed=46), requires_grad=True)
+        with no_grad():
+            with no_grad():
+                pass
+            assert not mul(w, w).requires_grad
+        out = mul(w, w)
+        assert out.requires_grad and out._parents == (w, w)
+
+    def test_recording_returns_after_an_exception(self):
+        w = Tensor(rnd(2, 2, seed=47), requires_grad=True)
+        with pytest.raises(RuntimeError, match="inside"):
+            with no_grad():
+                raise RuntimeError("raised inside no_grad")
+        out = mul(w, w).sum()
+        out.backward()
+        np.testing.assert_allclose(w.grad, 2 * w.data, rtol=1e-6)
+
+    def test_scope_is_the_calling_thread(self):
+        w = Tensor(rnd(2, 2, seed=48), requires_grad=True)
+        inside = threading.Event()
+        release = threading.Event()
+        seen = {}
+
+        def hold_block_open():
+            with no_grad():
+                inside.set()
+                release.wait(timeout=30)
+                seen["worker"] = mul(w, w)
+
+        worker = threading.Thread(target=hold_block_open)
+        worker.start()
+        try:
+            assert inside.wait(timeout=30)
+            main_out = mul(w, w)  # while the worker is inside its block
+        finally:
+            release.set()
+            worker.join(timeout=30)
+        assert not worker.is_alive()
+        assert main_out.requires_grad and main_out._parents == (w, w)
+        assert not seen["worker"].requires_grad and seen["worker"]._parents == ()

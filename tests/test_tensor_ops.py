@@ -15,6 +15,7 @@ from hipgraf.autodiff import (
     matmul,
     maxpool2d,
     mse_loss,
+    no_grad,
     pad_edge,
     pointwise,
     relu,
@@ -146,6 +147,30 @@ class TestConv2d:
         (out * Tensor(rnd(2, 3, 4, 4, seed=27))).sum().backward()
         np.testing.assert_array_equal(x.grad, out.grad)
         assert not np.shares_memory(x.grad, out.grad)
+
+
+    @pytest.mark.parametrize("kernel", [(3, 2), (1, 1)])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("padding", [0, 1])
+    def test_no_grad_matches_recording_bit_for_bit(self, kernel, stride, padding):
+        x = Tensor(rnd(3, 4, 9, 8, seed=28), requires_grad=True)
+        w = Tensor(rnd(5, 4, *kernel, seed=29), requires_grad=True)
+        b = Tensor(rnd(5, seed=30), requires_grad=True)
+        recorded = conv2d(x, w, b, stride=stride, padding=padding)
+        with no_grad():
+            free = conv2d(x, w, b, stride=stride, padding=padding)
+        assert recorded.requires_grad and not free.requires_grad
+        assert free.data.dtype == recorded.data.dtype and free.shape == recorded.shape
+        assert free.data.tobytes() == recorded.data.tobytes()
+
+    def test_no_grad_three_d_input_matches_recording_bit_for_bit(self):
+        x = Tensor(rnd(4, 7, 6, seed=31))
+        w = Tensor(rnd(2, 4, 3, 3, seed=32), requires_grad=True)
+        recorded = conv2d(x, w, stride=2, padding=1)
+        with no_grad():
+            free = conv2d(x, w, stride=2, padding=1)
+        assert free.shape == recorded.shape == (2, 4, 3)
+        assert free.data.tobytes() == recorded.data.tobytes()
 
 
 class TestTransposeConv2d:
