@@ -9,10 +9,12 @@ recording, and the previous state comes back when the block exits, also
 through an exception. ``backward()`` visits the recorded graph once in
 reverse topological order; a tensor used twice receives the sum of both
 contributions, and calling ``backward()`` again without clearing grads
-accumulates into the existing buffers.
+accumulates into the existing buffers. Gradients land on leaves only (tensors
+with no recorded closure, such as parameters), as in PyTorch's default; each
+leaf's ``grad`` is its own array, sharing memory with no other tensor.
 
-Training runs in float32. A float64 mode (``using_dtype(np.float64)``) exists
-for gradient checking only.
+Training runs in float32. A float64 mode (``using_dtype(np.float64)``, per
+thread like ``no_grad``) exists for gradient checking only.
 """
 
 from __future__ import annotations
@@ -25,8 +27,6 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from ..errors import ContractError, DimensionError
-
-_DEFAULT_DTYPE = np.float32
 
 # glibc mallopt parameters
 _M_TRIM_THRESHOLD = -1
@@ -56,21 +56,21 @@ _keep_freed_memory()
 
 
 def default_dtype() -> np.dtype:
-    return np.dtype(_DEFAULT_DTYPE)
+    return np.dtype(_STATE.dtype)
 
 
 def set_default_dtype(dtype) -> None:
-    global _DEFAULT_DTYPE
+    """Set the dtype of new tensors for the calling thread only."""
     dtype = np.dtype(dtype)
     if dtype not in (np.dtype(np.float32), np.dtype(np.float64)):
         raise ContractError(f"unsupported default dtype {dtype}; use float32 or float64")
-    _DEFAULT_DTYPE = dtype.type
+    _STATE.dtype = dtype.type
 
 
 @contextlib.contextmanager
 def using_dtype(dtype) -> Iterator[None]:
-    """Temporarily switch the dtype used for newly created tensors."""
-    previous = _DEFAULT_DTYPE
+    """Temporarily switch the dtype of this thread's newly created tensors."""
+    previous = _STATE.dtype
     set_default_dtype(dtype)
     try:
         yield
@@ -79,7 +79,12 @@ def using_dtype(dtype) -> Iterator[None]:
 
 
 class Tensor:
-    """An n-dimensional array with an optional gradient buffer."""
+    """An n-dimensional array with an optional gradient buffer.
+
+    ``grad`` is filled by ``backward()`` on leaves only: a tensor created
+    directly with ``requires_grad=True`` (a parameter or an input). Results
+    of recorded ops keep ``grad is None``.
+    """
 
     __slots__ = ("data", "grad", "requires_grad", "name", "_parents", "_backward")
 
@@ -140,12 +145,14 @@ class Tensor:
     # -- graph machinery -----------------------------------------------------
 
     def backward(self) -> None:
-        """Populate ``grad`` on every reachable tensor that requires it.
+        """Add the gradient of this scalar loss to ``grad`` of every leaf that requires it.
 
-        The loss must be a single element. Gradients of one pass are
-        assembled in a pass-local map and only then added to ``grad``, so a
-        second call accumulates one extra copy of the true gradient rather
-        than re-propagating what is already stored.
+        A leaf is a tensor with no recorded closure: a parameter or an input
+        created with ``requires_grad=True``. Intermediate results keep
+        ``grad is None``, as in PyTorch's default. Gradients of one pass live
+        in a pass-local map; each node's entry is removed just before its
+        closure runs, so it is freed once consumed, and a second call adds
+        one extra copy of the true gradient to each leaf.
         """
         if self.data.size != 1:
             raise ContractError(f"backward() needs a scalar loss, got shape {self.shape}")
@@ -164,24 +171,22 @@ class Tensor:
             for parent in node._parents:
                 if id(parent) not in seen:
                     stack.append((parent, False))
-        grads: dict[int, np.ndarray] = {id(self): np.ones_like(self.data)}
+        grads = _Pass(self)
         _STATE.grads = grads
         try:
             for node in reversed(order):
-                g = grads.get(id(node))
-                if g is not None and node._backward is not None:
-                    node._backward(g)
-        finally:
-            _STATE.grads = None
-        for node in order:
-            if node.requires_grad:
-                g = grads.get(id(node))
+                g = grads.take(node)
                 if g is None:
                     continue
-                if node.grad is None:
-                    node.grad = g
-                else:
-                    node.grad += g
+                if node._backward is not None:
+                    node._backward(g)
+                elif node.requires_grad:
+                    if node.grad is None:
+                        node.grad = grads.own(node, g)
+                    else:
+                        node.grad += g
+        finally:
+            _STATE.grads = None
 
     # -- operator sugar (implemented below as free functions) -----------------
 
@@ -226,7 +231,54 @@ class _ThreadState(threading.local):
     """Per-thread tape state; the class attributes are each thread's defaults."""
 
     recording = True  # cleared inside no_grad()
-    grads: dict[int, np.ndarray] | None = None  # the running backward pass's map
+    dtype = np.float32  # of new tensors; switched by set_default_dtype / using_dtype
+    grads: "_Pass | None" = None  # the running backward pass
+
+
+class _Pass:
+    """Gradient entries of one backward pass, keyed by tensor id.
+
+    A contribution is stored as it is when it is C-contiguous and writeable,
+    so the fresh array a closure returns is not copied again; otherwise it is
+    copied, so every closure sees a contiguous gradient. Such a borrowed
+    entry may be shared (``add`` hands one array to both operands), so a
+    second contribution replaces it with ``stored + g``; only entries the
+    pass allocated itself are updated in place.
+    """
+
+    __slots__ = ("entries", "owned", "given")
+
+    def __init__(self, loss: Tensor):
+        self.entries: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
+        self.owned: set[int] = {id(loss)}  # keys whose entry the pass allocated
+        self.given: set[int] = set()  # ids of borrowed arrays already on a leaf's grad
+
+    def add(self, t: Tensor, g: np.ndarray) -> None:
+        key = id(t)
+        stored = self.entries.get(key)
+        if stored is None:
+            if g.flags.c_contiguous and g.flags.writeable:
+                self.entries[key] = g
+            else:
+                self.entries[key] = g.copy()
+                self.owned.add(key)
+        elif key in self.owned:
+            stored += g
+        else:
+            self.entries[key] = np.add(stored, g, order="C")
+            self.owned.add(key)
+
+    def take(self, t: Tensor) -> np.ndarray | None:
+        return self.entries.pop(id(t), None)
+
+    def own(self, leaf: Tensor, g: np.ndarray) -> np.ndarray:
+        """The array to keep as ``leaf.grad``: g itself unless another owner may see it."""
+        if id(leaf) in self.owned:
+            return g
+        if g.base is not None or id(g) in self.given:
+            return g.copy()
+        self.given.add(id(g))
+        return g
 
 
 _STATE = _ThreadState()
@@ -253,11 +305,7 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
         g = g.astype(t.data.dtype)
     grads = _STATE.grads
     if grads is not None:
-        key = id(t)
-        if key in grads:
-            grads[key] += g
-        else:
-            grads[key] = g.copy()
+        grads.add(t, g)
     elif t.grad is None:
         t.grad = g.copy()
     else:
@@ -265,7 +313,11 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
 
 
 def make_op(data: np.ndarray, parents: Sequence[Tensor], backward: Callable[[np.ndarray], None]) -> Tensor:
-    """Create a tensor that records its parents when ``records(parents)`` holds."""
+    """Create a tensor that records its parents when ``records(parents)`` holds.
+
+    ``backward`` must not write to the gradient it receives: a backward pass
+    may share that array with other entries or with a leaf's ``grad``.
+    """
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None

@@ -57,7 +57,7 @@ def _write(fh: BinaryIO, tensors: dict[str, np.ndarray]) -> None:
         for dim in arr.shape:
             fh.write(struct.pack("<I", dim))
         fh.write(struct.pack("<B", _DTYPE_F32))
-        fh.write(arr.astype("<f4").tobytes())
+        fh.write(np.ascontiguousarray(arr, dtype="<f4").data)
 
 
 def _take(fh: BinaryIO, count: int, what: str) -> bytes:

@@ -17,6 +17,8 @@ so a truncated or mismatched file can never leave a model half-loaded.
 from __future__ import annotations
 
 import io
+import os
+import secrets
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -63,20 +65,32 @@ def save_checkpoint(
     epoch: int = 0,
     step: int = 0,
 ) -> None:
+    """Write a checkpoint atomically.
+
+    The bytes stream into a temporary file next to ``path``, which replaces
+    ``path`` only once it is complete; a write that fails midway removes the
+    temporary file and leaves any earlier file at ``path`` untouched.
+    """
     header_lines = [f"epoch={epoch}", f"step={step}", f"adam_t={optimizer.t if optimizer else 0}"]
     header_lines += [f"cfg.{key}={value}" for key, value in config_items.items()]
     header = ("\n".join(header_lines) + "\n").encode("utf-8")
     tensors = {f"param.{name}": arr for name, arr in model.state_arrays().items()}
     if optimizer is not None:
         tensors.update(optimizer.state_arrays())
-    blob = io.BytesIO()
-    tensorfile.write_tensors(blob, tensors)
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", VERSION))
-        fh.write(struct.pack("<I", len(header)))
-        fh.write(header)
-        fh.write(blob.getvalue())
+    path = Path(path)
+    # opened with "x" rather than tempfile.mkstemp, so the file gets the usual umask mode, not 0600
+    tmp = path.with_name(f".{path.name}.{secrets.token_hex(6)}.tmp")
+    try:
+        with open(tmp, "xb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<I", VERSION))
+            fh.write(struct.pack("<I", len(header)))
+            fh.write(header)
+            tensorfile.write_tensors(fh, tensors)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:

@@ -230,17 +230,14 @@ def train(samples: list[ImageSample], model: LandmarkNet, cfg: TrainConfig, log_
                 total = losses.total.item()
                 if not math.isfinite(total):
                     raise NumericError(f"non-finite loss {total} at step {step + 1} (epoch {epoch})")
+                l_landmark = losses.landmark.item()
+                l_classify = 0.0 if losses.classify is None else losses.classify.item()
                 optimizer.zero_grad()
                 losses.total.backward()
+                del out, losses  # free this step's tape before the update and the next forward
                 optimizer.step()
                 step += 1
-                row = LogRow(
-                    epoch=epoch,
-                    step=step,
-                    l_landmark=losses.landmark.item(),
-                    l_classify=0.0 if losses.classify is None else losses.classify.item(),
-                    total=total,
-                )
+                row = LogRow(epoch=epoch, step=step, l_landmark=l_landmark, l_classify=l_classify, total=total)
                 result.history.append(row)
                 if log_fh:
                     log_fh.write(row.as_csv() + "\n")

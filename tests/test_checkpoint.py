@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from hipgraf.autodiff import tensorfile
 from hipgraf.checkpoint import load_checkpoint, restore_model, restore_optimizer, save_checkpoint
 from hipgraf.config import default_run_config, merge_run_config, run_config_to_items
 from hipgraf.errors import FormatError, IncompleteCheckpointError
@@ -125,3 +126,48 @@ def test_config_snapshot_round_trips(tmp_path, toy_model_config):
     loaded = load_checkpoint(path)
     assert loaded.run_config() == values
     assert loaded.run_config()["lr"] == default_run_config()["lr"]
+
+
+def reference_checkpoint_bytes(model, items, optimizer, epoch, step):
+    """The documented layout, assembled in memory: magic, version, header, tensor blob."""
+    header_lines = [f"epoch={epoch}", f"step={step}", f"adam_t={optimizer.t}"]
+    header_lines += [f"cfg.{key}={value}" for key, value in items.items()]
+    header = ("\n".join(header_lines) + "\n").encode("utf-8")
+    tensors = {f"param.{name}": arr for name, arr in model.state_arrays().items()}
+    tensors.update(optimizer.state_arrays())
+    return b"TGCK" + (1).to_bytes(4, "little") + len(header).to_bytes(4, "little") + header + tensorfile.dumps(tensors)
+
+
+def test_streamed_bytes_match_the_documented_layout(tmp_path, toy_model_config):
+    model = build_model(toy_model_config, seed=7)
+    optimizer = Adam(model.parameters(), lr=1e-3)
+    out = model.forward(np.random.default_rng(7).random((1, 16, 16), dtype=np.float32))
+    out.heatmaps.sum().backward()
+    optimizer.step()
+    _, items = toy_items(seed=7)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, model, items, optimizer=optimizer, epoch=2, step=9)
+    assert path.read_bytes() == reference_checkpoint_bytes(model, items, optimizer, 2, 9)
+    assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+
+
+@pytest.mark.parametrize("existing", [False, True])
+def test_failed_write_leaves_no_file_behind(tmp_path, toy_model_config, monkeypatch, existing):
+    model = build_model(toy_model_config, seed=8)
+    _, items = toy_items(seed=8)
+    path = tmp_path / "model.ckpt"
+    if existing:
+        path.write_bytes(b"earlier checkpoint")
+
+    def write_half_then_fail(fh, tensors):
+        fh.write(b"TGT1" + bytes(64))
+        raise OSError("disk full")
+
+    monkeypatch.setattr(tensorfile, "write_tensors", write_half_then_fail)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(path, model, items)
+    if existing:
+        assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+        assert path.read_bytes() == b"earlier checkpoint"
+    else:
+        assert list(tmp_path.iterdir()) == []

@@ -31,6 +31,7 @@ from hipgraf.autodiff import (
     reduce_mean,
     softmax,
     transpose_conv2d,
+    using_dtype,
     window_stack,
 )
 
@@ -256,3 +257,29 @@ class TestNoGrad:
         assert not worker.is_alive()
         assert main_out.requires_grad and main_out._parents == (w, w)
         assert not seen["worker"].requires_grad and seen["worker"]._parents == ()
+
+
+class TestDefaultDtype:
+    def test_using_dtype_is_scoped_to_the_calling_thread(self):
+        inside = threading.Event()
+        release = threading.Event()
+        seen = {}
+
+        def hold_block_open():
+            with using_dtype(np.float64):
+                inside.set()
+                release.wait(timeout=30)
+                seen["worker"] = Tensor([1.0, 2.0]).dtype
+
+        worker = threading.Thread(target=hold_block_open)
+        worker.start()
+        try:
+            assert inside.wait(timeout=30)
+            main_dtype = Tensor([1.0, 2.0]).dtype  # while the worker is inside its block
+        finally:
+            release.set()
+            worker.join(timeout=30)
+        assert not worker.is_alive()
+        assert main_dtype == np.float32
+        assert seen["worker"] == np.float64
+        assert Tensor([1.0]).dtype == np.float32

@@ -1,4 +1,4 @@
-"""Forward-value contracts of the tensor ops: hand-computable cases."""
+"""Forward-value contracts of the tensor ops: hand-computable cases, and the gradient ownership contract."""
 
 import math
 
@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from hipgraf.autodiff import (
     Tensor,
+    add,
     bce_loss,
     concat,
     conv2d,
@@ -15,9 +16,11 @@ from hipgraf.autodiff import (
     matmul,
     maxpool2d,
     mse_loss,
+    mul,
     no_grad,
     pad_edge,
     pointwise,
+    reduce_mean,
     relu,
     reshape,
     sigmoid,
@@ -27,6 +30,8 @@ from hipgraf.autodiff import (
     window_stack,
 )
 from hipgraf.errors import ConfigError, ContractError, DimensionError
+from hipgraf.nets.model import build_model
+from hipgraf.training import total_loss
 
 
 def rnd(*shape, seed=0, dtype=np.float32):
@@ -139,14 +144,17 @@ class TestConv2d:
         np.testing.assert_allclose(out.data, conv2d_reference(x[None], w, 2, 1)[0], rtol=1e-12, atol=1e-12)
 
     def test_one_by_one_input_gradient_is_a_new_array(self):
-        # an identity 1x1 kernel passes the upstream gradient through unchanged,
-        # but the input must receive its own buffer, not a view of it
+        # an identity 1x1 kernel passes the upstream gradient (the multiplier)
+        # through unchanged, but the input must receive its own buffer
         x = Tensor(rnd(2, 3, 4, 4, seed=26), requires_grad=True)
         w = Tensor(np.eye(3, dtype=np.float32).reshape(3, 3, 1, 1), requires_grad=True)
+        multiplier = Tensor(rnd(2, 3, 4, 4, seed=27))
         out = conv2d(x, w)
-        (out * Tensor(rnd(2, 3, 4, 4, seed=27))).sum().backward()
-        np.testing.assert_array_equal(x.grad, out.grad)
-        assert not np.shares_memory(x.grad, out.grad)
+        (out * multiplier).sum().backward()
+        np.testing.assert_array_equal(x.grad, multiplier.data)
+        assert not np.shares_memory(x.grad, multiplier.data)
+        assert not np.shares_memory(x.grad, out.data)
+        assert not np.shares_memory(x.grad, w.grad)
 
 
     @pytest.mark.parametrize("kernel", [(3, 2), (1, 1)])
@@ -289,6 +297,116 @@ class TestBackward:
         loss = (matmul(w, w)).sum()  # d/dw (w*w) = 2w
         loss.backward()
         np.testing.assert_allclose(w.grad, [[4.0]])
+
+
+def graph_tensors(loss):
+    """Every tensor reachable from loss through the recorded parents."""
+    found, stack = {}, [loss]
+    while stack:
+        t = stack.pop()
+        if id(t) not in found:
+            found[id(t)] = t
+            stack.extend(t._parents)
+    return list(found.values())
+
+
+def leaf_cases():
+    """(name, loss, leaves, expected grads): closures that hand one gradient array to several owners."""
+    c = rnd(2, 3, seed=63)
+    a = Tensor(rnd(2, 3, seed=60), requires_grad=True)
+    yield "add(a, a)", add(a, a).sum(), [a], [np.full((2, 3), 2.0)]
+    a, b = Tensor(rnd(2, 3, seed=61), requires_grad=True), Tensor(rnd(2, 3, seed=62), requires_grad=True)
+    yield "add(a, b)", (add(a, b) * Tensor(c)).sum(), [a, b], [c, c]
+    a, b = Tensor(rnd(2, 3, seed=64), requires_grad=True), Tensor(rnd(6, seed=65), requires_grad=True)
+    yield "reshape", (add(reshape(a, (6,)), b) * Tensor(c.reshape(6))).sum(), [a, b], [c, c.reshape(6)]
+    a, b = Tensor(rnd(2, 3, seed=67), requires_grad=True), Tensor(rnd(3, 2, seed=68), requires_grad=True)
+    yield "transpose", (add(transpose(a, (1, 0)), b) * Tensor(c.T)).sum(), [a, b], [c, c.T]
+    a, b = Tensor(rnd(2, 3, seed=70), requires_grad=True), Tensor(rnd(2, 3, seed=71), requires_grad=True)
+    yield "reduce_mean", add(reduce_mean(a), reduce_mean(add(a, b))), [a, b], [np.full((2, 3), 2 / 6), np.full((2, 3), 1 / 6)]
+    # a's first contribution is the array add() also hands to b; its second must not change b's
+    a, b, d = Tensor(rnd(2, 3, seed=72), requires_grad=True), Tensor(rnd(2, 3, seed=73), requires_grad=True), rnd(2, 3, seed=74)
+    yield "shared, then added", add(mul(add(a, b), Tensor(c)), mul(a, Tensor(d))).sum(), [a, b], [c + d, c]
+
+
+CASES = len(list(leaf_cases()))
+
+
+def contiguity_seen_by_closures(loss):
+    """Wrap every recorded closure to note whether its upstream gradient is C-contiguous."""
+    seen = []
+    for t in graph_tensors(loss):
+        if t._backward is not None:
+
+            def watched(g, backward=t._backward):
+                seen.append(g.flags.c_contiguous)
+                backward(g)
+
+            t._backward = watched
+    return seen
+
+
+class TestLeafGradients:
+    """backward() leaves each leaf a private gradient and no intermediate one."""
+
+    @pytest.mark.parametrize("case", range(CASES))
+    def test_leaf_grads_are_correct_and_share_no_memory(self, case):
+        name, loss, leaves, expected = list(leaf_cases())[case]
+        loss.backward()
+        tensors = graph_tensors(loss)
+        for i, leaf in enumerate(leaves):
+            np.testing.assert_allclose(leaf.grad, expected[i], rtol=1e-6, err_msg=name)
+            assert leaf.grad.flags.writeable and leaf.grad.flags.c_contiguous, name
+            for other in leaves[i + 1 :]:
+                assert not np.shares_memory(leaf.grad, other.grad), name
+            for t in tensors:
+                assert not np.shares_memory(leaf.grad, t.data), name
+
+    @pytest.mark.parametrize("case", range(CASES))
+    def test_second_backward_doubles_the_first(self, case):
+        name, loss, leaves, _ = list(leaf_cases())[case]
+        loss.backward()
+        first = [leaf.grad.copy() for leaf in leaves]
+        loss.backward()
+        for leaf, g in zip(leaves, first):
+            np.testing.assert_array_equal(leaf.grad, 2 * g, err_msg=name)
+
+    @pytest.mark.parametrize("case", range(CASES))
+    def test_intermediates_keep_no_grad(self, case):
+        name, loss, leaves, _ = list(leaf_cases())[case]
+        loss.backward()
+        for t in graph_tensors(loss):
+            if t._backward is not None:
+                assert t.grad is None, name
+        assert all(leaf.grad is not None for leaf in leaves)
+
+    @pytest.mark.parametrize("case", range(CASES))
+    def test_closures_see_contiguous_gradients(self, case):
+        # transposed and broadcast contributions are copied before a closure reads them
+        name, loss, _, _ = list(leaf_cases())[case]
+        seen = contiguity_seen_by_closures(loss)
+        loss.backward()
+        assert seen and all(seen), name
+
+    def test_model_parameter_grads_are_private_and_accumulate(self, toy_model_config):
+        model = build_model(toy_model_config, seed=0)
+        x = rnd(2, 16, 16, seed=75)
+        out = model.forward(x)
+        loss = total_loss(out.heatmaps, out.refined, rnd(2, 6, 4, 4, seed=76), out.logit, np.array([0.0, 1.0]), 0.5).total
+        seen = contiguity_seen_by_closures(loss)
+        loss.backward()
+        assert all(seen)
+        params = list(model.parameters().values())
+        first = [p.grad.copy() for p in params]
+        tensors = graph_tensors(loss)
+        for i, p in enumerate(params):
+            for other in params[i + 1 :]:
+                assert not np.shares_memory(p.grad, other.grad)
+            for t in tensors:
+                assert not np.shares_memory(p.grad, t.data)
+        assert all(t.grad is None for t in tensors if t._backward is not None)
+        loss.backward()
+        for p, g in zip(params, first):
+            np.testing.assert_array_equal(p.grad, 2 * g)
 
 
 class TestShapeOps:

@@ -1,6 +1,8 @@
 """Loss assembly, target heatmaps, augmentation, optimizer and train loop."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -187,6 +189,30 @@ class TestTrainLoop:
         first = result.history[0].l_landmark
         last = result.history[-1].l_landmark
         assert last < 0.1 * first, (first, last)
+
+    def test_previous_step_graph_is_freed_before_the_next_forward(self, toy_model_config_32, tiny_dataset, monkeypatch):
+        # reference counting alone must free step k's tape once its update is done
+        model = build_model(toy_model_config_32, seed=3)
+        forward = model.forward
+        previous = []
+        alive_at_forward = []
+
+        def watched_forward(images):
+            if previous:
+                alive_at_forward.append(previous[-1]() is not None)
+            out = forward(images)
+            previous.append(weakref.ref(out.heatmaps.data))
+            return out
+
+        monkeypatch.setattr(model, "forward", watched_forward)
+        cfg = TrainConfig(lr=1e-3, epochs=1, batch_size=2, lam=0.1, sigma=1.0, hflip_prob=0.0, seed=0, max_steps=3)
+        gc.disable()
+        try:
+            result = train(tiny_dataset, model, cfg)
+        finally:
+            gc.enable()
+        assert result.steps_run == 3
+        assert alive_at_forward == [False, False]
 
     def test_flipped_sample_keeps_heatmaps_consistent(self, toy_model_config_32):
         # peak of the gt heatmap must follow the flipped landmark
