@@ -173,12 +173,8 @@ def maxpool2d(x: Tensor, kernel: int = 2) -> Tensor:
 
 # -- pointwise activations ------------------------------------------------------
 
-_SQRT_2_OVER_PI = 0.7978845608028654
-_GELU_COEF = 0.044715
-
-
 def pointwise(x: Tensor, kind: str) -> Tensor:
-    """Elementwise nonlinearity; kind is one of relu, gelu, sigmoid."""
+    """Elementwise nonlinearity; kind is relu or sigmoid."""
     if kind == "relu":
         data = np.maximum(x.data, 0)
 
@@ -191,18 +187,8 @@ def pointwise(x: Tensor, kind: str) -> Tensor:
         def backward(g: np.ndarray) -> None:
             _accumulate(x, g * data * (1 - data))
 
-    elif kind == "gelu":
-        u = _SQRT_2_OVER_PI * (x.data + _GELU_COEF * x.data**3)
-        t = np.tanh(u)
-        data = 0.5 * x.data * (1 + t)
-
-        def backward(g: np.ndarray) -> None:
-            du = _SQRT_2_OVER_PI * (1 + 3 * _GELU_COEF * x.data**2)
-            local = 0.5 * (1 + t) + 0.5 * x.data * (1 - t**2) * du
-            _accumulate(x, g * local)
-
     else:
-        raise ConfigError(f"unknown pointwise kind {kind!r}; expected relu, gelu or sigmoid")
+        raise ConfigError(f"unknown pointwise kind {kind!r}; expected relu or sigmoid")
     return make_op(data, (x,), backward)
 
 
@@ -212,10 +198,6 @@ def relu(x: Tensor) -> Tensor:
 
 def sigmoid(x: Tensor) -> Tensor:
     return pointwise(x, "sigmoid")
-
-
-def gelu(x: Tensor) -> Tensor:
-    return pointwise(x, "gelu")
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -238,23 +220,6 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     def backward(g: np.ndarray) -> None:
         dot = (g * data).sum(axis=axis, keepdims=True)
         _accumulate(x, data * (g - dot))
-
-    return make_op(data, (x,), backward)
-
-
-def rms_norm(x: Tensor, axis: int = -1, eps: float = 1e-5) -> Tensor:
-    """Scale each slice along ``axis`` to unit root-mean-square.
-
-    Unlike layer_norm this keeps the mean, so constant offsets survive.
-    """
-    ms = (x.data**2).mean(axis=axis, keepdims=True)
-    inv = 1.0 / np.sqrt(ms + eps)
-    data = x.data * inv
-    count = x.data.shape[axis] if axis is not None else x.data.size
-
-    def backward(g: np.ndarray) -> None:
-        proj = (g * x.data).sum(axis=axis, keepdims=True)
-        _accumulate(x, inv * g - (inv**3 / count) * x.data * proj)
 
     return make_op(data, (x,), backward)
 

@@ -133,9 +133,6 @@ class Tensor:
         grad = ", grad" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}{grad}{tag})"
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data, requires_grad=False, dtype=self.data.dtype)
-
     def astype(self, dtype) -> "Tensor":
         return Tensor(self.data.astype(dtype), requires_grad=False, dtype=dtype)
 

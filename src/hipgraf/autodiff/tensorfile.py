@@ -16,6 +16,7 @@ Values are stored as float32; higher-precision tensors are cast on write.
 from __future__ import annotations
 
 import io
+import math
 import struct
 from pathlib import Path
 from typing import BinaryIO
@@ -68,29 +69,32 @@ def _take(fh: BinaryIO, count: int, what: str) -> bytes:
 
 
 def _read(fh: BinaryIO) -> dict[str, np.ndarray]:
+    start = fh.tell()
+    end = fh.seek(0, io.SEEK_END)
+    fh.seek(start)
     if _take(fh, 4, "magic") != MAGIC:
         raise FormatError("not a tensor container: bad magic bytes")
     (count,) = struct.unpack("<I", _take(fh, 4, "tensor count"))
     tensors: dict[str, np.ndarray] = {}
     for _ in range(count):
         (name_len,) = struct.unpack("<H", _take(fh, 2, "name length"))
-        name = _take(fh, name_len, "name").decode("utf-8")
+        raw_name = _take(fh, name_len, "name")
+        try:
+            name = raw_name.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"tensor name is not UTF-8: {raw_name[:32]!r}") from exc
         (ndim,) = struct.unpack("<B", _take(fh, 1, "ndim"))
         shape = tuple(struct.unpack("<I", _take(fh, 4, "dim"))[0] for _ in range(ndim))
         (tag,) = struct.unpack("<B", _take(fh, 1, "dtype tag"))
         if tag != _DTYPE_F32:
             raise FormatError(f"unknown dtype tag {tag} for tensor {name!r}")
-        n_items = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        payload = _take(fh, 4 * n_items, f"payload of {name!r}")
-        tensors[name] = np.frombuffer(payload, dtype="<f4").reshape(shape).copy()
+        # sized with Python ints and checked against the bytes left before
+        # allocating, so hostile dims can neither wrap around nor exhaust memory
+        n_bytes = 4 * math.prod(shape)
+        if n_bytes > end - fh.tell():
+            raise FormatError(f"truncated tensor container while reading payload of {name!r}")
+        arr = np.empty(shape, dtype="<f4")
+        if fh.readinto(arr.reshape(-1).view(np.uint8)) != n_bytes:
+            raise FormatError(f"truncated tensor container while reading payload of {name!r}")
+        tensors[name] = arr
     return tensors
-
-
-def dumps(tensors: dict[str, np.ndarray]) -> bytes:
-    buf = io.BytesIO()
-    _write(buf, tensors)
-    return buf.getvalue()
-
-
-def loads(blob: bytes) -> dict[str, np.ndarray]:
-    return _read(io.BytesIO(blob))

@@ -16,7 +16,6 @@ so a truncated or mismatched file can never leave a model half-loaded.
 
 from __future__ import annotations
 
-import io
 import os
 import secrets
 import struct
@@ -94,35 +93,39 @@ def save_checkpoint(
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
-    blob = Path(path).read_bytes()
-    if len(blob) < 12 or blob[:4] != MAGIC:
-        raise FormatError(f"{path}: not a checkpoint file (bad magic)")
-    (version,) = struct.unpack("<I", blob[4:8])
-    if version != VERSION:
-        raise FormatError(f"{path}: unsupported checkpoint version {version}")
-    (header_len,) = struct.unpack("<I", blob[8:12])
-    if len(blob) < 12 + header_len:
-        raise FormatError(f"{path}: truncated checkpoint header")
-    header = blob[12 : 12 + header_len].decode("utf-8")
-    fields: dict[str, str] = {}
-    config_items: dict[str, str] = {}
-    for line in header.splitlines():
-        if not line.strip():
-            continue
-        key, sep, value = line.partition("=")
-        if not sep:
-            raise FormatError(f"{path}: malformed checkpoint header line {line!r}")
-        if key.startswith("cfg."):
-            config_items[key[4:]] = value
-        else:
-            fields[key] = value
-    try:
-        epoch = int(fields.get("epoch", "0"))
-        step = int(fields.get("step", "0"))
-        adam_t = int(fields.get("adam_t", "0"))
-    except ValueError as exc:
-        raise FormatError(f"{path}: malformed checkpoint counters: {exc}") from exc
-    arrays = tensorfile.read_tensors(io.BytesIO(blob[12 + header_len :]))
+    """Parse a checkpoint, streaming each tensor from the file into its own array."""
+    with open(path, "rb") as fh:
+        prefix = fh.read(12)
+        if len(prefix) < 12 or prefix[:4] != MAGIC:
+            raise FormatError(f"{path}: not a checkpoint file (bad magic)")
+        version, header_len = struct.unpack("<II", prefix[4:])
+        if version != VERSION:
+            raise FormatError(f"{path}: unsupported checkpoint version {version}")
+        if os.fstat(fh.fileno()).st_size < 12 + header_len:
+            raise FormatError(f"{path}: truncated checkpoint header")
+        try:
+            header = fh.read(header_len).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: checkpoint header is not UTF-8: {exc}") from exc
+        fields: dict[str, str] = {}
+        config_items: dict[str, str] = {}
+        for line in header.splitlines():
+            if not line.strip():
+                continue
+            key, sep, value = line.partition("=")
+            if not sep:
+                raise FormatError(f"{path}: malformed checkpoint header line {line!r}")
+            if key.startswith("cfg."):
+                config_items[key[4:]] = value
+            else:
+                fields[key] = value
+        try:
+            epoch = int(fields.get("epoch", "0"))
+            step = int(fields.get("step", "0"))
+            adam_t = int(fields.get("adam_t", "0"))
+        except ValueError as exc:
+            raise FormatError(f"{path}: malformed checkpoint counters: {exc}") from exc
+        arrays = tensorfile.read_tensors(fh)
     return Checkpoint(version=version, epoch=epoch, step=step, adam_t=adam_t, config_items=config_items, arrays=arrays)
 
 

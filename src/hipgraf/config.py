@@ -1,15 +1,17 @@
 """Configuration dataclasses and the flat run-config file format.
 
 A run config is a text file of ``key = value`` lines (``#`` starts a
-comment). Every key has a documented default below; unknown keys are a hard
-error so typos cannot silently fall back to defaults. The same keys are
-exposed as ``--key value`` command-line overrides, which win over the file.
+comment). Every key is a field of the dataclasses below, which holds its
+default and help text; unknown keys are a hard error so typos cannot silently
+fall back to defaults. The same keys are exposed as ``--key value``
+command-line overrides, which win over the file.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
+from typing import get_type_hints
 
 from .errors import ConfigError
 
@@ -17,18 +19,24 @@ VARIANTS = ("full", "no_mmf", "no_tgcn", "concat_baseline")
 FUSION_MODES = ("concat", "add")
 
 
+def _key(default, help: str, key: str | None = None):
+    """A run-config field: its default, its help text and, where it differs from the field name, its key."""
+    metadata = {"help": help} if key is None else {"help": help, "key": key}
+    return field(default=default, metadata=metadata)
+
+
 @dataclass
 class BackboneConfig:
     """Shapes of the two feature branches and their shared output map."""
 
-    input_size: int = 128
-    feature_size: int = 32
-    channels: int = 32
-    unet_depth: int = 3
-    patch_size: int = 8
-    token_dim: int = 32
-    transformer_layers: int = 2
-    heads: int = 4
+    input_size: int = _key(128, "square input image side in px")
+    feature_size: int = _key(32, "heatmap side in px (input_size must be a power-of-two multiple)")
+    channels: int = _key(32, "feature channels produced by each branch")
+    unet_depth: int = _key(3, "number of encoder pooling steps in the local branch")
+    patch_size: int = _key(8, "square patch side for the global branch")
+    token_dim: int = _key(32, "embedding width of the global branch tokens")
+    transformer_layers: int = _key(2, "encoder layers in the global branch")
+    heads: int = _key(4, "attention heads per encoder layer")
 
     def validate(self) -> "BackboneConfig":
         for name in ("input_size", "feature_size", "channels", "unet_depth", "patch_size", "token_dim", "transformer_layers", "heads"):
@@ -65,8 +73,8 @@ class BackboneConfig:
 
 @dataclass
 class FusionConfig:
-    window: int = 3
-    mode: str = "concat"
+    window: int = _key(3, "odd neighborhood side for mutual modulation fusion", key="mmf_window")
+    mode: str = _key("concat", "combine modulated maps by 'concat' or 'add'", key="fusion_mode")
 
     def validate(self) -> "FusionConfig":
         if self.window < 1 or self.window % 2 == 0:
@@ -78,8 +86,8 @@ class FusionConfig:
 
 @dataclass
 class GraphConfig:
-    layers: int = 2
-    hidden: int = 64
+    layers: int = _key(2, "graph refinement layers", key="gcn_layers")
+    hidden: int = _key(64, "middle width of the classification head", key="gcn_hidden")
 
     def validate(self) -> "GraphConfig":
         if self.layers < 1:
@@ -93,8 +101,8 @@ class GraphConfig:
 class ModelConfig:
     backbone: BackboneConfig = field(default_factory=BackboneConfig)
     fusion: FusionConfig = field(default_factory=FusionConfig)
+    variant: str = _key("full", "model variant: full, no_mmf, no_tgcn or concat_baseline")
     graph: GraphConfig = field(default_factory=GraphConfig)
-    variant: str = "full"
 
     def validate(self) -> "ModelConfig":
         if self.variant not in VARIANTS:
@@ -115,14 +123,14 @@ class ModelConfig:
 
 @dataclass
 class TrainConfig:
-    lr: float = 1e-4
-    epochs: int = 100
-    batch_size: int = 2
-    lam: float = 0.1
-    sigma: float = 2.0
-    hflip_prob: float = 0.5
-    seed: int = 0
-    max_steps: int = 0
+    lr: float = _key(1e-4, "Adam learning rate")
+    epochs: int = _key(100, "training epochs")
+    batch_size: int = _key(2, "samples per optimizer step")
+    lam: float = _key(0.1, "weight of the classification loss", key="lambda")
+    sigma: float = _key(2.0, "ground-truth heatmap stddev in heatmap px")
+    hflip_prob: float = _key(0.5, "probability of horizontal flip per sample per epoch")
+    seed: int = _key(0, "master seed for init, shuffling, augmentation and generation")
+    max_steps: int = _key(0, "stop after this many optimizer steps (0 = run all epochs)")
 
     def validate(self) -> "TrainConfig":
         if self.lr < 0:
@@ -143,13 +151,13 @@ class TrainConfig:
 
 @dataclass
 class GeneratorConfig:
-    n_samples: int = 64
-    class_balance: float = 0.5
-    spacing: float = 0.1
-    speckle_gamma: float = 0.3
-    size: int = 128
-    seed: int = 0
-    group_size: int = 0
+    n_samples: int = _key(64, "phantom dataset size")
+    class_balance: float = _key(0.5, "fraction of abnormal samples to generate")
+    spacing: float = _key(0.1, "pixel spacing in mm/px")
+    speckle_gamma: float = _key(0.3, "multiplicative speckle amplitude")
+    size: int = field(default=128, metadata={"key": "input_size"})  # the model's input_size key
+    seed: int = 0  # the training seed key
+    group_size: int = _key(0, "samples per synthetic subject group (0 = no group column)")
 
     def validate(self) -> "GeneratorConfig":
         if self.n_samples < 1:
@@ -169,8 +177,8 @@ class GeneratorConfig:
 
 @dataclass
 class EvalConfig:
-    folds: int = 5
-    grouped: bool = False
+    folds: int = _key(5, "cross-validation folds")
+    grouped: bool = _key(False, "keep manifest groups within one fold")
 
     def validate(self) -> "EvalConfig":
         if self.folds < 2:
@@ -187,38 +195,31 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
+def _key_of(f) -> str:
+    return f.metadata.get("key", f.name)
+
+
+def _key_specs() -> dict[str, tuple]:
+    """Walk the dataclasses' scalar fields, nested ones in place, in declaration order."""
+    specs: dict[str, tuple] = {}
+
+    def walk(cls) -> None:
+        hints = get_type_hints(cls)
+        for f in fields(cls):
+            kind = hints[f.name]
+            if is_dataclass(kind):
+                walk(kind)
+            elif _key_of(f) not in specs:  # seed and input_size are read by two dataclasses
+                specs[_key_of(f)] = (_parse_bool if kind is bool else kind, f.default, f.metadata["help"])
+
+    for cls in (ModelConfig, TrainConfig, GeneratorConfig, EvalConfig):
+        walk(cls)
+    return specs
+
+
 # key -> (parser, default, help). The flat namespace is the config file format
 # and the CLI override surface.
-KEY_SPECS: dict[str, tuple] = {
-    "input_size": (int, 128, "square input image side in px"),
-    "feature_size": (int, 32, "heatmap side in px (input_size must be a power-of-two multiple)"),
-    "channels": (int, 32, "feature channels produced by each branch"),
-    "unet_depth": (int, 3, "number of encoder pooling steps in the local branch"),
-    "patch_size": (int, 8, "square patch side for the global branch"),
-    "token_dim": (int, 32, "embedding width of the global branch tokens"),
-    "transformer_layers": (int, 2, "encoder layers in the global branch"),
-    "heads": (int, 4, "attention heads per encoder layer"),
-    "mmf_window": (int, 3, "odd neighborhood side for mutual modulation fusion"),
-    "fusion_mode": (str, "concat", "combine modulated maps by 'concat' or 'add'"),
-    "variant": (str, "full", "model variant: full, no_mmf, no_tgcn or concat_baseline"),
-    "gcn_layers": (int, 2, "graph refinement layers"),
-    "gcn_hidden": (int, 64, "middle width of the classification head"),
-    "lr": (float, 1e-4, "Adam learning rate"),
-    "epochs": (int, 100, "training epochs"),
-    "batch_size": (int, 2, "samples per optimizer step"),
-    "lambda": (float, 0.1, "weight of the classification loss"),
-    "sigma": (float, 2.0, "ground-truth heatmap stddev in heatmap px"),
-    "hflip_prob": (float, 0.5, "probability of horizontal flip per sample per epoch"),
-    "seed": (int, 0, "master seed for init, shuffling, augmentation and generation"),
-    "max_steps": (int, 0, "stop after this many optimizer steps (0 = run all epochs)"),
-    "n_samples": (int, 64, "phantom dataset size"),
-    "class_balance": (float, 0.5, "fraction of abnormal samples to generate"),
-    "spacing": (float, 0.1, "pixel spacing in mm/px"),
-    "speckle_gamma": (float, 0.3, "multiplicative speckle amplitude"),
-    "group_size": (int, 0, "samples per synthetic subject group (0 = no group column)"),
-    "folds": (int, 5, "cross-validation folds"),
-    "grouped": (_parse_bool, False, "keep manifest groups within one fold"),
-}
+KEY_SPECS: dict[str, tuple] = _key_specs()
 
 
 def default_run_config() -> dict:
@@ -264,54 +265,26 @@ def merge_run_config(file_values: dict | None = None, overrides: dict | None = N
     return merged
 
 
+def _fill(cls, values: dict):
+    """``cls`` with every field, nested dataclasses included, read from the flat run config."""
+    hints = get_type_hints(cls)
+    return cls(**{f.name: _fill(hints[f.name], values) if is_dataclass(hints[f.name]) else values[_key_of(f)] for f in fields(cls)})
+
+
 def model_config_from(values: dict) -> ModelConfig:
-    cfg = ModelConfig(
-        backbone=BackboneConfig(
-            input_size=values["input_size"],
-            feature_size=values["feature_size"],
-            channels=values["channels"],
-            unet_depth=values["unet_depth"],
-            patch_size=values["patch_size"],
-            token_dim=values["token_dim"],
-            transformer_layers=values["transformer_layers"],
-            heads=values["heads"],
-        ),
-        fusion=FusionConfig(window=values["mmf_window"], mode=values["fusion_mode"]),
-        graph=GraphConfig(layers=values["gcn_layers"], hidden=values["gcn_hidden"]),
-        variant=values["variant"],
-    )
-    return cfg.validate()
+    return _fill(ModelConfig, values).validate()
 
 
 def train_config_from(values: dict) -> TrainConfig:
-    cfg = TrainConfig(
-        lr=values["lr"],
-        epochs=values["epochs"],
-        batch_size=values["batch_size"],
-        lam=values["lambda"],
-        sigma=values["sigma"],
-        hflip_prob=values["hflip_prob"],
-        seed=values["seed"],
-        max_steps=values["max_steps"],
-    )
-    return cfg.validate()
+    return _fill(TrainConfig, values).validate()
 
 
 def generator_config_from(values: dict) -> GeneratorConfig:
-    cfg = GeneratorConfig(
-        n_samples=values["n_samples"],
-        class_balance=values["class_balance"],
-        spacing=values["spacing"],
-        speckle_gamma=values["speckle_gamma"],
-        size=values["input_size"],
-        seed=values["seed"],
-        group_size=values["group_size"],
-    )
-    return cfg.validate()
+    return _fill(GeneratorConfig, values).validate()
 
 
 def eval_config_from(values: dict) -> EvalConfig:
-    return EvalConfig(folds=values["folds"], grouped=values["grouped"]).validate()
+    return _fill(EvalConfig, values).validate()
 
 
 def run_config_to_items(values: dict) -> dict[str, str]:

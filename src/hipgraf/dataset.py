@@ -73,6 +73,8 @@ def read_pgm(path: str | Path) -> np.ndarray:
             raise FormatError(f"{path}: truncated PGM header")
         fields.append(blob[start:pos])
     pos += 1
+    if not all(f.isdigit() for f in fields):
+        raise FormatError(f"{path}: PGM header fields must be decimal integers, got {fields!r}")
     w, h, maxval = (int(f) for f in fields)
     if maxval != 255:
         raise FormatError(f"{path}: only 8-bit PGM supported, maxval={maxval}")

@@ -18,18 +18,15 @@ import inspect
 import numpy as np
 
 from .autodiff import no_grad
-from .config import (
-    BackboneConfig,
-    FusionConfig,
-    GraphConfig,
-    ModelConfig,
-    TrainConfig,
-)
+from .config import default_run_config, model_config_from, train_config_from
 from .errors import ConfigError, ContractError
 from .metrics import decode_landmarks, mre
 from .nets.model import build_model
 from .training import train
 from .validation import build_samples, check_fit_targets, check_image_batch
+
+# estimator parameter -> run-config key, where the two names differ
+PARAM_ALIASES = {"class_loss_weight": "lambda"}
 
 
 class HipLandmarkDetector:
@@ -103,44 +100,22 @@ class HipLandmarkDetector:
 
     # -- configuration ---------------------------------------------------------
 
-    def _model_config(self) -> ModelConfig:
-        return ModelConfig(
-            backbone=BackboneConfig(
-                input_size=self.input_size,
-                feature_size=self.feature_size,
-                channels=self.channels,
-                unet_depth=self.unet_depth,
-                patch_size=self.patch_size,
-                token_dim=self.token_dim,
-                transformer_layers=self.transformer_layers,
-                heads=self.heads,
-            ),
-            fusion=FusionConfig(window=self.mmf_window, mode=self.fusion_mode),
-            graph=GraphConfig(layers=self.gcn_layers, hidden=self.gcn_hidden),
-            variant=self.variant,
-        ).validate()
-
-    def _train_config(self) -> TrainConfig:
-        return TrainConfig(
-            lr=self.lr,
-            epochs=self.epochs,
-            batch_size=self.batch_size,
-            lam=self.class_loss_weight,
-            sigma=self.sigma,
-            hflip_prob=self.hflip_prob,
-            seed=self.seed,
-            max_steps=self.max_steps,
-        ).validate()
+    def _run_config(self) -> dict:
+        values = default_run_config()
+        for name in self._param_names():
+            values[PARAM_ALIASES.get(name, name)] = getattr(self, name)
+        return values
 
     # -- estimator API -----------------------------------------------------------
 
     def fit(self, X, y) -> "HipLandmarkDetector":
-        model_cfg = self._model_config()
+        values = self._run_config()
+        model_cfg = model_config_from(values)
         images = check_image_batch(X, input_size=self.input_size)
         landmarks, labels = check_fit_targets(y, images.shape[0], self.input_size, require_labels=model_cfg.uses_tgcn)
         samples = build_samples(images, landmarks, labels, self.spacing)
         self.model_ = build_model(model_cfg, seed=self.seed)
-        result = train(samples, self.model_, self._train_config())
+        result = train(samples, self.model_, train_config_from(values))
         self.history_ = result.history
         self.n_steps_ = result.steps_run
         return self

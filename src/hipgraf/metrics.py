@@ -160,19 +160,6 @@ class MetricsReport:
 METRICS_CSV_HEADER = "variant,fold,mre_mm,mre_sd,sdr05,sdr10,sdr15,acc,n"
 
 
-def summarize_run(per_sample_mre: list[float], distances_mm: list[float], correct: list[bool] | None, fold: str, n: int) -> FoldMetrics:
-    mres = np.asarray(per_sample_mre, dtype=np.float64)
-    acc = None if correct is None else float(np.mean(correct)) if correct else None
-    return FoldMetrics(
-        fold=fold,
-        mre_mm=float(mres.mean()),
-        mre_sd=float(mres.std()),
-        sdr=tuple(sdr(distances_mm)),
-        acc=acc,
-        n=n,
-    )
-
-
 def write_overlay(path: str | Path, image: np.ndarray, pred: np.ndarray, gt: np.ndarray | None = None, arm: int = 2) -> None:
     """PGM with landmark crosses burned in: gray 128 for gt, 255 for pred."""
     canvas = np.round(np.clip(np.asarray(image, dtype=np.float64), 0, 1) * 255).astype(np.uint8)

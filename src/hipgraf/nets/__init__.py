@@ -6,8 +6,6 @@ from .fusion import (
     ConcatFusion,
     MutualModulationFusion,
     extract_neighborhood,
-    global_to_local_fuse,
-    local_to_global_fuse,
     modulated_fuse,
     modulation_weight_map,
     modulation_weights,
@@ -40,8 +38,6 @@ __all__ = [
     "classify_nodes",
     "extract_neighborhood",
     "gcn_layer",
-    "global_to_local_fuse",
-    "local_to_global_fuse",
     "modulated_fuse",
     "modulation_weight_map",
     "modulation_weights",

@@ -90,16 +90,6 @@ def modulated_fuse(source: Tensor, guide: Tensor, window: int) -> Tensor:
     return reduce_sum(weighted, axis=1)
 
 
-def local_to_global_fuse(f_local: Tensor, f_global: Tensor, window: int) -> Tensor:
-    """Local neighborhoods re-weighted by the global center pixel."""
-    return modulated_fuse(f_local, f_global, window)
-
-
-def global_to_local_fuse(f_global: Tensor, f_local: Tensor, window: int) -> Tensor:
-    """Global neighborhoods re-weighted by the local center pixel."""
-    return modulated_fuse(f_global, f_local, window)
-
-
 def _check_pair(a: Tensor, b: Tensor) -> None:
     if a.ndim != 4 or b.ndim != 4:
         raise DimensionError(f"fusion expects (n,c,h,w) maps, got {a.shape} and {b.shape}")
@@ -123,8 +113,10 @@ class MutualModulationFusion(Module):
         self.proj_weight = glorot_uniform(rng, (channels, in_channels, 1, 1), in_channels, channels, dtype=dtype)
 
     def forward(self, f_local: Tensor, f_global: Tensor) -> Tensor:
-        updated_local = local_to_global_fuse(f_local, f_global, self.window)
-        updated_global = global_to_local_fuse(f_global, f_local, self.window)
+        # local-to-global route: local neighborhoods re-weighted by the global center pixel;
+        # global-to-local route: global neighborhoods re-weighted by the local center pixel
+        updated_local = modulated_fuse(f_local, f_global, self.window)
+        updated_global = modulated_fuse(f_global, f_local, self.window)
         if self.mode == "concat":
             combined = concat([updated_local, updated_global], axis=1)
         else:

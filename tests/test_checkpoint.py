@@ -1,5 +1,7 @@
 """Checkpoint save/load round trips and rejection of damaged files."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,8 @@ from hipgraf.config import default_run_config, merge_run_config, run_config_to_i
 from hipgraf.errors import FormatError, IncompleteCheckpointError
 from hipgraf.nets.model import build_model
 from hipgraf.training import Adam
+
+from tensor_bytes import dumps
 
 
 def toy_items(**overrides):
@@ -52,6 +56,32 @@ def test_round_trip_forward_is_bitwise_identical(tmp_path, toy_model_config):
     assert opt2.t == optimizer.t
     for k in optimizer.m:
         np.testing.assert_array_equal(opt2.m[k], optimizer.m[k])
+
+
+def test_load_holds_the_file_bytes_once(tmp_path, toy_model_config_32):
+    model = build_model(toy_model_config_32, seed=9)
+    optimizer = Adam(model.parameters(), lr=1e-3)
+    model.forward(np.random.default_rng(9).random((1, 32, 32), dtype=np.float32)).heatmaps.sum().backward()
+    optimizer.step()
+    _, items = toy_items(seed=9)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, model, items, optimizer=optimizer)
+    saved = {**{f"param.{name}": arr for name, arr in model.state_arrays().items()}, **optimizer.state_arrays()}
+
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        loaded = load_checkpoint(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one copy of the tensor bytes plus bookkeeping; reading the whole file and
+    # then slicing and copying each payload traces about three copies
+    assert peak - before < 1.5 * path.stat().st_size
+    assert list(loaded.arrays) == list(saved)
+    for name, arr in saved.items():
+        np.testing.assert_array_equal(loaded.arrays[name], arr)
 
 
 def test_save_load_save_is_a_fixpoint(tmp_path, toy_model_config):
@@ -135,7 +165,7 @@ def reference_checkpoint_bytes(model, items, optimizer, epoch, step):
     header = ("\n".join(header_lines) + "\n").encode("utf-8")
     tensors = {f"param.{name}": arr for name, arr in model.state_arrays().items()}
     tensors.update(optimizer.state_arrays())
-    return b"TGCK" + (1).to_bytes(4, "little") + len(header).to_bytes(4, "little") + header + tensorfile.dumps(tensors)
+    return b"TGCK" + (1).to_bytes(4, "little") + len(header).to_bytes(4, "little") + header + dumps(tensors)
 
 
 def test_streamed_bytes_match_the_documented_layout(tmp_path, toy_model_config):

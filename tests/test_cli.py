@@ -1,5 +1,7 @@
 """End-to-end command behavior: exit codes, outputs, reproducibility."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,8 @@ from hipgraf.config import parse_config_file
 from hipgraf.dataset import read_manifest, read_pgm
 from hipgraf.metrics import METRICS_CSV_HEADER, decode_landmarks, write_overlay
 from hipgraf.nets.model import LandmarkNet
+
+from tensor_bytes import dumps
 
 TOY_ARGS = [
     "--input_size", "32",
@@ -180,6 +184,48 @@ class TestTrainEvalInfer:
             assert code == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+
+def tgt_header(name: bytes, dims: tuple[int, ...]) -> bytes:
+    """A one-tensor TGT1 container up to the end of its dtype tag, without payload."""
+    return b"TGT1" + struct.pack("<IH", 1, len(name)) + name + struct.pack(f"<B{len(dims)}IB", len(dims), *dims, 0)
+
+
+class TestHostileInput:
+    """Damaged files given to ``infer`` exit 4 with a one-line message, never a traceback."""
+
+    def infer(self, workspace, capsys, checkpoint_path=None, image=None):
+        code = main([
+            "infer", "--checkpoint", str(checkpoint_path or workspace / "model.ckpt"),
+            "--image", str(image or workspace / "data" / "sample_0000.tgt"),
+        ])
+        err = capsys.readouterr().err
+        assert code == 4
+        assert "error: format:" in err and "Traceback" not in err
+
+    def test_non_utf8_checkpoint_header(self, workspace, tmp_path, capsys):
+        blob = bytearray((workspace / "model.ckpt").read_bytes())
+        blob[12] = 0xFF  # first header byte
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(bytes(blob))
+        self.infer(workspace, capsys, checkpoint_path=bad)
+
+    def test_non_utf8_tensor_name(self, workspace, tmp_path, capsys):
+        blob = dumps({"image": np.zeros((32, 32), dtype=np.float32)})
+        bad = tmp_path / "bad.tgt"
+        bad.write_bytes(blob.replace(b"image", b"\xff\xfe\xfd\xfc\xfb", 1))
+        self.infer(workspace, capsys, image=bad)
+
+    def test_non_numeric_pgm_width(self, tmp_path, workspace, capsys):
+        bad = tmp_path / "bad.pgm"
+        bad.write_bytes(b"P5\nabc 32\n255\n" + bytes(32 * 32))
+        self.infer(workspace, capsys, image=bad)
+
+    @pytest.mark.parametrize("dims", [(0xFFFFFFFF,) * 3, (60000, 60000)])
+    def test_declared_payload_larger_than_the_file(self, tmp_path, workspace, capsys, dims):
+        bad = tmp_path / "bad.tgt"
+        bad.write_bytes(tgt_header(b"image", dims))
+        self.infer(workspace, capsys, image=bad)
 
 
 class TestAblate:

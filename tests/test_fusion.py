@@ -15,8 +15,6 @@ from hipgraf.nets.fusion import (
     ConcatFusion,
     MutualModulationFusion,
     extract_neighborhood,
-    global_to_local_fuse,
-    local_to_global_fuse,
     modulated_fuse,
     modulation_weight_map,
     modulation_weights,
@@ -86,14 +84,14 @@ class TestFuseRoutes:
     def test_constant_map_is_fixed_point(self):
         source = Tensor(np.full((1, 3, 5, 5), 2.5, dtype=np.float32))
         guide = Tensor(rnd(1, 3, 5, 5, seed=5))
-        out = local_to_global_fuse(source, guide, 3)
+        out = modulated_fuse(source, guide, 3)
         np.testing.assert_allclose(out.data, source.data, atol=1e-6)
 
     def test_window_one_is_identity(self):
         source = Tensor(rnd(1, 2, 4, 4, seed=6))
         guide = Tensor(rnd(1, 2, 4, 4, seed=7))
-        np.testing.assert_array_equal(local_to_global_fuse(source, guide, 1).data, source.data)
-        np.testing.assert_array_equal(global_to_local_fuse(source, guide, 1).data, source.data)
+        np.testing.assert_array_equal(modulated_fuse(source, guide, 1).data, source.data)
+        np.testing.assert_array_equal(modulated_fuse(guide, source, 1).data, guide.data)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_scalar_reference(self, seed):
@@ -102,13 +100,6 @@ class TestFuseRoutes:
         out = modulated_fuse(Tensor(source), Tensor(guide), 3).data[0]
         ref = scalar_reference_fuse(source[0], guide[0], 3)
         assert np.abs(out - ref).max() < 1e-5
-
-    def test_role_symmetry_of_the_two_routes(self):
-        f_a = Tensor(rnd(1, 2, 5, 5, seed=8))
-        f_b = Tensor(rnd(1, 2, 5, 5, seed=9))
-        lhs = global_to_local_fuse(f_a, f_b, 3).data
-        rhs = local_to_global_fuse(f_a, f_b, 3).data
-        assert np.abs(lhs - rhs).max() < 1e-6
 
     def test_weight_slots_sum_to_one(self):
         weights = modulation_weight_map(Tensor(rnd(2, 3, 6, 6, seed=10)), Tensor(rnd(2, 3, 6, 6, seed=11)), 3).data
@@ -128,7 +119,7 @@ class TestFuseRoutes:
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(DimensionError, match="match"):
-            local_to_global_fuse(Tensor(rnd(1, 2, 4, 4)), Tensor(rnd(1, 2, 5, 5)), 3)
+            modulated_fuse(Tensor(rnd(1, 2, 4, 4)), Tensor(rnd(1, 2, 5, 5)), 3)
 
 
 class TestFusionBlocks:

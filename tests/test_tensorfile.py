@@ -6,6 +6,8 @@ import pytest
 from hipgraf.autodiff import tensorfile
 from hipgraf.errors import FormatError
 
+from tensor_bytes import dumps, loads
+
 
 def sample_tensors():
     rng = np.random.default_rng(0)
@@ -36,26 +38,26 @@ def test_float64_is_cast_to_float32_on_write(tmp_path):
 
 def test_bad_magic_rejected():
     with pytest.raises(FormatError, match="bad magic"):
-        tensorfile.loads(b"NOPE" + b"\x00" * 16)
+        loads(b"NOPE" + b"\x00" * 16)
 
 
 @pytest.mark.parametrize("cut", [2, 6, 9, 15, -3])
 def test_truncation_rejected(cut):
-    blob = tensorfile.dumps(sample_tensors())
+    blob = dumps(sample_tensors())
     with pytest.raises(FormatError, match="truncated"):
-        tensorfile.loads(blob[:cut])
+        loads(blob[:cut])
 
 
 def test_unknown_dtype_tag_rejected():
-    blob = bytearray(tensorfile.dumps({"x": np.zeros(2, dtype=np.float32)}))
+    blob = bytearray(dumps({"x": np.zeros(2, dtype=np.float32)}))
     # dtype tag sits after magic(4) count(4) namelen(2) name(1) ndim(1) dim(4)
     blob[4 + 4 + 2 + 1 + 1 + 4] = 9
     with pytest.raises(FormatError, match="dtype tag"):
-        tensorfile.loads(bytes(blob))
+        loads(bytes(blob))
 
 
 def test_little_endian_layout_is_pinned():
-    blob = tensorfile.dumps({"ab": np.array([[1.0]], dtype=np.float32)})
+    blob = dumps({"ab": np.array([[1.0]], dtype=np.float32)})
     assert blob[:4] == b"TGT1"
     assert blob[4:8] == (1).to_bytes(4, "little")
     assert blob[8:10] == (2).to_bytes(2, "little")
