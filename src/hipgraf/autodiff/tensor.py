@@ -59,23 +59,18 @@ def default_dtype() -> np.dtype:
     return np.dtype(_STATE.dtype)
 
 
-def set_default_dtype(dtype) -> None:
-    """Set the dtype of new tensors for the calling thread only."""
+@contextlib.contextmanager
+def using_dtype(dtype) -> Iterator[None]:
+    """Temporarily switch the dtype of this thread's newly created tensors to float32 or float64."""
     dtype = np.dtype(dtype)
     if dtype not in (np.dtype(np.float32), np.dtype(np.float64)):
         raise ContractError(f"unsupported default dtype {dtype}; use float32 or float64")
-    _STATE.dtype = dtype.type
-
-
-@contextlib.contextmanager
-def using_dtype(dtype) -> Iterator[None]:
-    """Temporarily switch the dtype of this thread's newly created tensors."""
     previous = _STATE.dtype
-    set_default_dtype(dtype)
+    _STATE.dtype = dtype.type
     try:
         yield
     finally:
-        set_default_dtype(previous)
+        _STATE.dtype = previous
 
 
 class Tensor:
@@ -228,7 +223,7 @@ class _ThreadState(threading.local):
     """Per-thread tape state; the class attributes are each thread's defaults."""
 
     recording = True  # cleared inside no_grad()
-    dtype = np.float32  # of new tensors; switched by set_default_dtype / using_dtype
+    dtype = np.float32  # of new tensors; switched by using_dtype
     grads: "_Pass | None" = None  # the running backward pass
 
 
@@ -298,15 +293,10 @@ def records(parents: Sequence[Tensor]) -> bool:
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
+    """Add ``g`` to ``t``'s entry in the running pass; closures run only inside ``Tensor.backward``."""
     if g.dtype != t.data.dtype:
         g = g.astype(t.data.dtype)
-    grads = _STATE.grads
-    if grads is not None:
-        grads.add(t, g)
-    elif t.grad is None:
-        t.grad = g.copy()
-    else:
-        t.grad += g
+    _STATE.grads.add(t, g)
 
 
 def make_op(data: np.ndarray, parents: Sequence[Tensor], backward: Callable[[np.ndarray], None]) -> Tensor:

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import tensorfile
-from .config import ModelConfig, model_config_from, run_config_from_items
+from .config import ModelConfig, merge_run_config, model_config_from
 from .errors import FormatError, IncompleteCheckpointError
 from .nets.model import LandmarkNet, build_model
 from .training import Adam
@@ -40,14 +40,9 @@ class Checkpoint:
     epoch: int
     step: int
     adam_t: int
-    config_items: dict[str, str]
+    config: dict  # the run config read from the header's cfg.* items
+    model_config: ModelConfig  # validated from ``config``
     arrays: dict[str, np.ndarray]
-
-    def run_config(self) -> dict:
-        return run_config_from_items(self.config_items)
-
-    def model_config(self) -> ModelConfig:
-        return model_config_from(self.run_config())
 
     def param_arrays(self) -> dict[str, np.ndarray]:
         return {k[len("param.") :]: v for k, v in self.arrays.items() if k.startswith("param.")}
@@ -125,14 +120,20 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
             adam_t = int(fields.get("adam_t", "0"))
         except ValueError as exc:
             raise FormatError(f"{path}: malformed checkpoint counters: {exc}") from exc
+        try:
+            config = merge_run_config(config_items)
+            model_config = model_config_from(config)
+        except ValueError as exc:
+            raise FormatError(f"{path}: checkpoint header: {exc}") from exc
         arrays = tensorfile.read_tensors(fh)
-    return Checkpoint(version=version, epoch=epoch, step=step, adam_t=adam_t, config_items=config_items, arrays=arrays)
+    return Checkpoint(
+        version=version, epoch=epoch, step=step, adam_t=adam_t, config=config, model_config=model_config, arrays=arrays
+    )
 
 
 def restore_model(checkpoint: Checkpoint, dtype=None) -> LandmarkNet:
     """Build a model from the checkpoint's config snapshot and load weights."""
-    run_cfg = checkpoint.run_config()
-    model = build_model(checkpoint.model_config(), seed=run_cfg["seed"], dtype=dtype)
+    model = build_model(checkpoint.model_config, seed=checkpoint.config["seed"], dtype=dtype)
     model.load_state(checkpoint.param_arrays(), source="checkpoint")
     return model
 

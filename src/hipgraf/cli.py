@@ -14,10 +14,7 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import checkpoint as ckpt
-from .autodiff import no_grad
 from .config import (
     KEY_SPECS,
     eval_config_from,
@@ -30,8 +27,8 @@ from .config import (
 )
 from .dataset import load_image, read_manifest
 from .errors import ConfigError, DataError, FormatError, HipgrafError, NumericError
-from .experiments import ablation_csv, ablation_run, write_metrics_csv
-from .metrics import METRICS_CSV_HEADER, decode_landmarks, write_overlay
+from .experiments import ablation_csv, ablation_run, detect, score_detections
+from .metrics import MetricsReport, metrics_csv, write_overlay
 from .nets.model import build_model
 from .phantom import generate_dataset
 from .training import train
@@ -121,22 +118,16 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    from .experiments import detect, score_detections
-    from .metrics import MetricsReport
-
-    loaded = ckpt.load_checkpoint(args.checkpoint)
-    model = ckpt.restore_model(loaded)
+    model = ckpt.restore_model(ckpt.load_checkpoint(args.checkpoint))
     samples = read_manifest(args.data)
-    coords, probs = detect(model, samples)
-    metrics = score_detections(samples, coords, probs, fold="all")
-    report = MetricsReport(variant=loaded.run_config()["variant"], folds=[], aggregate=metrics)
+    coords, probs = detect(model, [s.image for s in samples])
+    report = MetricsReport(variant=model.config.variant, aggregate=score_detections(samples, coords, probs))
+    text = metrics_csv([report])
     if args.out:
-        write_metrics_csv(args.out, [report])
+        Path(args.out).write_text(text)
         print(args.out)
     else:
-        print(METRICS_CSV_HEADER)
-        for row in report.csv_rows():
-            print(row)
+        print(text, end="")
     if args.overlay_dir:
         overlay_dir = Path(args.overlay_dir)
         overlay_dir.mkdir(parents=True, exist_ok=True)
@@ -147,19 +138,13 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_infer(args: argparse.Namespace) -> int:
-    loaded = ckpt.load_checkpoint(args.checkpoint)
-    model = ckpt.restore_model(loaded)
+    model = ckpt.restore_model(ckpt.load_checkpoint(args.checkpoint))
     image = load_image(args.image)
     size = model.config.backbone.input_size
     if image.shape != (size, size):
         raise DataError(f"{args.image}: image shape {image.shape} does not match model input {size}x{size}")
-    with no_grad():
-        out = model.forward(image[None, None])
-    coords, _ = decode_landmarks(out.detection_stack().data[0], upscale=model.upscale)
-    prob = ""
-    if out.logit is not None:
-        logit = float(np.asarray(out.logit.data).reshape(-1)[0])
-        prob = f"{1.0 / (1.0 + np.exp(-logit)):.4f}"
+    (coords,), probs = detect(model, [image])
+    prob = "" if probs is None else f"{probs[0]:.4f}"
     print(",".join(f"{v:.2f}" for v in coords.reshape(-1)) + f",{prob}")
     if args.overlay:
         write_overlay(args.overlay, image, coords)

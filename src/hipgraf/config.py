@@ -291,12 +291,3 @@ def run_config_to_items(values: dict) -> dict[str, str]:
     """Stringify a merged run config for embedding in checkpoint headers."""
     return {key: repr(values[key]) if isinstance(values[key], float) else str(values[key]) for key in KEY_SPECS}
 
-
-def run_config_from_items(items: dict[str, str]) -> dict:
-    values = {}
-    for key, text in items.items():
-        if key not in KEY_SPECS:
-            raise ConfigError(f"unknown config key {key!r} in checkpoint header")
-        parser = KEY_SPECS[key][0]
-        values[key] = parser(text)
-    return merge_run_config(file_values=values)

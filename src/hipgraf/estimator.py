@@ -17,10 +17,10 @@ import inspect
 
 import numpy as np
 
-from .autodiff import no_grad
 from .config import default_run_config, model_config_from, train_config_from
 from .errors import ConfigError, ContractError
-from .metrics import decode_landmarks, mre
+from .experiments import detect
+from .metrics import mre
 from .nets.model import build_model
 from .training import train
 from .validation import build_samples, check_fit_targets, check_image_batch
@@ -127,23 +127,16 @@ class HipLandmarkDetector:
     def predict(self, X) -> np.ndarray:
         """(n, 12) landmark coordinates [x1,y1..x6,y6] in input pixels."""
         self._check_fitted()
-        images = check_image_batch(X, input_size=self.input_size)
-        with no_grad():
-            out = self.model_.forward(images[:, None])
-        stacks = out.detection_stack().data
-        coords = np.stack([decode_landmarks(stacks[i], upscale=self.model_.upscale)[0] for i in range(len(images))])
-        return coords.reshape(len(images), 12)
+        coords, _ = detect(self.model_, check_image_batch(X, input_size=self.input_size))
+        return np.stack(coords).reshape(len(coords), 12)
 
     def predict_proba(self, X) -> np.ndarray:
         """(n, 2) columns [P(normal), P(abnormal)]."""
         self._check_fitted()
         if self.model_.refiner is None:
             raise ConfigError(f"variant {self.variant!r} has no classification head")
-        images = check_image_batch(X, input_size=self.input_size)
-        with no_grad():
-            out = self.model_.forward(images[:, None])
-        logits = np.asarray(out.logit.data, dtype=np.float64)
-        p_abnormal = 1.0 / (1.0 + np.exp(-logits))
+        _, probs = detect(self.model_, check_image_batch(X, input_size=self.input_size))
+        p_abnormal = np.asarray(probs)
         return np.stack([1.0 - p_abnormal, p_abnormal], axis=1)
 
     def score(self, X, y) -> float:

@@ -11,7 +11,7 @@ rows differ only in architecture.
 from __future__ import annotations
 
 from dataclasses import replace
-from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -19,7 +19,7 @@ from .autodiff import no_grad
 from .config import EvalConfig, ModelConfig, TrainConfig
 from .dataset import ImageSample
 from .errors import ConfigError
-from .metrics import METRICS_CSV_HEADER, FoldMetrics, MetricsReport, decode_landmarks, mre, radial_errors_mm, sdr
+from .metrics import FoldMetrics, MetricsReport, decode_landmarks, metrics_csv, mre, radial_errors_mm, sdr
 from .nets.model import LandmarkNet, build_model
 from .training import train
 
@@ -61,20 +61,20 @@ def kfold_split(n: int, k: int, seed: int, groups: list[int] | None = None) -> l
     return [np.sort(np.array(f, dtype=int)) for f in folds]
 
 
-def detect(model: LandmarkNet, samples: list[ImageSample], batch_size: int = 8) -> tuple[list[np.ndarray], list[float] | None]:
-    """Decoded (6,2) landmarks per sample, plus P(abnormal) when the model classifies.
+def detect(model: LandmarkNet, images: Sequence[np.ndarray], batch_size: int = 8) -> tuple[list[np.ndarray], list[float] | None]:
+    """Decoded (6,2) landmarks per ``(H, W)`` image, plus P(abnormal) when the model classifies.
 
-    One forward per batch of ``batch_size`` samples, recorded on no tape.
+    ``images`` is a list of images or an ``(n, H, W)`` array. One forward per
+    batch of ``batch_size`` images, recorded on no tape.
     """
     upscale = model.upscale
     coords: list[np.ndarray] = []
     probs: list[float] | None = [] if model.refiner is not None else None
     with no_grad():
-        for start in range(0, len(samples), batch_size):
-            chunk = samples[start : start + batch_size]
-            out = model.forward(np.stack([s.image for s in chunk])[:, None])
+        for start in range(0, len(images), batch_size):
+            out = model.forward(np.stack(images[start : start + batch_size])[:, None])
             stacks = out.detection_stack().data
-            coords.extend(decode_landmarks(stacks[i], upscale=upscale)[0] for i in range(len(chunk)))
+            coords.extend(decode_landmarks(stack, upscale=upscale)[0] for stack in stacks)
             if probs is not None:
                 logits = np.asarray(out.logit.data, dtype=np.float64)
                 probs.extend(1.0 / (1.0 + np.exp(-logits)))
@@ -98,7 +98,7 @@ def score_detections(samples: list[ImageSample], coords: list[np.ndarray], probs
 
 def evaluate_model(model: LandmarkNet, samples: list[ImageSample], fold: str = "all", batch_size: int = 8) -> FoldMetrics:
     """Decode the detection stack and score MRE, SDR and (if present) accuracy."""
-    return score_detections(samples, *detect(model, samples, batch_size), fold=fold)
+    return score_detections(samples, *detect(model, [s.image for s in samples], batch_size), fold=fold)
 
 
 def _aggregate(folds: list[FoldMetrics]) -> FoldMetrics:
@@ -160,15 +160,4 @@ def ablation_run(
 
 def ablation_csv(reports: list[MetricsReport]) -> str:
     """Comparison table: one aggregate row per variant plus a reference footer."""
-    lines = [METRICS_CSV_HEADER]
-    for report in reports:
-        lines.extend(report.csv_rows(include_folds=False))
-    lines.append(REFERENCE_FOOTER)
-    return "\n".join(lines) + "\n"
-
-
-def write_metrics_csv(path: str | Path, reports: list[MetricsReport], include_folds: bool = True) -> None:
-    lines = [METRICS_CSV_HEADER]
-    for report in reports:
-        lines.extend(report.csv_rows(include_folds=include_folds))
-    Path(path).write_text("\n".join(lines) + "\n")
+    return metrics_csv(reports, include_folds=False) + REFERENCE_FOOTER + "\n"

@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import Tensor
+from .dataset import write_pgm
 from .errors import ContractError, DegenerateGeometryError, DimensionError
 
 SDR_THRESHOLDS_MM = (0.5, 1.0, 1.5)
@@ -160,12 +161,20 @@ class MetricsReport:
 METRICS_CSV_HEADER = "variant,fold,mre_mm,mre_sd,sdr05,sdr10,sdr15,acc,n"
 
 
+def metrics_csv(reports: list[MetricsReport], include_folds: bool = True) -> str:
+    """The header line plus each report's rows, newline-terminated."""
+    lines = [METRICS_CSV_HEADER]
+    for report in reports:
+        lines.extend(report.csv_rows(include_folds=include_folds))
+    return "\n".join(lines) + "\n"
+
+
 def write_overlay(path: str | Path, image: np.ndarray, pred: np.ndarray, gt: np.ndarray | None = None, arm: int = 2) -> None:
     """PGM with landmark crosses burned in: gray 128 for gt, 255 for pred."""
-    canvas = np.round(np.clip(np.asarray(image, dtype=np.float64), 0, 1) * 255).astype(np.uint8)
+    canvas = np.clip(np.asarray(image, dtype=np.float64), 0.0, 1.0)
     h, w = canvas.shape
 
-    def burn(points: np.ndarray, level: int) -> None:
+    def burn(points: np.ndarray, level: float) -> None:
         for x, y in np.asarray(points, dtype=np.float64):
             cx, cy = int(round(x)), int(round(y))
             for d in range(-arm, arm + 1):
@@ -175,8 +184,6 @@ def write_overlay(path: str | Path, image: np.ndarray, pred: np.ndarray, gt: np.
                     canvas[cy, cx + d] = level
 
     if gt is not None:
-        burn(gt, 128)
-    burn(pred, 255)
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
-        fh.write(canvas.tobytes())
+        burn(gt, 128 / 255)
+    burn(pred, 1.0)
+    write_pgm(path, canvas)

@@ -154,8 +154,8 @@ def test_config_snapshot_round_trips(tmp_path, toy_model_config):
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, model, items)
     loaded = load_checkpoint(path)
-    assert loaded.run_config() == values
-    assert loaded.run_config()["lr"] == default_run_config()["lr"]
+    assert loaded.config == values
+    assert loaded.config["lr"] == default_run_config()["lr"]
 
 
 def reference_checkpoint_bytes(model, items, optimizer, epoch, step):

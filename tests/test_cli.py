@@ -1,6 +1,8 @@
 """End-to-end command behavior: exit codes, outputs, reproducibility."""
 
+import gc
 import struct
+import weakref
 
 import numpy as np
 import pytest
@@ -8,7 +10,8 @@ import pytest
 from hipgraf import checkpoint
 from hipgraf.cli import main
 from hipgraf.config import parse_config_file
-from hipgraf.dataset import read_manifest, read_pgm
+from hipgraf.dataset import load_image, read_manifest, read_pgm
+from hipgraf.experiments import detect
 from hipgraf.metrics import METRICS_CSV_HEADER, decode_landmarks, write_overlay
 from hipgraf.nets.model import LandmarkNet
 
@@ -138,6 +141,59 @@ class TestTrainEvalInfer:
         prob = float(fields[12])
         assert 0.0 <= prob <= 1.0
 
+    def test_eval_stdout_is_the_out_file(self, workspace, tmp_path, capsys):
+        args = ["eval", "--checkpoint", str(workspace / "model.ckpt"), "--data", str(workspace / "data" / "manifest.csv")]
+        assert main(args) == 0
+        printed = capsys.readouterr().out
+        out = tmp_path / "metrics.csv"
+        assert main([*args, "--out", str(out)]) == 0
+        assert printed == out.read_text()
+
+    @pytest.mark.parametrize("variant", ["full", "no_tgcn"])
+    def test_infer_line_is_detect_formatted(self, workspace, tmp_path, capsys, variant):
+        model_path = tmp_path / f"{variant}.ckpt"
+        code = main([
+            "train", "--data", str(workspace / "data" / "manifest.csv"), "--out", str(model_path),
+            "--seed", "5", *TOY_ARGS, "--variant", variant,
+        ])
+        assert code == 0
+        image = workspace / "data" / "sample_0002.tgt"
+        capsys.readouterr()
+        assert main(["infer", "--checkpoint", str(model_path), "--image", str(image)]) == 0
+        line = capsys.readouterr().out.splitlines()[-1]
+        model = checkpoint.restore_model(checkpoint.load_checkpoint(model_path))
+        (coords,), probs = detect(model, [load_image(image)])
+        assert (probs is None) == (variant == "no_tgcn")
+        prob = "" if probs is None else f"{probs[0]:.4f}"
+        assert line == ",".join(f"{v:.2f}" for v in coords.reshape(-1)) + f",{prob}"
+
+    @pytest.mark.parametrize("command", ["eval", "infer"])
+    def test_checkpoint_is_released_before_the_forward(self, workspace, monkeypatch, command):
+        refs = []
+        load = checkpoint.load_checkpoint
+
+        def tracked(path):
+            loaded = load(path)
+            refs.append(weakref.ref(loaded))
+            return loaded
+
+        alive = []
+        forward = LandmarkNet.forward
+
+        def checked(self, images):
+            gc.collect()
+            alive.append(refs[0]() is not None)
+            return forward(self, images)
+
+        monkeypatch.setattr(checkpoint, "load_checkpoint", tracked)
+        monkeypatch.setattr(LandmarkNet, "forward", checked)
+        source = {
+            "eval": ["--data", str(workspace / "data" / "manifest.csv")],
+            "infer": ["--image", str(workspace / "data" / "sample_0000.tgt")],
+        }
+        assert main([command, "--checkpoint", str(workspace / "model.ckpt"), *source[command]]) == 0
+        assert alive == [False]
+
     def test_infer_overlay_written(self, workspace, tmp_path):
         overlay = tmp_path / "o.pgm"
         code = main([
@@ -202,6 +258,7 @@ class TestHostileInput:
         err = capsys.readouterr().err
         assert code == 4
         assert "error: format:" in err and "Traceback" not in err
+        return err
 
     def test_non_utf8_checkpoint_header(self, workspace, tmp_path, capsys):
         blob = bytearray((workspace / "model.ckpt").read_bytes())
@@ -220,6 +277,22 @@ class TestHostileInput:
         bad = tmp_path / "bad.pgm"
         bad.write_bytes(b"P5\nabc 32\n255\n" + bytes(32 * 32))
         self.infer(workspace, capsys, image=bad)
+
+    @pytest.mark.parametrize(
+        "entry, damaged, key",
+        [
+            (b"cfg.lr=0.001", b"cfg.lr=x.001", "lr"),  # a value its key's parser rejects
+            (b"cfg.lr=0.001", b"cfg.zz=0.001", "zz"),  # a key the run config does not have
+            (b"cfg.channels=8", b"cfg.channels=0", "channels"),  # a value the model config rejects
+        ],
+    )
+    def test_bad_config_entry_in_checkpoint_header(self, workspace, tmp_path, capsys, entry, damaged, key):
+        blob = (workspace / "model.ckpt").read_bytes()
+        assert blob.count(entry + b"\n") == 1 and len(damaged) == len(entry)  # the header keeps its length
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(blob.replace(entry + b"\n", damaged + b"\n"))
+        err = self.infer(workspace, capsys, checkpoint_path=bad)
+        assert str(bad) in err and key in err
 
     @pytest.mark.parametrize("dims", [(0xFFFFFFFF,) * 3, (60000, 60000)])
     def test_declared_payload_larger_than_the_file(self, tmp_path, workspace, capsys, dims):

@@ -1,6 +1,7 @@
 """The run-config table: its keys, its defaults and the surfaces built on it."""
 
 import ast
+import importlib
 import inspect
 from pathlib import Path
 
@@ -116,3 +117,86 @@ def test_names_the_benchmarks_import_exist(script):
     for name in imported:
         assert name in PINNED_SIGNATURES, name
         assert list(inspect.signature(getattr(config, name)).parameters) == PINNED_SIGNATURES[name]
+
+
+def _hipgraf_bindings(tree: ast.AST) -> dict[str, object]:
+    """Names a script binds to hipgraf modules, functions and classes, by any import form."""
+    bound: dict[str, object] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("hipgraf.") and alias.asname:
+                    bound[alias.asname] = importlib.import_module(alias.name)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("hipgraf"):
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                if hasattr(module, alias.name):
+                    bound[alias.asname or alias.name] = getattr(module, alias.name)
+                else:  # a submodule not yet imported; raises if there is none
+                    bound[alias.asname or alias.name] = importlib.import_module(f"{node.module}.{alias.name}")
+    stored = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+    stored |= {n.arg for n in ast.walk(tree) if isinstance(n, ast.arg)}
+    return {name: value for name, value in bound.items() if name not in stored}
+
+
+def _string_values(tree: ast.AST, node: ast.expr) -> list[str]:
+    """A string literal, or the literals of the ``for <name> in (...)`` loop around ``node``."""
+    if isinstance(node, ast.Constant):
+        return [node.value]
+    assert isinstance(node, ast.Name), ast.unparse(node)
+    loops = [
+        loop for loop in ast.walk(tree)
+        if isinstance(loop, ast.For) and isinstance(loop.target, ast.Name) and loop.target.id == node.id
+        and any(inner is node for inner in ast.walk(loop))
+    ]
+    values = [elt.value for loop in loops for elt in getattr(loop.iter, "elts", [])]
+    assert values and all(isinstance(v, str) for v in values), ast.unparse(node)
+    return values
+
+
+# calls whose keyword arguments the benchmark passes: (function, keywords)
+PINNED_KEYWORDS = [
+    ("evaluate_model", {"fold", "batch_size"}),
+    ("save_checkpoint", {"optimizer", "epoch", "step"}),
+    ("read_manifest", {"load_images"}),
+]
+
+
+def test_hipgraf_names_the_benchmark_reaches_exist():
+    """Every hipgraf attribute the benchmark reads, probes by name or passes a keyword to is still there."""
+    passed: dict[str, set[str]] = {}
+    for script in ("perfbench/workloads.py", "perfbench/spans.py"):
+        tree = ast.parse((ROOT / script).read_text())
+        bound = _hipgraf_bindings(tree)
+
+        def resolve(node: ast.expr):
+            if isinstance(node, ast.Name):
+                return bound.get(node.id)
+            if isinstance(node, ast.Attribute):
+                owner = resolve(node.value)
+                if owner is not None:
+                    assert hasattr(owner, node.attr), f"{script}: {ast.unparse(node)}"
+                    return getattr(owner, node.attr)
+            return None
+
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                resolve(node)
+            if not isinstance(node, ast.Call):
+                continue
+            target = resolve(node.func)
+            if callable(target) and node.keywords:
+                parameters = inspect.signature(target).parameters
+                for keyword in node.keywords:
+                    assert keyword.arg in parameters, f"{script}: {ast.unparse(node.func)}({keyword.arg}=)"
+                    passed.setdefault(target.__name__, set()).add(keyword.arg)
+            probe = node.func.attr if isinstance(node.func, ast.Attribute) else None
+            if probe in ("function", "method") and len(node.args) >= 2:
+                owner = resolve(node.args[0])
+                assert owner is not None, f"{script}: {ast.unparse(node)}"
+                for name in _string_values(tree, node.args[1]):
+                    # Patches.method replaces an entry of the class's own __dict__
+                    found = name in vars(owner) if probe == "method" else hasattr(owner, name)
+                    assert found, f"{script}: {probe} probe of {ast.unparse(node.args[0])}.{name}"
+    for name, keywords in PINNED_KEYWORDS:
+        assert keywords <= passed.get(name, set()), name

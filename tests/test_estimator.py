@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from hipgraf.autodiff import no_grad
 from hipgraf.errors import ConfigError, ContractError, DataError, DimensionError
 from hipgraf.estimator import HipLandmarkDetector
+from hipgraf.metrics import decode_landmarks
 from hipgraf.nets.model import LandmarkNet
 
 from conftest import make_samples
@@ -94,6 +96,18 @@ class TestFitPredict:
         np.testing.assert_array_equal(outputs[0].refined.data, expected.refined.data)
         np.testing.assert_array_equal(proba[:, 1], 1.0 / (1.0 + np.exp(-expected.logit.data.astype(np.float64))))
         assert pred.shape == (len(X), 12)
+
+    def test_predictions_across_batches_equal_one_whole_batch_forward(self):
+        # 10 images cross detect's batch of 8; the bytes equal one forward of all 10
+        X, y = dataset_arrays(10)
+        est = HipLandmarkDetector(**toy_params()).fit(X, y)
+        with no_grad():
+            out = est.model_.forward(X[:, None])
+        stacks = out.detection_stack().data
+        coords = np.stack([decode_landmarks(stacks[i], upscale=est.model_.upscale)[0] for i in range(10)])
+        p_abnormal = 1.0 / (1.0 + np.exp(-out.logit.data.astype(np.float64)))
+        assert est.predict(X).tobytes() == coords.reshape(10, 12).tobytes()
+        assert est.predict_proba(X).tobytes() == np.stack([1.0 - p_abnormal, p_abnormal], axis=1).tobytes()
 
     def test_predict_before_fit_rejected(self):
         with pytest.raises(ContractError, match="not fitted"):

@@ -19,6 +19,7 @@ from hipgraf.autodiff import (
     check_gradients,
     concat,
     conv2d,
+    default_dtype,
     layer_norm,
     linear,
     matmul,
@@ -33,6 +34,7 @@ from hipgraf.autodiff import (
     using_dtype,
     window_stack,
 )
+from hipgraf.errors import ContractError
 
 H = 1e-4
 TOL_F64 = 1e-6
@@ -277,3 +279,10 @@ class TestDefaultDtype:
         assert main_dtype == np.float32
         assert seen["worker"] == np.float64
         assert Tensor([1.0]).dtype == np.float32
+
+    @pytest.mark.parametrize("dtype", [np.float16, np.int32])
+    def test_using_dtype_rejects_other_dtypes(self, dtype):
+        with pytest.raises(ContractError, match="use float32 or float64"):
+            with using_dtype(dtype):
+                pass
+        assert default_dtype() == np.float32

@@ -181,6 +181,16 @@ class TestOverlay:
         assert loaded[10, 10] == pytest.approx(1.0)  # 255 marker
         assert loaded[20, 20] == pytest.approx(128.0 / 255.0)
 
+    def test_overlay_bytes_are_a_hand_assembled_pgm(self, tmp_path):
+        # out-of-range pixels clip to 0 and 255; crosses overwrite whatever lies under them
+        img = np.linspace(-0.25, 1.25, 25, dtype=np.float32).reshape(5, 5)
+        path = tmp_path / "overlay.pgm"
+        write_overlay(path, img, pred=np.array([[3.2, 1.4]]), gt=np.array([[0.0, 4.0]]), arm=1)
+        pixels = np.round(np.clip(img.astype(np.float64), 0, 1) * 255).astype(np.uint8)
+        pixels[3:5, 0] = pixels[4, 0:2] = 128  # gt cross at (x0, y4), clipped by the border
+        pixels[0:3, 3] = pixels[1, 2:5] = 255  # pred cross at (x3, y1)
+        assert path.read_bytes() == b"P5\n5 5\n255\n" + pixels.tobytes()
+
 
 class TestFlipIsometry:
     def test_metrics_invariant_under_joint_flip(self):
