@@ -293,10 +293,15 @@ def records(parents: Sequence[Tensor]) -> bool:
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
-    """Add ``g`` to ``t``'s entry in the running pass; closures run only inside ``Tensor.backward``."""
     if g.dtype != t.data.dtype:
         g = g.astype(t.data.dtype)
-    _STATE.grads.add(t, g)
+    grads = _STATE.grads
+    if grads is not None:
+        grads.add(t, g)
+    elif t.grad is None:
+        t.grad = g.copy()
+    else:
+        t.grad += g
 
 
 def make_op(data: np.ndarray, parents: Sequence[Tensor], backward: Callable[[np.ndarray], None]) -> Tensor:

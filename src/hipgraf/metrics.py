@@ -171,7 +171,7 @@ def metrics_csv(reports: list[MetricsReport], include_folds: bool = True) -> str
 
 def write_overlay(path: str | Path, image: np.ndarray, pred: np.ndarray, gt: np.ndarray | None = None, arm: int = 2) -> None:
     """PGM with landmark crosses burned in: gray 128 for gt, 255 for pred."""
-    canvas = np.clip(np.asarray(image, dtype=np.float64), 0.0, 1.0)
+    canvas = np.array(image, dtype=np.float64)
     h, w = canvas.shape
 
     def burn(points: np.ndarray, level: float) -> None:

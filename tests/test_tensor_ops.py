@@ -292,6 +292,28 @@ class TestBackward:
         loss.backward()
         np.testing.assert_allclose(w.grad, 2 * np.ones((2, 2)))
 
+    @pytest.mark.parametrize("op", ["conv2d", "transpose_conv2d"])
+    def test_closure_called_outside_a_pass_writes_grad(self, op):
+        # benchmarks/bench_window.py times an op's closure alone, with no backward pass running
+        x = Tensor(rnd(2, 3, 6, 6, seed=21), requires_grad=True)
+        if op == "conv2d":
+            w = Tensor(rnd(4, 3, 3, 3, seed=22), requires_grad=True)
+            make = lambda: conv2d(x, w, padding=1)
+        else:
+            w = Tensor(rnd(3, 4, 2, 2, seed=22), requires_grad=True)
+            make = lambda: transpose_conv2d(x, w, stride=2)
+        g = rnd(*make().data.shape, seed=23)
+        mul(make(), Tensor(g)).sum().backward()
+        expected = (x.grad.copy(), w.grad.copy())
+        x.grad = w.grad = None
+        out = make()
+        out._backward(g)
+        np.testing.assert_array_equal(x.grad, expected[0])
+        np.testing.assert_array_equal(w.grad, expected[1])
+        out._backward(g)
+        np.testing.assert_allclose(x.grad, 2 * expected[0], rtol=1e-6)
+        np.testing.assert_allclose(w.grad, 2 * expected[1], rtol=1e-6)
+
     def test_tensor_used_twice_sums_contributions(self):
         w = Tensor(np.array([[2.0]]), requires_grad=True)
         loss = (matmul(w, w)).sum()  # d/dw (w*w) = 2w
