@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ConfigError, ContractError, DimensionError
-from .tensor import Tensor, _accumulate, add, as_tensor, make_op, records, reshape
+from .tensor import Tensor, _accumulate, add, as_tensor, make_op, matmul, records, reshape
 
 
 def _as_4d(x: Tensor) -> tuple[Tensor, bool]:
@@ -347,8 +347,6 @@ def unfold_neighborhoods(x: Tensor, window: int) -> Tensor:
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     """Affine map along the last axis: x @ weight (+ bias)."""
-    from .tensor import add, matmul
-
     out = matmul(x, weight)
     if bias is not None:
         out = add(out, bias)

@@ -4,11 +4,11 @@ Layout, little-endian:
 
     magic "TGCK" | u32 version | u32 header length | header UTF-8 | tensor blob
 
-The header is ``key=value`` lines carrying the epoch/step counters and the
-full run-config snapshot (``cfg.<key>`` entries). The tensor blob is the
-shared "TGT1" container holding every model parameter under ``param.<name>``
-and, when an optimizer is saved, its moments under ``adam.m.<name>`` /
-``adam.v.<name>``.
+The header is ``key=value`` lines carrying the epoch/step/adam_t counters
+(the optimizer supplies only ``adam_t``) and the full run-config snapshot
+(``cfg.<key>`` entries). The tensor blob is the shared "TGT1" container
+holding every model parameter under ``param.<name>``; the ``adam.*`` moments
+of older files still load and are ignored.
 
 Loading parses and validates everything before any model state is touched,
 so a truncated or mismatched file can never leave a model half-loaded.
@@ -26,7 +26,7 @@ import numpy as np
 
 from .autodiff import tensorfile
 from .config import ModelConfig, merge_run_config, model_config_from
-from .errors import FormatError, IncompleteCheckpointError
+from .errors import FormatError
 from .nets.model import LandmarkNet, build_model
 from .training import Adam
 
@@ -47,9 +47,6 @@ class Checkpoint:
     def param_arrays(self) -> dict[str, np.ndarray]:
         return {k[len("param.") :]: v for k, v in self.arrays.items() if k.startswith("param.")}
 
-    def moment_arrays(self) -> dict[str, np.ndarray]:
-        return {k: v for k, v in self.arrays.items() if k.startswith("adam.")}
-
 
 def save_checkpoint(
     path: str | Path,
@@ -59,7 +56,7 @@ def save_checkpoint(
     epoch: int = 0,
     step: int = 0,
 ) -> None:
-    """Write a checkpoint atomically.
+    """Write the model's parameters atomically; ``optimizer`` supplies only ``adam_t``.
 
     The bytes stream into a temporary file next to ``path``, which replaces
     ``path`` only once it is complete; a write that fails midway removes the
@@ -69,8 +66,6 @@ def save_checkpoint(
     header_lines += [f"cfg.{key}={value}" for key, value in config_items.items()]
     header = ("\n".join(header_lines) + "\n").encode("utf-8")
     tensors = {f"param.{name}": arr for name, arr in model.state_arrays().items()}
-    if optimizer is not None:
-        tensors.update(optimizer.state_arrays())
     path = Path(path)
     # opened with "x" rather than tempfile.mkstemp, so the file gets the usual umask mode, not 0600
     tmp = path.with_name(f".{path.name}.{secrets.token_hex(6)}.tmp")
@@ -137,12 +132,3 @@ def restore_model(checkpoint: Checkpoint, dtype=None) -> LandmarkNet:
     model.load_state(checkpoint.param_arrays(), source="checkpoint")
     return model
 
-
-def restore_optimizer(checkpoint: Checkpoint, model: LandmarkNet, lr: float) -> Adam:
-    optimizer = Adam(model.parameters(), lr=lr)
-    moments = checkpoint.moment_arrays()
-    missing = [k for k in list(optimizer.state_arrays()) if k not in moments]
-    if missing:
-        raise IncompleteCheckpointError(f"checkpoint lacks optimizer tensors: {missing}")
-    optimizer.load_state_arrays(moments, t=checkpoint.adam_t)
-    return optimizer

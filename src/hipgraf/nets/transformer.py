@@ -17,6 +17,7 @@ from ..autodiff import (
     Module,
     Tensor,
     add,
+    conv2d,
     glorot_uniform,
     layer_norm,
     linear,
@@ -28,11 +29,11 @@ from ..autodiff import (
     reshape,
     softmax,
     transpose,
-    transpose_conv2d,
     zeros_param,
 )
 from ..config import BackboneConfig
 from ..errors import DimensionError
+from .unet import Upsample2x
 
 MLP_RATIO = 2
 
@@ -153,7 +154,7 @@ class TransformerBranch(Module):
         current = dim
         while size < config.feature_size:
             target = config.channels if size * 2 == config.feature_size else dim
-            ups.append(_UpsampleStage(rng, current, target, dtype=dtype))
+            ups.append(Upsample2x(rng, current, target, dtype=dtype))
             current = target
             size *= 2
         self.ups = ups
@@ -220,21 +221,10 @@ class TransformerBranch(Module):
         return maps
 
 
-class _UpsampleStage(Module):
-    def __init__(self, rng: np.random.Generator, c_in: int, c_out: int, dtype=None):
-        self.weight = glorot_uniform(rng, (c_in, c_out, 2, 2), c_in * 4, c_out * 4, dtype=dtype)
-        self.bias = zeros_param((c_out,), dtype=dtype)
-
-    def forward(self, x: Tensor) -> Tensor:
-        return transpose_conv2d(x, self.weight, self.bias, stride=2)
-
-
 class _Project1x1(Module):
     def __init__(self, rng: np.random.Generator, c_in: int, c_out: int, dtype=None):
         self.weight = glorot_uniform(rng, (c_out, c_in, 1, 1), c_in, c_out, dtype=dtype)
         self.bias = zeros_param((c_out,), dtype=dtype)
 
     def forward(self, x: Tensor) -> Tensor:
-        from ..autodiff import conv2d
-
         return conv2d(x, self.weight, self.bias)

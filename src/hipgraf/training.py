@@ -97,7 +97,7 @@ ADAM_BLOCK = 1 << 16
 
 
 class Adam:
-    """Adam with bias correction; moments are checkpointable arrays.
+    """Adam with bias correction.
 
     The step runs block by block through two scratch rows per dtype, so it
     allocates nothing. Each ufunc keeps the operand order of the textbook
@@ -147,17 +147,6 @@ class Adam:
                 b += self.eps
                 a /= b
                 w -= a
-
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        out = {f"adam.m.{k}": v for k, v in self.m.items()}
-        out.update({f"adam.v.{k}": v for k, v in self.v.items()})
-        return out
-
-    def load_state_arrays(self, arrays: dict[str, np.ndarray], t: int) -> None:
-        self.t = t
-        for k in self.m:
-            self.m[k] = np.array(arrays[f"adam.m.{k}"], dtype=self.m[k].dtype, order="C")
-            self.v[k] = np.array(arrays[f"adam.v.{k}"], dtype=self.v[k].dtype, order="C")
 
 
 @dataclass

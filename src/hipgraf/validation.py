@@ -21,6 +21,8 @@ def check_image_batch(X, input_size: int | None = None) -> np.ndarray:
         arr = arr[:, 0]
     if arr.ndim != 3:
         raise DimensionError(f"expected images of shape (n,h,w) or (n,1,h,w), got {np.asarray(X).shape}")
+    if arr.shape[0] == 0:
+        raise DimensionError(f"expected at least one image, got shape {np.asarray(X).shape}")
     if arr.shape[1] != arr.shape[2]:
         raise DimensionError(f"images must be square, got {arr.shape[1]}x{arr.shape[2]}")
     if input_size is not None and arr.shape[1] != input_size:

@@ -79,6 +79,12 @@ class TestTrainEvalInfer:
         assert lines[0] == "epoch,step,l_landmark,l_classify,total"
         assert len(lines) == 3
 
+    def test_train_checkpoint_holds_only_parameters(self, workspace):
+        loaded = checkpoint.load_checkpoint(workspace / "model.ckpt")
+        model = checkpoint.restore_model(loaded)
+        assert list(loaded.arrays) == [f"param.{name}" for name in model.state_arrays()]
+        assert loaded.step == loaded.adam_t == 2
+
     def test_eval_emits_metrics_csv(self, workspace, tmp_path):
         out = tmp_path / "metrics.csv"
         code = main(["eval", "--checkpoint", str(workspace / "model.ckpt"), "--data", str(workspace / "data" / "manifest.csv"), "--out", str(out)])

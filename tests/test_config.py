@@ -163,9 +163,14 @@ PINNED_KEYWORDS = [
 
 
 def test_hipgraf_names_the_benchmark_reaches_exist():
-    """Every hipgraf attribute the benchmark reads, probes by name or passes a keyword to is still there."""
+    """Every hipgraf attribute the benchmarks read, probe by name or pass a keyword to is still there."""
     passed: dict[str, set[str]] = {}
-    for script in ("perfbench/workloads.py", "perfbench/spans.py"):
+    for script in (
+        "perfbench/workloads.py",
+        "perfbench/spans.py",
+        "benchmarks/bench_window.py",
+        "benchmarks/bench_train_step.py",
+    ):
         tree = ast.parse((ROOT / script).read_text())
         bound = _hipgraf_bindings(tree)
 

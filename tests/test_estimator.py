@@ -131,6 +131,18 @@ class TestFitPredict:
         with pytest.raises(DimensionError, match="expects 64x64"):
             est.fit(X, y)
 
+    def test_empty_image_batch_rejected(self):
+        X, y = dataset_arrays()
+        est = HipLandmarkDetector(**toy_params()).fit(X, y)
+        empty = np.empty((0, 32, 32))
+        with pytest.raises(DimensionError, match="at least one image"):
+            HipLandmarkDetector(**toy_params()).fit(empty, y[:0])
+        for method in (est.predict, est.predict_proba):
+            with pytest.raises(DimensionError, match="at least one image"):
+                method(empty)
+        with pytest.raises(DimensionError, match="at least one image"):
+            est.score(empty, y[:0])
+
     def test_fit_history_exposed(self):
         X, y = dataset_arrays()
         est = HipLandmarkDetector(**toy_params())
