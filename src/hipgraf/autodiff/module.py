@@ -8,7 +8,10 @@ initialization and checkpoints deterministic.
 
 from __future__ import annotations
 
-from typing import Iterator
+import contextlib
+import threading
+from collections import Counter
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -62,16 +65,47 @@ def _walk(name: str, value) -> Iterator[tuple[str, Tensor]]:
             yield from _walk(f"{name}.{i}", item)
 
 
+_SHAPES = threading.local()
+
+
+@contextlib.contextmanager
+def parameter_shapes(shapes: Iterable[tuple[int, ...]]) -> Iterator[None]:
+    """Inside the block, each parameter this thread creates takes one of ``shapes``; each serves once.
+
+    A parameter whose shape has no unused entry left raises
+    IncompleteCheckpointError before anything is drawn or allocated, so a
+    model built to receive a checkpoint's tensors asks for no more memory
+    than those tensors hold.
+    """
+    previous = getattr(_SHAPES, "left", None)
+    _SHAPES.left = Counter(shapes)
+    try:
+        yield
+    finally:
+        _SHAPES.left = previous
+
+
+def _claim(shape: tuple[int, ...]) -> None:
+    left = getattr(_SHAPES, "left", None)
+    if left is not None:
+        if not left[shape]:
+            raise IncompleteCheckpointError(f"checkpoint does not match model: it holds no tensor for a parameter of shape {shape}")
+        left[shape] -= 1
+
+
 def glorot_uniform(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int, fan_out: int, dtype=None) -> Tensor:
     """Uniform(-a, a) with a = sqrt(6/(fan_in+fan_out))."""
+    _claim(shape)
     a = np.sqrt(6.0 / (fan_in + fan_out))
     data = rng.uniform(-a, a, size=shape).astype(dtype or default_dtype())
     return Tensor(data, requires_grad=True)
 
 
 def zeros_param(shape: tuple[int, ...], dtype=None) -> Tensor:
+    _claim(shape)
     return Tensor(np.zeros(shape, dtype=dtype or default_dtype()), requires_grad=True)
 
 
 def ones_param(shape: tuple[int, ...], dtype=None) -> Tensor:
+    _claim(shape)
     return Tensor(np.ones(shape, dtype=dtype or default_dtype()), requires_grad=True)

@@ -7,11 +7,18 @@ the kh*kw strided (n, c, oh, ow) views of an array, one per kernel offset.
 Convolutions keep their patch matrix channel-major, (n, c*kh*kw, oh*ow), so
 both passes are plain BLAS products: ``W @ cols`` is already (n, c_out,
 oh*ow) and reshapes to the output with no transpose copy. conv2d gathers and
-multiplies one sample at a time into a preallocated output. While it records
-a tape every sample keeps its own patch slot, because backward needs the
-whole patch matrix; without a tape (``no_grad``) one (1, c, kh, kw, oh, ow)
-slot is reused for every sample, so the working set does not grow with the
-batch.
+multiplies one sample at a time into a preallocated output, through one
+reused (1, c, kh, kw, oh, ow) slot whether or not it records a tape, so the
+working set does not grow with the batch. It keeps no patch matrix for
+backward, which gathers each sample's patches again from the input into one
+slot for the weight gradient (recompute instead of store, as in Chen et al.
+2016, "Training Deep Nets with Sublinear Memory Cost") and scatters the
+input gradient one sample at a time.
+
+That recompute rests on the tape's contract (see ``make_op``): a recorded
+op may read its inputs' ``.data`` again when backward runs, so no op may
+write in place into an array that a recorded op took as input before
+backward has run.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ConfigError, ContractError, DimensionError
-from .tensor import Tensor, _accumulate, add, as_tensor, make_op, matmul, records, reshape
+from .tensor import Tensor, _accumulate, add, as_tensor, make_op, matmul, reshape
 
 
 def _as_4d(x: Tensor) -> tuple[Tensor, bool]:
@@ -60,16 +67,24 @@ def _scatter(slots: np.ndarray, out: np.ndarray, stride: int) -> np.ndarray:
     return out
 
 
-def _batched_outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Sum over the batch of a[i] @ b[i].T for (n,p,L) and (n,q,L) operands.
+def _batched_outer(a: np.ndarray, bs) -> np.ndarray:
+    """Sum over the batch of a[i] @ b[i].T for (n,p,L) a and the n (q,L) matrices b[i] of bs.
 
-    Computed as the transpose of the sum of b[i] @ a[i].T: with a long L and
-    the wider patch operand b on the left, OpenBLAS runs up to twice as fast.
+    Each b[i] is used before the next is drawn, so bs may be a generator that
+    refills one buffer. Computed as the transpose of the sum of b[i] @ a[i].T:
+    with a long L and the wider patch operand b on the left, OpenBLAS runs up
+    to twice as fast.
     """
-    out = b[0] @ a[0].T
-    for i in range(1, a.shape[0]):
-        out += b[i] @ a[i].T
+    pairs = zip(a, bs)
+    ai, bi = next(pairs)
+    out = bi @ ai.T
+    for ai, bi in pairs:
+        out += bi @ ai.T
     return out.T
+
+
+def _pad(x: np.ndarray, padding: int) -> np.ndarray:
+    return np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding))) if padding else x
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, stride: int = 1, padding: int = 0) -> Tensor:
@@ -82,39 +97,42 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, stride: int = 
     hp, wp = h + 2 * padding, w + 2 * padding
     if kh > hp or kw > wp:
         raise DimensionError(f"conv2d kernel {weight.shape} larger than padded input ({n},{c},{hp},{wp})")
-    xd = x4.data
-    if padding:
-        xd = np.pad(xd, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
     oh = (hp - kh) // stride + 1
     ow = (wp - kw) // stride + 1
-    w_mat = weight.data.reshape(co, ci * kh * kw)
+    q, pixels = ci * kh * kw, oh * ow
+    w_mat = weight.data.reshape(co, q)
     # a 1x1 stride-1 window over every pixel is the input itself
     per_pixel = kh == kw == 1 and stride == 1
-    if per_pixel:
-        cols = xd.reshape(n, ci, oh * ow)
-        data = (w_mat @ cols).reshape(n, co, oh, ow)
-    else:
-        # backward needs every sample's patches; without a tape one slot serves all
-        keep = records((x4, weight))
-        slots = np.empty((n if keep else 1, ci, kh, kw, oh, ow), dtype=xd.dtype)
-        data = np.empty((n, co, oh, ow), dtype=np.result_type(w_mat, xd))
-        out = data.reshape(n, co, oh * ow)
+
+    def patches():
+        """Each sample's (c*kh*kw, oh*ow) patch matrix in turn, gathered into one reused slot."""
+        xd = _pad(x4.data, padding)
+        slot = np.empty((1, ci, kh, kw, oh, ow), dtype=xd.dtype)
         for i in range(n):
-            slot = slots[i : i + 1] if keep else slots
-            _gather(xd[i : i + 1], slot, stride)
-            np.matmul(w_mat, slot.reshape(ci * kh * kw, oh * ow), out=out[i])
-        cols = slots.reshape(-1, ci * kh * kw, oh * ow)
+            yield _gather(xd[i : i + 1], slot, stride).reshape(q, pixels)
+
+    if per_pixel:
+        data = (w_mat @ _pad(x4.data, padding).reshape(n, ci, pixels)).reshape(n, co, oh, ow)
+    else:
+        data = np.empty((n, co, oh, ow), dtype=np.result_type(w_mat, x4.data))
+        out = data.reshape(n, co, pixels)
+        for i, cols in enumerate(patches()):
+            np.matmul(w_mat, cols, out=out[i])
 
     def backward(g: np.ndarray) -> None:
-        g_mat = g.reshape(n, co, oh * ow)
+        g_mat = g.reshape(n, co, pixels)
         if weight.requires_grad:
+            cols = _pad(x4.data, padding).reshape(n, ci, pixels) if per_pixel else patches()
             _accumulate(weight, _batched_outer(g_mat, cols).reshape(weight.shape))
         if x4.requires_grad:
-            g_cols = w_mat.T @ g_mat
             if per_pixel:
-                gx = g_cols.reshape(n, ci, hp, wp)
+                gx = (w_mat.T @ g_mat).reshape(n, ci, hp, wp)
             else:
-                gx = _scatter(g_cols.reshape(n, ci, kh, kw, oh, ow), np.zeros((n, ci, hp, wp), dtype=g_cols.dtype), stride)
+                gx = np.zeros((n, ci, hp, wp), dtype=np.result_type(w_mat, g))
+                g_slot = np.empty((1, ci, kh, kw, oh, ow), dtype=gx.dtype)
+                for i in range(n):
+                    np.matmul(w_mat.T, g_mat[i], out=g_slot.reshape(q, pixels))
+                    _scatter(g_slot, gx[i : i + 1], stride)
             if padding:
                 gx = gx[:, :, padding : padding + h, padding : padding + w]
             _accumulate(x4, gx)

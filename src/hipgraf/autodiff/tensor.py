@@ -308,7 +308,11 @@ def make_op(data: np.ndarray, parents: Sequence[Tensor], backward: Callable[[np.
     """Create a tensor that records its parents when ``records(parents)`` holds.
 
     ``backward`` must not write to the gradient it receives: a backward pass
-    may share that array with other entries or with a leaf's ``grad``.
+    may share that array with other entries or with a leaf's ``grad``. It
+    may read its parents' ``.data`` again when it runs (conv2d re-gathers
+    its input's patches there instead of storing them), so no op may write
+    in place into an array that a recorded op took as input before backward
+    has run.
     """
     out = Tensor.__new__(Tensor)
     out.data = data

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import tensorfile
+from .autodiff import parameter_shapes, tensorfile
 from .config import ModelConfig, merge_run_config, model_config_from
 from .errors import FormatError
 from .nets.model import LandmarkNet, build_model
@@ -127,8 +127,15 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
 
 
 def restore_model(checkpoint: Checkpoint, dtype=None) -> LandmarkNet:
-    """Build a model from the checkpoint's config snapshot and load weights."""
-    model = build_model(checkpoint.model_config, seed=checkpoint.config["seed"], dtype=dtype)
-    model.load_state(checkpoint.param_arrays(), source="checkpoint")
+    """Build a model from the checkpoint's config snapshot and load weights.
+
+    Each parameter the config asks for must match the shape of a tensor in
+    the file before it is allocated, so a header that declares a larger
+    model than the file holds is rejected without building it.
+    """
+    params = checkpoint.param_arrays()
+    with parameter_shapes(arr.shape for arr in params.values()):
+        model = build_model(checkpoint.model_config, seed=checkpoint.config["seed"], dtype=dtype)
+    model.load_state(params, source="checkpoint")
     return model
 

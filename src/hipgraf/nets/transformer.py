@@ -168,8 +168,9 @@ class TransformerBranch(Module):
         # of magnitude below the content scale so it biases rather than
         # dominates the fused features.
         f = config.feature_size
-        table = sincos_position_grid(f, config.channels).T.reshape(config.channels, f, f)
+        # the parameter before its table, so restore_model's shape check runs before any allocation
         self.output_pos = zeros_param((config.channels, f, f), dtype=dtype)
+        table = sincos_position_grid(f, config.channels).T.reshape(config.channels, f, f)
         self.output_pos.data += (OUTPUT_POS_GAIN * table).astype(self.output_pos.data.dtype)
 
     def embed(self, image: Tensor) -> Tensor:

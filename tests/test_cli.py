@@ -1,6 +1,7 @@
 """End-to-end command behavior: exit codes, outputs, reproducibility."""
 
 import gc
+import re
 import struct
 import weakref
 
@@ -299,6 +300,19 @@ class TestHostileInput:
         bad.write_bytes(blob.replace(entry + b"\n", damaged + b"\n"))
         err = self.infer(workspace, capsys, checkpoint_path=bad)
         assert str(bad) in err and key in err
+
+    def test_header_declares_a_larger_model_than_the_file_holds(self, workspace, tmp_path, capsys):
+        # toy tensors under a header whose model needs a (1024**2, 1024**2) TGCN weight, 8 TiB in float64
+        blob = (workspace / "model.ckpt").read_bytes()
+        (header_len,) = struct.unpack("<I", blob[8:12])
+        header = blob[12 : 12 + header_len].decode()
+        for key, value in [("input_size", 4096), ("feature_size", 1024), ("patch_size", 1024)]:
+            header = re.sub(rf"^cfg\.{key}=\d+$", f"cfg.{key}={value}", header, count=1, flags=re.M)
+            assert f"cfg.{key}={value}\n" in header
+        bad = tmp_path / "big.ckpt"
+        bad.write_bytes(blob[:8] + struct.pack("<I", len(header)) + header.encode() + blob[12 + header_len :])
+        err = self.infer(workspace, capsys, checkpoint_path=bad)
+        assert "no tensor for a parameter of shape" in err
 
     @pytest.mark.parametrize("dims", [(0xFFFFFFFF,) * 3, (60000, 60000)])
     def test_declared_payload_larger_than_the_file(self, tmp_path, workspace, capsys, dims):

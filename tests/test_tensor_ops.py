@@ -1,6 +1,7 @@
 """Forward-value contracts of the tensor ops: hand-computable cases, and the gradient ownership contract."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -53,6 +54,36 @@ def conv2d_reference(x, w, stride, padding):
                     patch = xp[b, :, i * stride : i * stride + kh, j * stride : j * stride + kw]
                     out[b, o, i, j] = np.sum(patch * w[o])
     return out
+
+
+def conv2d_grad_reference(x, w, g, stride, padding):
+    """Nested-loop weight and input gradients of conv2d_reference for the upstream gradient g."""
+    n, _, h, wd = x.shape
+    co, _, kh, kw = w.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    gw, gxp = np.zeros(w.shape), np.zeros(xp.shape)
+    for b in range(n):
+        for o in range(co):
+            for i in range(g.shape[2]):
+                for j in range(g.shape[3]):
+                    rows, cols = slice(i * stride, i * stride + kh), slice(j * stride, j * stride + kw)
+                    gw[o] += g[b, o, i, j] * xp[b, :, rows, cols]
+                    gxp[b, :, rows, cols] += g[b, o, i, j] * w[o]
+    return gw, gxp[:, :, padding : padding + h, padding : padding + wd]
+
+
+def arrays_held(t):
+    """Every array the tape keeps for t: its data, its parents' data and whatever its closure reaches."""
+    found, todo = [t.data], [*t._parents, t._backward]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, np.ndarray):
+            found.append(item)
+        elif isinstance(item, Tensor):
+            found.append(item.data)
+        elif callable(item) and getattr(item, "__closure__", None):
+            todo.extend(cell.cell_contents for cell in item.__closure__)
+    return found
 
 
 def transpose_conv2d_reference(x, w, stride):
@@ -179,6 +210,74 @@ class TestConv2d:
             free = conv2d(x, w, stride=2, padding=1)
         assert free.shape == recorded.shape == (2, 4, 3)
         assert free.data.tobytes() == recorded.data.tobytes()
+
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_recorded_gradients_match_loop_reference(self, data):
+        three_d = data.draw(st.booleans(), label="three_d")
+        n = 1 if three_d else data.draw(st.integers(1, 3), label="n")
+        ci, co = data.draw(st.integers(1, 4), label="c_in"), data.draw(st.integers(1, 4), label="c_out")
+        h, wd = data.draw(st.integers(3, 9), label="h"), data.draw(st.integers(3, 9), label="w")
+        kh, kw = data.draw(st.integers(1, 3), label="kh"), data.draw(st.integers(1, 3), label="kw")
+        stride, padding = data.draw(st.integers(1, 3), label="stride"), data.draw(st.integers(0, 2), label="padding")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**16), label="seed"))
+        x, w, b = rng.standard_normal((n, ci, h, wd)), rng.standard_normal((co, ci, kh, kw)), rng.standard_normal(co)
+        xt = Tensor(x[0] if three_d else x, requires_grad=True)
+        wt, bt = Tensor(w, requires_grad=True), Tensor(b, requires_grad=True)
+        out = conv2d(xt, wt, bt, stride=stride, padding=padding)
+        g = rng.standard_normal(out.shape)
+        (out * Tensor(g)).sum().backward()
+        g4 = g[None] if three_d else g
+        gw, gx = conv2d_grad_reference(x, w, g4, stride, padding)
+        np.testing.assert_allclose(wt.grad, gw, rtol=1e-10, atol=1e-10)
+        np.testing.assert_allclose(xt.grad, gx[0] if three_d else gx, rtol=1e-10, atol=1e-10)
+        np.testing.assert_allclose(bt.grad, g4.sum(axis=(0, 2, 3)), rtol=1e-10, atol=1e-10)
+
+    def test_recorded_forward_keeps_no_patch_matrix(self):
+        n, c, kh, kw, size = 4, 8, 3, 3, 16
+        x = Tensor(rnd(n, c, size, size, seed=33), requires_grad=True)
+        w = Tensor(rnd(4, c, kh, kw, seed=34), requires_grad=True)
+        patch_bytes = n * c * kh * kw * size * size * x.data.itemsize
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = conv2d(x, w, padding=1)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        # less than one sample's patch slot beyond the output
+        assert retained < out.data.nbytes + patch_bytes // n
+        held = arrays_held(out)
+        assert all(a.size != patch_bytes // x.data.itemsize for a in held)
+        owners = {id(x.data), id(w.data), id(out.data)}
+        assert all(id(a if a.base is None else a.base) in owners for a in held)
+
+    def test_gradients_unchanged_when_a_later_op_reads_the_input(self):
+        # backward re-reads the input's data, so an op that reads it after the
+        # conv (and must not write into it) leaves the conv's gradients alone
+        x = Tensor(rnd(2, 3, 8, 8, seed=35), requires_grad=True)
+        w1, b1 = Tensor(rnd(4, 3, 3, 3, seed=36), requires_grad=True), Tensor(rnd(4, seed=37), requires_grad=True)
+        w2 = Tensor(rnd(2, 4, 3, 3, seed=38), requires_grad=True)
+        m = rnd(2, 2, 8, 8, seed=39)
+
+        def w2_grad(later_read):
+            for t in (x, w1, b1, w2):
+                t.zero_grad()
+            hidden = relu(conv2d(x, w1, b1, padding=1))
+            kept = hidden.data.copy()
+            loss = (conv2d(hidden, w2, padding=1) * Tensor(m)).sum()
+            if later_read:
+                loss = add(loss, (relu(hidden) * hidden).sum())
+            loss.backward()
+            assert hidden.data.tobytes() == kept.tobytes()
+            return w2.grad, kept
+
+        alone, kept = w2_grad(False)
+        read, _ = w2_grad(True)
+        assert read.tobytes() == alone.tobytes()
+        gw, _ = conv2d_grad_reference(kept.astype(np.float64), w2.data.astype(np.float64), m.astype(np.float64), 1, 1)
+        np.testing.assert_allclose(read, gw, rtol=1e-4, atol=1e-4)
 
 
 class TestTransposeConv2d:
