@@ -1,19 +1,27 @@
 """Differentiable network operations built on the tensor tape.
 
 Spatial tensors are (batch, channels, height, width) throughout. Every
-sliding-window op (conv2d, transpose_conv2d and the fusion module's
-neighborhood stack) moves data through one helper, ``_windows``, which yields
-the kh*kw strided (n, c, oh, ow) views of an array, one per kernel offset.
-Convolutions keep their patch matrix channel-major, (n, c*kh*kw, oh*ow), so
-both passes are plain BLAS products: ``W @ cols`` is already (n, c_out,
-oh*ow) and reshapes to the output with no transpose copy. conv2d gathers and
-multiplies one sample at a time into a preallocated output, through one
-reused (1, c, kh, kw, oh, ow) slot whether or not it records a tape, so the
-working set does not grow with the batch. It keeps no patch matrix for
-backward, which gathers each sample's patches again from the input into one
-slot for the weight gradient (recompute instead of store, as in Chen et al.
-2016, "Training Deep Nets with Sublinear Memory Cost") and scatters the
-input gradient one sample at a time.
+sliding-window op (conv2d, transpose_conv2d, maxpool2d and the fusion
+module's neighborhood stack) moves data through one helper, ``_windows``,
+which yields the kh*kw strided (n, c, oh, ow) views of an array, one per
+kernel offset. Convolutions keep their patch matrix channel-major,
+(n, c*kh*kw, oh*ow), so both passes are plain BLAS products: ``W @ cols`` is
+already (n, c_out, oh*ow) and reshapes to the output with no transpose copy.
+conv2d's forward (``_correlate``) gathers (``_gather``) and multiplies one
+sample at a time into a preallocated output, through one reused
+(1, c, kh, kw, oh, ow) slot whether or not it records a tape, so the working
+set does not grow with the batch. It keeps no patch matrix for backward,
+which gathers each sample's patches again from the input into one slot for
+the weight gradient (recompute instead of store, as in Chen et al. 2016,
+"Training Deep Nets with Sublinear Memory Cost"). Its input gradient runs
+through the same ``_correlate``: it is the correlation of the upstream
+gradient, dilated by the stride and padded by the kernel size less one, with
+the flipped, channel-swapped kernels (Dumoulin & Visin 2016, "A guide to
+convolution arithmetic for deep learning"), so no read-modify-write scatter
+is needed. maxpool2d folds its window views with ``np.maximum`` and its
+backward compares the same views with the output, keeping nothing the tape
+does not already hold. conv2d and transpose_conv2d add their bias in place
+on the output they allocated, so a biased conv is one tape node.
 
 That recompute rests on the tape's contract (see ``make_op``): a recorded
 op may read its inputs' ``.data`` again when backward runs, so no op may
@@ -37,11 +45,26 @@ def _as_4d(x: Tensor) -> tuple[Tensor, bool]:
     raise DimensionError(f"expected a (c,h,w) or (n,c,h,w) tensor, got shape {x.shape}")
 
 
-def _finish(out: Tensor, bias: Tensor | None, squeeze: bool) -> Tensor:
-    """Add a per-channel bias, then drop the batch axis that _as_4d added."""
-    if bias is not None:
-        out = add(out, reshape(bias, (bias.shape[0], 1, 1)))
+def _finish(out: Tensor, squeeze: bool) -> Tensor:
+    """Drop the batch axis that _as_4d added."""
     return reshape(out, out.shape[1:]) if squeeze else out
+
+
+def _add_bias(data: np.ndarray, bias: Tensor | None) -> np.ndarray:
+    """Add a per-channel bias in place to the (n,c,h,w) output array an op just allocated."""
+    if bias is not None:
+        data += bias.data.reshape(-1, 1, 1)
+    return data
+
+
+def _bias_grad(bias: Tensor | None, g: np.ndarray) -> None:
+    """Sum g over all but the channel axis in _unbroadcast's order, the bits a separate add node gave."""
+    if bias is not None and bias.requires_grad:
+        _accumulate(bias, g.sum(axis=0).sum(axis=(1, 2)))
+
+
+def _parents(x: Tensor, weight: Tensor, bias: Tensor | None) -> tuple[Tensor, ...]:
+    return (x, weight) if bias is None else (x, weight, bias)
 
 
 def _windows(x: np.ndarray, kh: int, kw: int, stride: int, oh: int, ow: int):
@@ -87,6 +110,32 @@ def _pad(x: np.ndarray, padding: int) -> np.ndarray:
     return np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding))) if padding else x
 
 
+def _patches(xp: np.ndarray, kh: int, kw: int, stride: int, oh: int, ow: int):
+    """Each sample's (c*kh*kw, oh*ow) patch matrix of xp in turn, gathered into one reused slot."""
+    n, c = xp.shape[:2]
+    slot = np.empty((1, c, kh, kw, oh, ow), dtype=xp.dtype)
+    for i in range(n):
+        yield _gather(xp[i : i + 1], slot, stride).reshape(c * kh * kw, oh * ow)
+
+
+def _correlate(xp: np.ndarray, w_mat: np.ndarray, kh: int, kw: int, stride: int, oh: int, ow: int) -> np.ndarray:
+    """(n, rows, oh, ow) product of w_mat, (rows, c*kh*kw), with every sample's patches of xp.
+
+    A 1x1 stride-1 window over every pixel is the input itself, so that case
+    is one batched product; otherwise each sample is gathered and multiplied
+    into the preallocated output in turn.
+    """
+    n, c = xp.shape[:2]
+    rows, pixels = w_mat.shape[0], oh * ow
+    if kh == kw == stride == 1:
+        return (w_mat @ xp.reshape(n, c, pixels)).reshape(n, rows, oh, ow)
+    out = np.empty((n, rows, oh, ow), dtype=np.result_type(w_mat, xp))
+    flat = out.reshape(n, rows, pixels)
+    for i, cols in enumerate(_patches(xp, kh, kw, stride, oh, ow)):
+        np.matmul(w_mat, cols, out=flat[i])
+    return out
+
+
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, stride: int = 1, padding: int = 0) -> Tensor:
     """Cross-correlation of (n,c_in,h,w) input with (c_out,c_in,kh,kw) kernels."""
     x4, squeeze = _as_4d(x)
@@ -99,45 +148,25 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, stride: int = 
         raise DimensionError(f"conv2d kernel {weight.shape} larger than padded input ({n},{c},{hp},{wp})")
     oh = (hp - kh) // stride + 1
     ow = (wp - kw) // stride + 1
-    q, pixels = ci * kh * kw, oh * ow
-    w_mat = weight.data.reshape(co, q)
-    # a 1x1 stride-1 window over every pixel is the input itself
-    per_pixel = kh == kw == 1 and stride == 1
-
-    def patches():
-        """Each sample's (c*kh*kw, oh*ow) patch matrix in turn, gathered into one reused slot."""
-        xd = _pad(x4.data, padding)
-        slot = np.empty((1, ci, kh, kw, oh, ow), dtype=xd.dtype)
-        for i in range(n):
-            yield _gather(xd[i : i + 1], slot, stride).reshape(q, pixels)
-
-    if per_pixel:
-        data = (w_mat @ _pad(x4.data, padding).reshape(n, ci, pixels)).reshape(n, co, oh, ow)
-    else:
-        data = np.empty((n, co, oh, ow), dtype=np.result_type(w_mat, x4.data))
-        out = data.reshape(n, co, pixels)
-        for i, cols in enumerate(patches()):
-            np.matmul(w_mat, cols, out=out[i])
+    data = _add_bias(_correlate(_pad(x4.data, padding), weight.data.reshape(co, ci * kh * kw), kh, kw, stride, oh, ow), bias)
 
     def backward(g: np.ndarray) -> None:
-        g_mat = g.reshape(n, co, pixels)
         if weight.requires_grad:
-            cols = _pad(x4.data, padding).reshape(n, ci, pixels) if per_pixel else patches()
-            _accumulate(weight, _batched_outer(g_mat, cols).reshape(weight.shape))
+            xp = _pad(x4.data, padding)
+            cols = xp.reshape(n, ci, oh * ow) if kh == kw == stride == 1 else _patches(xp, kh, kw, stride, oh, ow)
+            _accumulate(weight, _batched_outer(g.reshape(n, co, oh * ow), cols).reshape(weight.shape))
         if x4.requires_grad:
-            if per_pixel:
-                gx = (w_mat.T @ g_mat).reshape(n, ci, hp, wp)
-            else:
-                gx = np.zeros((n, ci, hp, wp), dtype=np.result_type(w_mat, g))
-                g_slot = np.empty((1, ci, kh, kw, oh, ow), dtype=gx.dtype)
-                for i in range(n):
-                    np.matmul(w_mat.T, g_mat[i], out=g_slot.reshape(q, pixels))
-                    _scatter(g_slot, gx[i : i + 1], stride)
-            if padding:
-                gx = gx[:, :, padding : padding + h, padding : padding + w]
-            _accumulate(x4, gx)
+            # correlate g, dilated by the stride and padded by the kernel less
+            # one, with the flipped, channel-swapped kernels; only the rows and
+            # columns that land inside the unpadded input are computed
+            gd = np.zeros((n, co, hp + kh - 1, wp + kw - 1), dtype=g.dtype)
+            gd[:, :, kh - 1 :: stride, kw - 1 :: stride][:, :, :oh, :ow] = g
+            gd = gd[:, :, padding : padding + h + kh - 1, padding : padding + w + kw - 1]
+            w_flip = weight.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(ci, co * kh * kw)
+            _accumulate(x4, _correlate(gd, w_flip, kh, kw, 1, h, w))
+        _bias_grad(bias, g)
 
-    return _finish(make_op(data, (x4, weight), backward), bias, squeeze)
+    return _finish(make_op(data, _parents(x4, weight, bias), backward), squeeze)
 
 
 def transpose_conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, stride: int = 1) -> Tensor:
@@ -157,7 +186,7 @@ def transpose_conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, stri
     w_mat = weight.data.reshape(ci, co * kh * kw)
     x_mat = x4.data.reshape(n, ci, h * w)
     cols = (w_mat.T @ x_mat).reshape(n, co, kh, kw, h, w)
-    data = _scatter(cols, np.zeros((n, co, oh, ow), dtype=cols.dtype), stride)
+    data = _add_bias(_scatter(cols, np.zeros((n, co, oh, ow), dtype=cols.dtype), stride), bias)
 
     def backward(g: np.ndarray) -> None:
         g_cols = _gather(g, np.empty((n, co, kh, kw, h, w), dtype=g.dtype), stride).reshape(n, co * kh * kw, h * w)
@@ -165,28 +194,43 @@ def transpose_conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, stri
             _accumulate(weight, _batched_outer(x_mat, g_cols).reshape(weight.shape))
         if x4.requires_grad:
             _accumulate(x4, (w_mat @ g_cols).reshape(n, ci, h, w))
+        _bias_grad(bias, g)
 
-    return _finish(make_op(data, (x4, weight), backward), bias, squeeze)
+    return _finish(make_op(data, _parents(x4, weight, bias), backward), squeeze)
 
 
 def maxpool2d(x: Tensor, kernel: int = 2) -> Tensor:
-    """Non-overlapping max pooling; ties route the gradient to the first slot."""
+    """Non-overlapping max pooling over kernel x kernel windows.
+
+    The forward folds the window views of ``_windows`` (stride = kernel)
+    into a copy of the first with ``np.maximum``, so a window holding a NaN
+    pools to NaN. The backward walks the same views in row-major order and
+    writes ``g`` into the input slot of the first view that equals the
+    output, and ``g * 0`` into the others, so ties route the gradient to the
+    first maximum. No slot equals a NaN output, so every slot of a NaN window
+    gets ``g * 0``: zero when ``g`` is finite, NaN when it is not.
+    """
     x4, squeeze = _as_4d(x)
     n, c, h, w = x4.shape
     if h % kernel or w % kernel:
         raise DimensionError(f"maxpool2d needs dims divisible by {kernel}, got {x4.shape}")
     oh, ow = h // kernel, w // kernel
-    tiles = x4.data.reshape(n, c, oh, kernel, ow, kernel).transpose(0, 1, 2, 4, 3, 5).reshape(n, c, oh, ow, kernel * kernel)
-    arg = tiles.argmax(axis=-1)
-    data = np.take_along_axis(tiles, arg[..., None], axis=-1)[..., 0]
+    views = _windows(x4.data, kernel, kernel, kernel, oh, ow)
+    data = next(views)[2].copy()
+    for _, _, view in views:
+        np.maximum(data, view, out=data)
 
     def backward(g: np.ndarray) -> None:
-        gt = np.zeros_like(tiles)
-        np.put_along_axis(gt, arg[..., None], g[..., None], axis=-1)
-        gx = gt.reshape(n, c, oh, ow, kernel, kernel).transpose(0, 1, 2, 4, 3, 5).reshape(n, c, h, w)
+        gx = np.empty((n, c, h, w), dtype=g.dtype)
+        hit, taken = np.empty(data.shape, dtype=bool), np.zeros(data.shape, dtype=bool)
+        slots = _windows(gx, kernel, kernel, kernel, oh, ow)
+        for (_, _, view), (_, _, slot) in zip(_windows(x4.data, kernel, kernel, kernel, oh, ow), slots):
+            np.greater(np.equal(view, data, out=hit), taken, out=hit)  # equal to the max and none before
+            np.multiply(g, hit, out=slot)
+            taken |= hit
         _accumulate(x4, gx)
 
-    return _finish(make_op(data, (x4,), backward), None, squeeze)
+    return _finish(make_op(data, (x4,), backward), squeeze)
 
 
 # -- pointwise activations ------------------------------------------------------

@@ -406,7 +406,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product over the last two axes; leading axes broadcast.
 
     Backward: da = dc @ b^T and db = a^T @ dc, summed over any axes the
-    operand was broadcast along.
+    operand was broadcast along. A 2-D b meets every leading index of a, so
+    both products then fold the leading axes into the rows of one 2-D
+    product instead of running one product per index (and summing them for
+    db).
     """
     a = as_tensor(a)
     b = as_tensor(b)
@@ -417,6 +420,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     data = np.matmul(a.data, b.data)
 
     def backward(g: np.ndarray) -> None:
+        if b.ndim == 2:
+            rows = g.reshape(-1, g.shape[-1])
+            if a.requires_grad:
+                _accumulate(a, (rows @ b.data.T).reshape(a.data.shape))
+            if b.requires_grad:
+                _accumulate(b, a.data.reshape(-1, a.data.shape[-1]).T @ rows)
+            return
         if a.requires_grad:
             ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
             _accumulate(a, _unbroadcast(ga, a.data.shape))

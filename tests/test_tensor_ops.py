@@ -99,6 +99,30 @@ def transpose_conv2d_reference(x, w, stride):
     return out
 
 
+def maxpool2d_reference(x, kernel, g):
+    """Nested-loop max pooling and its gradient for upstream g.
+
+    A window holding a NaN pools to NaN and passes g * 0 to every slot;
+    otherwise the gradient goes to the first maximum in row-major order.
+    """
+    n, c, h, w = x.shape
+    out, gx = np.zeros((n, c, h // kernel, w // kernel)), np.zeros(x.shape)
+    for b in range(n):
+        for ch in range(c):
+            for i in range(h // kernel):
+                for j in range(w // kernel):
+                    rows, cols = slice(i * kernel, (i + 1) * kernel), slice(j * kernel, (j + 1) * kernel)
+                    window = x[b, ch, rows, cols]
+                    if np.isnan(window).any():
+                        out[b, ch, i, j] = np.nan
+                        gx[b, ch, rows, cols] = g[b, ch, i, j] * 0.0
+                        continue
+                    first = int(np.argmax(window))  # argmax returns the first maximum
+                    out[b, ch, i, j] = window.flat[first]
+                    gx[b, ch, rows, cols].flat[first] = g[b, ch, i, j]
+    return out, gx
+
+
 def window_stack_reference(xp, window):
     """Nested-loop neighborhood stack: slot u*window+v holds pixel (i+u, j+v)."""
     n, c, hp, wp = xp.shape
@@ -129,6 +153,14 @@ class TestMatmul:
     def test_batched_against_numpy(self):
         a, b = rnd(2, 3, 4, seed=2), rnd(2, 4, 5, seed=3)
         np.testing.assert_allclose(matmul(Tensor(a), Tensor(b)).data, a @ b, rtol=1e-6)
+
+    def test_two_d_operand_gradients_sum_over_the_leading_axes(self):
+        # a 2-D b folds a's leading axes into one product in backward
+        a, b, g = rnd(2, 3, 4, 5, seed=40, dtype=np.float64), rnd(5, 6, seed=41, dtype=np.float64), rnd(2, 3, 4, 6, seed=42, dtype=np.float64)
+        at, bt = Tensor(a, requires_grad=True), Tensor(b, requires_grad=True)
+        (matmul(at, bt) * Tensor(g)).sum().backward()
+        np.testing.assert_allclose(at.grad, g @ b.T, rtol=1e-12)
+        np.testing.assert_allclose(bt.grad, sum(a[i, j].T @ g[i, j] for i in range(2) for j in range(3)), rtol=1e-12)
 
 
 class TestConv2d:
@@ -201,6 +233,24 @@ class TestConv2d:
         assert recorded.requires_grad and not free.requires_grad
         assert free.data.dtype == recorded.data.dtype and free.shape == recorded.shape
         assert free.data.tobytes() == recorded.data.tobytes()
+
+    @pytest.mark.parametrize("op", ["conv2d", "transpose_conv2d"])
+    def test_bias_is_added_inside_the_op(self, op):
+        # one tape node, the bits of a separate broadcast add, and _unbroadcast's bias gradient
+        x = Tensor(rnd(2, 3, 6, 6, seed=43), requires_grad=True)
+        b = Tensor(rnd(4, seed=45), requires_grad=True)
+        if op == "conv2d":
+            w = Tensor(rnd(4, 3, 3, 3, seed=44), requires_grad=True)
+            make = lambda bias: conv2d(x, w, bias, padding=1)
+        else:
+            w = Tensor(rnd(3, 4, 2, 2, seed=44), requires_grad=True)
+            make = lambda bias: transpose_conv2d(x, w, bias, stride=2)
+        out = make(b)
+        assert out._parents == (x, w, b)
+        assert out.data.tobytes() == add(make(None), reshape(b, (4, 1, 1))).data.tobytes()
+        g = rnd(*out.shape, seed=46)
+        (out * Tensor(g)).sum().backward()
+        assert b.grad.tobytes() == g.sum(axis=0).sum(axis=(1, 2)).tobytes()
 
     def test_no_grad_three_d_input_matches_recording_bit_for_bit(self):
         x = Tensor(rnd(4, 7, 6, seed=31))
@@ -539,6 +589,46 @@ class TestShapeOps:
     def test_maxpool_rejects_odd_dims(self):
         with pytest.raises(DimensionError):
             maxpool2d(Tensor(rnd(1, 1, 3, 4)), 2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_maxpool_matches_loop_reference(self, data):
+        three_d = data.draw(st.booleans(), label="three_d")
+        n = 1 if three_d else data.draw(st.integers(1, 3), label="n")
+        c, kernel = data.draw(st.integers(1, 3), label="c"), data.draw(st.integers(1, 3), label="kernel")
+        oh, ow = data.draw(st.integers(1, 4), label="oh"), data.draw(st.integers(1, 4), label="ow")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**16), label="seed"))
+        # integer-valued floats from a short range, so most windows hold ties
+        x = rng.integers(-2, 3, size=(n, c, oh * kernel, ow * kernel)).astype(np.float64)
+        if data.draw(st.booleans(), label="nan"):
+            x.flat[data.draw(st.integers(0, x.size - 1), label="nan_at")] = np.nan
+        g = rng.standard_normal((n, c, oh, ow))
+        xt = Tensor(x[0] if three_d else x, requires_grad=True)
+        out = maxpool2d(xt, kernel)
+        (out * Tensor(g[0] if three_d else g)).sum().backward()
+        expected, gx = maxpool2d_reference(x, kernel, g)
+        np.testing.assert_array_equal(out.data, expected[0] if three_d else expected)
+        np.testing.assert_array_equal(xt.grad, gx[0] if three_d else gx)
+
+    def test_maxpool_gradient_goes_to_the_first_maximum(self):
+        x = Tensor(np.array([[[[1.0, 3.0], [3.0, 3.0]], [[2.0, 2.0], [2.0, 2.0]]]]), requires_grad=True)
+        (maxpool2d(x, 2) * Tensor(np.array([5.0, 7.0]).reshape(1, 2, 1, 1))).sum().backward()
+        np.testing.assert_array_equal(x.grad, [[[[0.0, 5.0], [0.0, 0.0]], [[7.0, 0.0], [0.0, 0.0]]]])
+
+    def test_maxpool_nan_window_pools_to_nan(self):
+        x = np.arange(16, dtype=np.float32).reshape(1, 1, 4, 4)
+        x[0, 0, 2, 1] = np.nan
+        xt = Tensor(x, requires_grad=True)
+        out = maxpool2d(xt, 2)
+        np.testing.assert_array_equal(out.data[0, 0], [[5, 7], [np.nan, 15]])
+        out.sum().backward()
+        np.testing.assert_array_equal(xt.grad[0, 0, 2:, :2], np.zeros((2, 2)))
+
+    def test_maxpool_closure_keeps_only_the_tape_arrays(self):
+        x = Tensor(rnd(2, 3, 8, 8, seed=19), requires_grad=True)
+        out = maxpool2d(x, 2)
+        owners = {id(x.data), id(out.data)}
+        assert all(id(a if a.base is None else a.base) in owners for a in arrays_held(out))
 
     def test_concat_and_split_gradients(self):
         a = Tensor(rnd(1, 2, 2, 2, seed=15), requires_grad=True)
