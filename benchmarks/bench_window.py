@@ -1,14 +1,19 @@
-"""Forward and backward time of every sliding-window kernel shape in the default model.
+"""Forward and backward time of every sliding-window kernel shape in the default model,
+and of the non-conv ops around them.
 
 Covers the 12 conv2d calls, the 2 transpose_conv2d calls and the 3 maxpool2d
 calls of one forward pass of the default ``full`` model at batch 2 (128 px
-input), in float32, and the backward of the TGCN's (2,6,1024) @ (1024,1024)
-matmul, whose two gradients each fold the batch axis into one product.
-Backward times one call of the op's backward closure with a fixed upstream
-gradient, so tape bookkeeping outside the op is not included. The conv2d and
-maxpool2d forwards are also timed tape-free (inside ``no_grad``) at batch 8,
-the batch ``evaluate_model`` runs; there conv2d reuses one patch buffer for
-every sample.
+input), in float32. The first conv's input is the image, which needs no
+gradient, so its backward times the weight gradient alone, as a training
+step does. The non-conv cases are one MMF route (``modulated_fuse`` on the
+(n,32,32,32) maps), the attention softmax over the (n,4,256,256) scores with
+its 1/sqrt(head_dim) scale, and the matmuls whose right operand is a 2-D
+weight: the TGCN's (n,6,1024) @ (1024,1024) and a transformer MLP's
+(n,256,32) @ (32,64). Backward times one call of the op's backward closure
+with a fixed upstream gradient, so tape bookkeeping outside the op is not
+included. Every forward is also timed tape-free (inside ``no_grad``) at
+batch 8, the batch ``evaluate_model`` runs; there conv2d reuses one patch
+buffer for every sample.
 
 Run from the repository root (pytest-benchmark prints min/median/max per
 case; pin BLAS to one thread for numbers comparable with ``perfbench``):
@@ -22,7 +27,8 @@ The file lives outside ``tests/``, so the tier-1 run never collects it.
 import numpy as np
 import pytest
 
-from hipgraf.autodiff import Tensor, conv2d, matmul, maxpool2d, no_grad, transpose_conv2d
+from hipgraf.autodiff import Tensor, conv2d, matmul, maxpool2d, no_grad, softmax, transpose_conv2d
+from hipgraf.nets.fusion import modulated_fuse
 
 BATCH = 2
 EVAL_BATCH = 8
@@ -57,20 +63,32 @@ POOL_SHAPES = [
     (64, 32),
 ]
 
-# (nodes, width): TGCN node features times one of its (width, width) weights
-GRAPH_SHAPE = (6, 1024)
+# (rows, width, out): per-sample rows times a (width, out) weight: the TGCN's
+# node features times one of its (1024, 1024) weights, and a transformer
+# MLP's tokens times its first weight
+MATMUL_SHAPES = [
+    (6, 1024, 1024),
+    (256, 32, 64),
+]
+
+# (channels, h, window): the maps one MMF route fuses
+FUSE_SHAPE = (32, 32, 3)
+
+# (heads, tokens, head_dim): the attention scores one encoder layer softmaxes
+ATTENTION_SHAPE = (4, 256, 8)
 
 
-def _tensors(x_shape, w_shape, seed=0):
+def _tensors(x_shape, w_shape, seed=0, x_grad=True):
     rng = np.random.default_rng(seed)
-    x = Tensor(rng.standard_normal(x_shape).astype(np.float32), requires_grad=True)
+    x = Tensor(rng.standard_normal(x_shape).astype(np.float32), requires_grad=x_grad)
     w = Tensor(rng.standard_normal(w_shape).astype(np.float32), requires_grad=True)
     return x, w
 
 
 def _conv(shape, batch=BATCH):
     ci, h, co, k, pad = shape
-    x, w = _tensors((batch, ci, h, h), (co, ci, k, k))
+    # the image, the only single-channel input, needs no gradient
+    x, w = _tensors((batch, ci, h, h), (co, ci, k, k), x_grad=ci > 1)
     return x, w, lambda: conv2d(x, w, padding=pad)
 
 
@@ -84,6 +102,24 @@ def _pool(shape, batch=BATCH):
     c, h = shape
     x = Tensor(np.random.default_rng(0).standard_normal((batch, c, h, h)).astype(np.float32), requires_grad=True)
     return x, lambda: maxpool2d(x, 2)
+
+
+def _matmul(shape, batch=BATCH):
+    rows, width, out = shape
+    a, w = _tensors((batch, rows, width), (width, out))
+    return a, w, lambda: matmul(a, w)
+
+
+def _fuse(batch=BATCH):
+    c, h, window = FUSE_SHAPE
+    source, guide = _tensors((batch, c, h, h), (batch, c, h, h))
+    return source, guide, lambda: modulated_fuse(source, guide, window)
+
+
+def _attention(batch=BATCH):
+    heads, tokens, head_dim = ATTENTION_SHAPE
+    scores = Tensor(np.random.default_rng(0).standard_normal((batch, heads, tokens, tokens)).astype(np.float32), requires_grad=True)
+    return scores, lambda: softmax(scores, axis=-1, scale=1.0 / np.sqrt(head_dim))
 
 
 def _no_grad(op):
@@ -158,7 +194,33 @@ def test_maxpool2d_backward(benchmark, shape):
     benchmark(_run_backward(op, x))
 
 
-def test_graph_matmul_backward(benchmark):
-    nodes, width = GRAPH_SHAPE
-    a, w = _tensors((BATCH, nodes, width), (width, width))
-    benchmark(_run_backward(lambda: matmul(a, w), a, w))
+@pytest.mark.parametrize("shape", MATMUL_SHAPES, ids=_id)
+def test_matmul_2d_weight_forward_no_grad_batch8(benchmark, shape):
+    _, _, op = _matmul(shape, batch=EVAL_BATCH)
+    benchmark(_no_grad(op))
+
+
+@pytest.mark.parametrize("shape", MATMUL_SHAPES, ids=_id)
+def test_matmul_2d_weight_backward(benchmark, shape):
+    a, w, op = _matmul(shape)
+    benchmark(_run_backward(op, a, w))
+
+
+def test_modulated_fuse_forward_no_grad_batch8(benchmark):
+    _, _, op = _fuse(batch=EVAL_BATCH)
+    benchmark(_no_grad(op))
+
+
+def test_modulated_fuse_backward(benchmark):
+    source, guide, op = _fuse()
+    benchmark(_run_backward(op, source, guide))
+
+
+def test_attention_softmax_forward_no_grad_batch8(benchmark):
+    _, op = _attention(batch=EVAL_BATCH)
+    benchmark(_no_grad(op))
+
+
+def test_attention_softmax_backward(benchmark):
+    scores, op = _attention()
+    benchmark(_run_backward(op, scores))

@@ -271,19 +271,43 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Normalized exponential along one axis, computed with max subtraction."""
+def softmax(x: Tensor, axis: int = -1, scale: float | None = None) -> Tensor:
+    """Normalized exponential of ``scale * x`` along one axis, computed with max subtraction.
+
+    ``scale`` (attention's 1/sqrt(d)) multiplies x in the one new array the
+    op allocates, so a scaled softmax is one pass and one tape node, with the
+    bits of ``softmax(mul(x, scale))``. x.data is left as it is.
+    """
     if not -x.ndim <= axis < x.ndim:
         raise DimensionError(f"softmax axis {axis} out of range for shape {x.shape}")
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    data = e / e.sum(axis=axis, keepdims=True)
+    factor = None if scale is None else np.asarray(scale, dtype=x.dtype)
+    data = softmax_array(x.data, axis, factor)
 
     def backward(g: np.ndarray) -> None:
-        dot = (g * data).sum(axis=axis, keepdims=True)
-        _accumulate(x, data * (g - dot))
+        grad = softmax_backward(data, g, axis)
+        if factor is not None:
+            grad *= factor
+        _accumulate(x, grad)
 
     return make_op(data, (x,), backward)
+
+
+def softmax_array(x: np.ndarray, axis: int, scale: np.ndarray | None = None) -> np.ndarray:
+    """softmax of ``scale * x`` along ``axis`` as a new array; exp and the divide run in place on it."""
+    if scale is None:
+        out = x - x.max(axis=axis, keepdims=True)
+    else:
+        out = x * scale
+        out -= out.max(axis=axis, keepdims=True)
+    np.exp(out, out=out)
+    out /= out.sum(axis=axis, keepdims=True)
+    return out
+
+
+def softmax_backward(data: np.ndarray, g: np.ndarray, axis: int) -> np.ndarray:
+    """Gradient of the softmax input, for output ``data`` and output gradient ``g``."""
+    dot = (g * data).sum(axis=axis, keepdims=True)
+    return data * (g - dot)
 
 
 def layer_norm(x: Tensor, axis: int = -1, eps: float = 1e-5) -> Tensor:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
+import math
 import threading
 from typing import Callable, Iterator, Sequence
 
@@ -407,9 +408,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     Backward: da = dc @ b^T and db = a^T @ dc, summed over any axes the
     operand was broadcast along. A 2-D b meets every leading index of a, so
-    both products then fold the leading axes into the rows of one 2-D
-    product instead of running one product per index (and summing them for
-    db).
+    the forward and both backward products then fold a's leading axes into
+    the rows of one 2-D product instead of running one product per index
+    (and summing them for db). The fold changes how BLAS blocks the rows, so
+    its result may differ from the per-index products in the last bit.
     """
     a = as_tensor(a)
     b = as_tensor(b)
@@ -417,15 +419,18 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise DimensionError(f"matmul needs 2-d or higher operands, got {a.shape} and {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise DimensionError(f"matmul inner dimensions disagree: {a.shape} @ {b.shape}")
-    data = np.matmul(a.data, b.data)
+    if b.ndim == 2:
+        data = (_rows(a.data) @ b.data).reshape(*a.shape[:-1], b.shape[-1])
+    else:
+        data = np.matmul(a.data, b.data)
 
     def backward(g: np.ndarray) -> None:
         if b.ndim == 2:
-            rows = g.reshape(-1, g.shape[-1])
+            rows = _rows(g)
             if a.requires_grad:
                 _accumulate(a, (rows @ b.data.T).reshape(a.data.shape))
             if b.requires_grad:
-                _accumulate(b, a.data.reshape(-1, a.data.shape[-1]).T @ rows)
+                _accumulate(b, _rows(a.data).T @ rows)
             return
         if a.requires_grad:
             ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
@@ -435,6 +440,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             _accumulate(b, _unbroadcast(gb, b.data.shape))
 
     return make_op(data, (a, b), backward)
+
+
+def _rows(x: np.ndarray) -> np.ndarray:
+    """x with its leading axes folded into the rows of one matrix."""
+    return x.reshape(math.prod(x.shape[:-1]), x.shape[-1])
 
 
 # -- reductions and shape ops -------------------------------------------------

@@ -92,7 +92,14 @@ def read_image_tensor(path: str | Path) -> np.ndarray:
     tensors = tensorfile.read_tensors(path)
     if "image" not in tensors:
         raise FormatError(f"{path}: tensor container has no 'image' entry")
-    return tensors["image"]
+    return check_finite(tensors["image"], f"{path}: image")
+
+
+def check_finite(images: np.ndarray, what: str) -> np.ndarray:
+    """images, unless some value is NaN or infinite: then a DataError naming ``what``."""
+    if not np.isfinite(images).all():
+        raise DataError(f"{what} contains non-finite values")
+    return images
 
 
 def load_image(path: str | Path) -> np.ndarray:

@@ -7,27 +7,27 @@ with the roles swapped, and the two modulated maps are then combined along
 the channel axis and projected back to the branch width so downstream heads
 never see the fusion choice.
 
+``modulated_fuse`` records two steps. ``unfold_neighborhoods`` stacks the
+edge-replicated (n, window^2, c, h, w) neighborhoods of the source; then one
+op scores each slot by its channel dot product with the guide pixel
+(``einsum("nkchw,nchw->nkhw")``), softmaxes the scores over the slots and
+sums the slots under those weights (``einsum("nkchw,nkhw->nchw")``). Its
+backward keeps only the stack and the weights, so no (n, window^2, c, h, w)
+product array and no intermediate tape node is built (the fused-op idea of
+Dao et al. 2022, "FlashAttention"). ``modulation_weight_map`` returns the
+same weights.
+
 ``extract_neighborhood`` and ``modulation_weights`` are the per-pixel scalar
-reference path; ``modulated_fuse`` is the vectorized, differentiable
-equivalent and is tested against the scalar loop.
+reference path, the oracle the fused op is tested against.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..autodiff import (
-    Module,
-    Tensor,
-    concat,
-    conv2d,
-    glorot_uniform,
-    mul,
-    reduce_sum,
-    reshape,
-    softmax,
-    unfold_neighborhoods,
-)
+from ..autodiff import Module, Tensor, concat, conv2d, glorot_uniform, unfold_neighborhoods
+from ..autodiff.ops import softmax_array, softmax_backward
+from ..autodiff.tensor import _accumulate, make_op
 from ..errors import ConfigError, DimensionError
 
 
@@ -66,28 +66,36 @@ def modulation_weights(center: np.ndarray, neighborhood: np.ndarray) -> np.ndarr
 def modulation_weight_map(source: Tensor, guide: Tensor, window: int) -> Tensor:
     """Per-pixel filter weights, shape (n, window^2, h, w); slots sum to 1."""
     _check_pair(source, guide)
-    return _weights_from(unfold_neighborhoods(source, window), guide)
+    return Tensor(_weights(unfold_neighborhoods(source, window).data, guide.data))
 
 
-def _weights_from(neighbors: Tensor, guide: Tensor) -> Tensor:
+def _weights(neighbors: np.ndarray, guide: np.ndarray) -> np.ndarray:
     """Softmax over slots of each neighbor's channel dot product with the guide pixel.
 
     ``neighbors`` is the (n, window^2, c, h, w) unfold of the source map.
     """
-    b, c, h, w = guide.shape
-    center = reshape(guide, (b, 1, c, h, w))
-    scores = reduce_sum(mul(neighbors, center), axis=2)
-    return softmax(scores, axis=1)
+    return softmax_array(np.einsum("nkchw,nchw->nkhw", neighbors, guide), axis=1)
 
 
 def modulated_fuse(source: Tensor, guide: Tensor, window: int) -> Tensor:
     """Rebuild each source pixel from its neighborhood, guided by the other map."""
     _check_pair(source, guide)
-    b, c, h, w = source.shape
     neighbors = unfold_neighborhoods(source, window)
-    weights = _weights_from(neighbors, guide)
-    weighted = mul(neighbors, reshape(weights, (b, window * window, 1, h, w)))
-    return reduce_sum(weighted, axis=1)
+    stack = neighbors.data
+    weights = _weights(stack, guide.data)
+    data = np.einsum("nkchw,nkhw->nchw", stack, weights)
+
+    def backward(g: np.ndarray) -> None:
+        # out = sum_k N_k w_k with w = softmax_k(sum_c N_k * guide)
+        d_scores = softmax_backward(weights, np.einsum("nkchw,nchw->nkhw", stack, g), axis=1)
+        if guide.requires_grad:
+            _accumulate(guide, np.einsum("nkchw,nkhw->nchw", stack, d_scores))
+        if neighbors.requires_grad:
+            g_stack = weights[:, :, None] * g[:, None]
+            g_stack += d_scores[:, :, None] * guide.data[:, None]
+            _accumulate(neighbors, g_stack)
+
+    return make_op(data, (neighbors, guide), backward)
 
 
 def _check_pair(a: Tensor, b: Tensor) -> None:

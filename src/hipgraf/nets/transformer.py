@@ -99,8 +99,7 @@ class SelfAttention(Module):
         """Row-stochastic (b, heads, n, n) attention of the tokens x over each other."""
         q = self._split(linear(x, self.wq, self.bq))
         k = self._split(linear(x, self.wk))
-        scores = mul(matmul(q, transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(self.head_dim))
-        return softmax(scores, axis=-1)
+        return softmax(matmul(q, transpose(k, (0, 1, 3, 2))), axis=-1, scale=1.0 / math.sqrt(self.head_dim))
 
     def forward(self, x: Tensor) -> Tensor:
         b, n, d = x.shape

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dataset import ImageSample
+from .dataset import ImageSample, check_finite
 from .errors import DataError, DimensionError
 
 
@@ -27,9 +27,7 @@ def check_image_batch(X, input_size: int | None = None) -> np.ndarray:
         raise DimensionError(f"images must be square, got {arr.shape[1]}x{arr.shape[2]}")
     if input_size is not None and arr.shape[1] != input_size:
         raise DimensionError(f"images are {arr.shape[1]}x{arr.shape[2]} but the model expects {input_size}x{input_size}")
-    if not np.isfinite(arr).all():
-        raise DataError("images contain non-finite values")
-    return arr
+    return check_finite(arr, "the image batch")
 
 
 def check_fit_targets(y, n_samples: int, input_size: int, require_labels: bool) -> tuple[np.ndarray, np.ndarray | None]:

@@ -2,6 +2,7 @@
 
 import gc
 import re
+import shutil
 import struct
 import weakref
 
@@ -319,6 +320,40 @@ class TestHostileInput:
         bad = tmp_path / "bad.tgt"
         bad.write_bytes(tgt_header(b"image", dims))
         self.infer(workspace, capsys, image=bad)
+
+
+class TestNonFinitePixel:
+    """A .tgt image holding a NaN or an infinity is refused by every reader: exit 3 naming the file."""
+
+    @pytest.fixture(params=[np.nan, np.inf])
+    def damaged(self, workspace, tmp_path, request):
+        data = tmp_path / "data"
+        shutil.copytree(workspace / "data", data)
+        bad = data / "sample_0001.tgt"
+        image = load_image(bad)
+        image[3, 4] = request.param
+        bad.write_bytes(dumps({"image": image}))
+        return data, bad
+
+    def run(self, argv, bad, capsys):
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "error: data:" in err and str(bad) in err and "non-finite" in err and "Traceback" not in err
+
+    def test_infer(self, workspace, damaged, capsys):
+        _, bad = damaged
+        self.run(["infer", "--checkpoint", str(workspace / "model.ckpt"), "--image", str(bad)], bad, capsys)
+
+    def test_eval(self, workspace, damaged, capsys):
+        data, bad = damaged
+        self.run(["eval", "--checkpoint", str(workspace / "model.ckpt"), "--data", str(data / "manifest.csv")], bad, capsys)
+
+    def test_train(self, damaged, tmp_path, capsys):
+        data, bad = damaged
+        out = tmp_path / "model.ckpt"
+        self.run(["train", "--data", str(data / "manifest.csv"), "--out", str(out), "--seed", "5", *TOY_ARGS], bad, capsys)
+        assert not out.exists()
 
 
 class TestAblate:

@@ -10,12 +10,14 @@ from hipgraf.experiments import (
     REFERENCE_FOOTER,
     ablation_csv,
     ablation_run,
+    detect,
     evaluate_model,
     kfold_run,
     kfold_split,
 )
 from hipgraf.metrics import METRICS_CSV_HEADER, FoldMetrics, decode_landmarks, mre, radial_errors_mm, sdr
 from hipgraf.nets.model import build_model
+from hipgraf.phantom import render_phantom, sample_geometry
 
 from conftest import make_samples, toy_backbone
 
@@ -123,6 +125,32 @@ class TestEvaluateModel:
             n=len(samples),
         )
         assert evaluate_model(model, samples, fold="x", batch_size=3) == expected
+
+
+# detect() of the default model (seed 0) on the 8 phantoms of TestDetectReference,
+# recorded before matmul folded a 2-D operand's leading axes in its forward
+STORED_COORDS = [
+    [(39.77010630071163, 52.1113947480917), (124.0, 23.880300298333168), (67.7640119343996, 95.56194713711739), (101.77063572406769, 44.087142176926136), (0.0, 112.06183588504791), (60.2634756565094, 11.174130022525787)],
+    [(39.772403821349144, 52.15249374508858), (124.0, 23.88953672349453), (67.74255120754242, 95.65185543894768), (101.55331182479858, 44.077079966664314), (0.0, 112.07065185159445), (60.25262600183487, 11.193490862846375)],
+    [(39.73948299884796, 52.111625507473946), (124.0, 23.872289776802063), (67.78033083677292, 95.67768180370331), (101.81009042263031, 44.06921178847551), (0.0, 112.06033588945866), (60.27053886651993, 11.181358635425568)],
+    [(39.76258987188339, 52.20800460875034), (124.0, 23.87070868909359), (60.40062752366066, 11.676404654979706), (35.427839159965515, 43.771468102931976), (0.0, 112.06362536549568), (60.24987268447876, 11.193373024463654)],
+    [(39.7627499550581, 52.16398936510086), (124.0, 23.875446870923042), (67.76954634487629, 95.6486005783081), (101.44738948345184, 44.08327242732048), (0.0, 112.06196646764874), (60.275220066308975, 11.188562572002411)],
+    [(39.61521703004837, 52.09675703942776), (124.0, 23.887003801763058), (67.71655812859535, 95.65480923652649), (101.41711187362671, 44.082265600562096), (0.0, 112.07560220360756), (60.25672698020935, 11.190341889858246)],
+    [(39.85095398128033, 52.171723648905754), (124.0, 23.879199624061584), (67.77109241485596, 95.52796971797943), (101.84856915473938, 44.06240397319198), (0.0, 112.06556564569473), (60.24745520949364, 11.18863582611084)],
+    [(39.753223702311516, 52.15460284054279), (124.0, 23.878868654370308), (67.72780057787895, 95.67859157919884), (101.53743541240692, 44.06229820474982), (0.0, 112.06919315457344), (60.25728365778923, 11.18524295091629)],
+]
+STORED_PROBS = [0.7892329599791124, 0.7883956413985047, 0.7884929939246209, 0.7889680707966509, 0.7888131350272767, 0.7883704230229057, 0.7886970374812068, 0.7883234807600067]
+
+
+class TestDetectReference:
+    def test_default_model_matches_the_recorded_detections(self):
+        rng = np.random.default_rng(11)
+        images = [render_phantom(sample_geometry(rng=rng).landmarks, rng=rng) for _ in range(8)]
+        coords, probs = detect(build_model(ModelConfig(), seed=0), images)
+        # the heatmap stack is bit-identical, so the decoded coordinates are too;
+        # the logit goes through folded GEMMs, whose rounding may differ in the last bit
+        np.testing.assert_array_equal(np.stack(coords), np.asarray(STORED_COORDS))
+        np.testing.assert_allclose(probs, STORED_PROBS, rtol=0, atol=1e-6)
 
 
 @pytest.fixture(scope="module")

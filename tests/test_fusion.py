@@ -9,7 +9,18 @@ neighborhood under those weights.
 import numpy as np
 import pytest
 
-from hipgraf.autodiff import Tensor, check_gradients
+from hipgraf.autodiff import (
+    Tensor,
+    check_gradients,
+    concat,
+    conv2d,
+    mul,
+    no_grad,
+    reduce_sum,
+    reshape,
+    softmax,
+    unfold_neighborhoods,
+)
 from hipgraf.errors import ConfigError, DimensionError
 from hipgraf.nets.fusion import (
     ConcatFusion,
@@ -35,6 +46,15 @@ def scalar_reference_fuse(source: np.ndarray, guide: np.ndarray, window: int) ->
             weights = modulation_weights(guide[:, i, j], neighborhood)
             out[:, i, j] = weights @ neighborhood
     return out
+
+
+def composed_fuse(source: Tensor, guide: Tensor, window: int) -> Tensor:
+    """The route as separate tape ops: unfold, mul/reduce_sum scores, softmax, mul/reduce_sum."""
+    b, c, h, w = source.shape
+    neighbors = unfold_neighborhoods(source, window)
+    scores = reduce_sum(mul(neighbors, reshape(guide, (b, 1, c, h, w))), axis=2)
+    weights = softmax(scores, axis=1)
+    return reduce_sum(mul(neighbors, reshape(weights, (b, window * window, 1, h, w))), axis=1)
 
 
 class TestExtractNeighborhood:
@@ -201,3 +221,60 @@ class TestFusionGradient:
             lambda: build(f32), f32, h=1e-4, oracle_loss=lambda: build(f64).item(), oracle_params=f64
         )
         assert max(errors.values()) < 1e-3, errors
+
+
+class TestFusedRoute:
+    """The one-op route against the composed-op route it replaced, at the default model's map size."""
+
+    @pytest.mark.parametrize("batch", [2, 8])
+    @pytest.mark.parametrize("mode", ["concat", "add"])
+    def test_forward_bit_identical_to_composed_ops(self, batch, mode):
+        block = MutualModulationFusion(np.random.default_rng(40), channels=32, window=3, mode=mode)
+        f_l = Tensor(rnd(batch, 32, 32, 32, seed=41))
+        f_g = Tensor(rnd(batch, 32, 32, 32, seed=42))
+        routes = [composed_fuse(f_l, f_g, 3), composed_fuse(f_g, f_l, 3)]
+        combined = concat(routes, axis=1) if mode == "concat" else routes[0] + routes[1]
+        expected = conv2d(combined, block.proj_weight).data
+        np.testing.assert_array_equal(modulated_fuse(f_l, f_g, 3).data, routes[0].data)
+        np.testing.assert_array_equal(block.forward(f_l, f_g).data, expected)
+
+    def test_weight_map_bit_identical_to_composed_softmax(self):
+        source, guide = Tensor(rnd(2, 4, 6, 6, seed=43)), Tensor(rnd(2, 4, 6, 6, seed=44))
+        neighbors = unfold_neighborhoods(source, 3)
+        scores = reduce_sum(mul(neighbors, reshape(guide, (2, 1, 4, 6, 6))), axis=2)
+        np.testing.assert_array_equal(modulation_weight_map(source, guide, 3).data, softmax(scores, axis=1).data)
+
+    @pytest.mark.parametrize("window", [1, 3, 5])
+    def test_gradients_of_source_and_guide(self, window):
+        probe = np.random.default_rng(45).standard_normal((2, 3, 5, 4))
+        vals = {"source": rnd(2, 3, 5, 4, seed=46), "guide": rnd(2, 3, 5, 4, seed=47)}
+
+        def build(t):
+            return (modulated_fuse(t["source"], t["guide"], window) * Tensor(probe, dtype=t["source"].dtype)).sum()
+
+        f64 = {k: Tensor(v.astype(np.float64), requires_grad=True) for k, v in vals.items()}
+        errors = check_gradients(lambda: build(f64), f64, h=1e-5)
+        assert max(errors.values()) < 1e-6, errors
+        f32 = {k: Tensor(v, requires_grad=True) for k, v in vals.items()}
+        errors = check_gradients(lambda: build(f32), f32, h=1e-4, oracle_loss=lambda: build(f64).item(), oracle_params=f64)
+        assert max(errors.values()) < 1e-3, errors
+
+    def test_gradients_match_composed_ops(self):
+        probe = Tensor(rnd(2, 3, 6, 6, seed=48))
+        grads = []
+        for route in (modulated_fuse, composed_fuse):
+            source = Tensor(rnd(2, 3, 6, 6, seed=49), requires_grad=True)
+            guide = Tensor(rnd(2, 3, 6, 6, seed=50), requires_grad=True)
+            (route(source, guide, 3) * probe).sum().backward()
+            grads.append((source.grad, guide.grad))
+        for fused, composed in zip(*grads):
+            np.testing.assert_allclose(fused, composed, rtol=1e-5, atol=1e-6)
+
+    def test_one_tape_node_after_the_unfold(self):
+        source, guide = Tensor(rnd(1, 2, 4, 4, seed=51), requires_grad=True), Tensor(rnd(1, 2, 4, 4, seed=52))
+        out = modulated_fuse(source, guide, 3)
+        neighbors = out._parents[0]
+        assert out._parents[1] is guide
+        np.testing.assert_array_equal(neighbors.data, unfold_neighborhoods(source, 3).data)
+        with no_grad():
+            assert not modulated_fuse(source, source, 3).requires_grad

@@ -137,6 +137,11 @@ class TestPointwiseOps:
         weights = rnd(3, 5, seed=26)
         assert_grads_match(lambda t: (softmax(t["x"], axis=1) * Tensor(weights, dtype=t["x"].dtype)).sum(), values)
 
+    def test_scaled_softmax(self):
+        values = {"x": rnd(2, 3, 5, seed=29)}
+        weights = rnd(2, 3, 5, seed=30)
+        assert_grads_match(lambda t: (softmax(t["x"], axis=-1, scale=0.35) * Tensor(weights, dtype=t["x"].dtype)).sum(), values)
+
     def test_layer_norm(self):
         values = {"x": rnd(2, 8, seed=27)}
         weights = rnd(2, 8, seed=28)

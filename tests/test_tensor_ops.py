@@ -163,6 +163,22 @@ class TestMatmul:
         np.testing.assert_allclose(bt.grad, sum(a[i, j].T @ g[i, j] for i in range(2) for j in range(3)), rtol=1e-12)
 
 
+    @pytest.mark.parametrize("a_shape", [(4, 6, 5), (2, 3, 4, 5)], ids=["3d", "4d"])
+    def test_two_d_operand_forward_folds_against_numpy(self, a_shape):
+        a, b = rnd(*a_shape, seed=43), rnd(5, 7, seed=44)
+        out = matmul(Tensor(a), Tensor(b)).data
+        assert out.shape == (*a_shape[:-1], 7)
+        np.testing.assert_allclose(out, np.matmul(a, b), rtol=1e-6)
+
+    def test_two_d_operand_with_empty_axes(self):
+        a = Tensor(np.zeros((3, 4, 0), dtype=np.float32), requires_grad=True)
+        b = Tensor(np.zeros((0, 2), dtype=np.float32), requires_grad=True)
+        out = matmul(a, b)
+        np.testing.assert_array_equal(out.data, np.zeros((3, 4, 2)))
+        out.sum().backward()
+        assert a.grad.shape == (3, 4, 0) and b.grad.shape == (0, 2)
+
+
 class TestConv2d:
     def test_one_by_one_unit_kernel_is_identity(self):
         x = rnd(1, 2, 5, 5, seed=4)
@@ -372,6 +388,27 @@ class TestSoftmax:
         a = softmax(Tensor(x), axis=0).data
         b = softmax(Tensor(x + shift), axis=0).data
         assert np.abs(a - b).max() < 1e-6
+
+    def test_leaves_its_input_unmodified(self):
+        x = rnd(3, 9, seed=11)
+        for scale in (None, 0.25):
+            t = Tensor(x.copy())
+            softmax(t, axis=1, scale=scale)
+            np.testing.assert_array_equal(t.data, x)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_scale_matches_a_separate_multiply(self, dtype):
+        # attention's scores times 1/sqrt(head_dim), as the transformer passes it
+        scale = 1.0 / math.sqrt(8)
+        g = rnd(2, 4, 6, 6, seed=12, dtype=dtype)
+        results = []
+        for fused in (True, False):
+            x = Tensor(rnd(2, 4, 6, 6, seed=13, dtype=dtype), requires_grad=True)
+            out = softmax(x, axis=-1, scale=scale) if fused else softmax(mul(x, scale), axis=-1)
+            (out * Tensor(g)).sum().backward()
+            results.append((out.data, x.grad))
+        for fused, separate in zip(*results):
+            np.testing.assert_array_equal(fused, separate)
 
     def test_rows_sum_to_one_and_positive(self):
         out = softmax(Tensor(rnd(4, 7, seed=10)), axis=1).data
