@@ -34,20 +34,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ConfigError, ContractError, DimensionError
-from .tensor import Tensor, _accumulate, add, as_tensor, make_op, matmul, reshape
-
-
-def _as_4d(x: Tensor) -> tuple[Tensor, bool]:
-    if x.ndim == 4:
-        return x, False
-    if x.ndim == 3:
-        return reshape(x, (1, *x.shape)), True
-    raise DimensionError(f"expected a (c,h,w) or (n,c,h,w) tensor, got shape {x.shape}")
-
-
-def _finish(out: Tensor, squeeze: bool) -> Tensor:
-    """Drop the batch axis that _as_4d added."""
-    return reshape(out, out.shape[1:]) if squeeze else out
+from .tensor import Tensor, _accumulate, add, as_tensor, make_op, matmul
 
 
 def _add_bias(data: np.ndarray, bias: Tensor | None) -> np.ndarray:
@@ -138,24 +125,25 @@ def _correlate(xp: np.ndarray, w_mat: np.ndarray, kh: int, kw: int, stride: int,
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, stride: int = 1, padding: int = 0) -> Tensor:
     """Cross-correlation of (n,c_in,h,w) input with (c_out,c_in,kh,kw) kernels."""
-    x4, squeeze = _as_4d(x)
+    if x.ndim != 4:
+        raise DimensionError(f"conv2d expects (n,c,h,w), got shape {x.shape}")
     co, ci, kh, kw = weight.shape
-    n, c, h, w = x4.shape
+    n, c, h, w = x.shape
     if c != ci:
-        raise DimensionError(f"conv2d channels disagree: input {x4.shape} vs kernels {weight.shape}")
+        raise DimensionError(f"conv2d channels disagree: input {x.shape} vs kernels {weight.shape}")
     hp, wp = h + 2 * padding, w + 2 * padding
     if kh > hp or kw > wp:
         raise DimensionError(f"conv2d kernel {weight.shape} larger than padded input ({n},{c},{hp},{wp})")
     oh = (hp - kh) // stride + 1
     ow = (wp - kw) // stride + 1
-    data = _add_bias(_correlate(_pad(x4.data, padding), weight.data.reshape(co, ci * kh * kw), kh, kw, stride, oh, ow), bias)
+    data = _add_bias(_correlate(_pad(x.data, padding), weight.data.reshape(co, ci * kh * kw), kh, kw, stride, oh, ow), bias)
 
     def backward(g: np.ndarray) -> None:
         if weight.requires_grad:
-            xp = _pad(x4.data, padding)
+            xp = _pad(x.data, padding)
             cols = xp.reshape(n, ci, oh * ow) if kh == kw == stride == 1 else _patches(xp, kh, kw, stride, oh, ow)
             _accumulate(weight, _batched_outer(g.reshape(n, co, oh * ow), cols).reshape(weight.shape))
-        if x4.requires_grad:
+        if x.requires_grad:
             # correlate g, dilated by the stride and padded by the kernel less
             # one, with the flipped, channel-swapped kernels; only the rows and
             # columns that land inside the unpadded input are computed
@@ -163,10 +151,10 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, stride: int = 
             gd[:, :, kh - 1 :: stride, kw - 1 :: stride][:, :, :oh, :ow] = g
             gd = gd[:, :, padding : padding + h + kh - 1, padding : padding + w + kw - 1]
             w_flip = weight.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(ci, co * kh * kw)
-            _accumulate(x4, _correlate(gd, w_flip, kh, kw, 1, h, w))
+            _accumulate(x, _correlate(gd, w_flip, kh, kw, 1, h, w))
         _bias_grad(bias, g)
 
-    return _finish(make_op(data, _parents(x4, weight, bias), backward), squeeze)
+    return make_op(data, _parents(x, weight, bias), backward)
 
 
 def transpose_conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, stride: int = 1) -> Tensor:
@@ -176,15 +164,16 @@ def transpose_conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, stri
     stride times the input size. This is the adjoint of conv2d: each input
     pixel's (c_out,kh,kw) product is scattered onto the output windows.
     """
-    x4, squeeze = _as_4d(x)
+    if x.ndim != 4:
+        raise DimensionError(f"transpose_conv2d expects (n,c,h,w), got shape {x.shape}")
     ci, co, kh, kw = weight.shape
-    n, c, h, w = x4.shape
+    n, c, h, w = x.shape
     if c != ci:
-        raise DimensionError(f"transpose_conv2d channels disagree: input {x4.shape} vs kernels {weight.shape}")
+        raise DimensionError(f"transpose_conv2d channels disagree: input {x.shape} vs kernels {weight.shape}")
     oh = (h - 1) * stride + kh
     ow = (w - 1) * stride + kw
     w_mat = weight.data.reshape(ci, co * kh * kw)
-    x_mat = x4.data.reshape(n, ci, h * w)
+    x_mat = x.data.reshape(n, ci, h * w)
     cols = (w_mat.T @ x_mat).reshape(n, co, kh, kw, h, w)
     data = _add_bias(_scatter(cols, np.zeros((n, co, oh, ow), dtype=cols.dtype), stride), bias)
 
@@ -192,11 +181,11 @@ def transpose_conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, stri
         g_cols = _gather(g, np.empty((n, co, kh, kw, h, w), dtype=g.dtype), stride).reshape(n, co * kh * kw, h * w)
         if weight.requires_grad:
             _accumulate(weight, _batched_outer(x_mat, g_cols).reshape(weight.shape))
-        if x4.requires_grad:
-            _accumulate(x4, (w_mat @ g_cols).reshape(n, ci, h, w))
+        if x.requires_grad:
+            _accumulate(x, (w_mat @ g_cols).reshape(n, ci, h, w))
         _bias_grad(bias, g)
 
-    return _finish(make_op(data, _parents(x4, weight, bias), backward), squeeze)
+    return make_op(data, _parents(x, weight, bias), backward)
 
 
 def maxpool2d(x: Tensor, kernel: int = 2) -> Tensor:
@@ -210,12 +199,13 @@ def maxpool2d(x: Tensor, kernel: int = 2) -> Tensor:
     first maximum. No slot equals a NaN output, so every slot of a NaN window
     gets ``g * 0``: zero when ``g`` is finite, NaN when it is not.
     """
-    x4, squeeze = _as_4d(x)
-    n, c, h, w = x4.shape
+    if x.ndim != 4:
+        raise DimensionError(f"maxpool2d expects (n,c,h,w), got shape {x.shape}")
+    n, c, h, w = x.shape
     if h % kernel or w % kernel:
-        raise DimensionError(f"maxpool2d needs dims divisible by {kernel}, got {x4.shape}")
+        raise DimensionError(f"maxpool2d needs dims divisible by {kernel}, got {x.shape}")
     oh, ow = h // kernel, w // kernel
-    views = _windows(x4.data, kernel, kernel, kernel, oh, ow)
+    views = _windows(x.data, kernel, kernel, kernel, oh, ow)
     data = next(views)[2].copy()
     for _, _, view in views:
         np.maximum(data, view, out=data)
@@ -224,13 +214,13 @@ def maxpool2d(x: Tensor, kernel: int = 2) -> Tensor:
         gx = np.empty((n, c, h, w), dtype=g.dtype)
         hit, taken = np.empty(data.shape, dtype=bool), np.zeros(data.shape, dtype=bool)
         slots = _windows(gx, kernel, kernel, kernel, oh, ow)
-        for (_, _, view), (_, _, slot) in zip(_windows(x4.data, kernel, kernel, kernel, oh, ow), slots):
+        for (_, _, view), (_, _, slot) in zip(_windows(x.data, kernel, kernel, kernel, oh, ow), slots):
             np.greater(np.equal(view, data, out=hit), taken, out=hit)  # equal to the max and none before
             np.multiply(g, hit, out=slot)
             taken |= hit
-        _accumulate(x4, gx)
+        _accumulate(x, gx)
 
-    return _finish(make_op(data, (x4,), backward), squeeze)
+    return make_op(data, (x,), backward)
 
 
 # -- pointwise activations ------------------------------------------------------

@@ -1,8 +1,9 @@
 """Command-line entry point.
 
 Subcommands wire config files to the generate/train/eval/infer/ablate
-workflows. Every run-config key is also available as ``--key value``;
-command-line values override the config file, which overrides defaults.
+workflows. generate, train and ablate take every run-config key as
+``--key value``; command-line values override the config file, which
+overrides defaults. eval and infer take their config from the checkpoint.
 
 Exit codes: 0 success, 2 config error, 3 data error, 4 format error,
 5 numeric abort; unexpected failures return 1.
@@ -75,13 +76,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--data", required=True, help="manifest CSV path")
     p_eval.add_argument("--out", help="metrics CSV path (default: print to stdout)")
     p_eval.add_argument("--overlay-dir", help="write per-sample overlay PGMs here")
-    _add_config_options(p_eval)
 
     p_infer = sub.add_parser("infer", help="detect landmarks on one image")
     p_infer.add_argument("--checkpoint", required=True)
     p_infer.add_argument("--image", required=True, help=".tgt or .pgm image file")
     p_infer.add_argument("--overlay", help="write an overlay PGM here")
-    _add_config_options(p_infer)
 
     p_ablate = sub.add_parser("ablate", help="cross-validate the four model variants")
     p_ablate.add_argument("--data", required=True, help="manifest CSV path")

@@ -2,14 +2,7 @@
 
 from .unet import UNetBranch
 from .transformer import TransformerBranch
-from .fusion import (
-    ConcatFusion,
-    MutualModulationFusion,
-    extract_neighborhood,
-    modulated_fuse,
-    modulation_weight_map,
-    modulation_weights,
-)
+from .fusion import ConcatFusion, MutualModulationFusion, modulated_fuse
 from .graph import (
     LandmarkTopology,
     TopologicalRefiner,
@@ -36,11 +29,8 @@ __all__ = [
     "build_model",
     "build_node_features",
     "classify_nodes",
-    "extract_neighborhood",
     "gcn_layer",
     "modulated_fuse",
-    "modulation_weight_map",
-    "modulation_weights",
     "normalize_adjacency",
     "refine_heatmaps",
 ]

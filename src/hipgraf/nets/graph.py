@@ -80,18 +80,13 @@ def normalize_adjacency(adjacency: np.ndarray) -> np.ndarray:
 
 
 def build_node_features(heatmaps: Tensor, expected_count: int = 6) -> Tensor:
-    """Flatten a (n,k,h,w) or (k,h,w) heatmap stack into (.., k, h*w) rows."""
-    if heatmaps.ndim == 3:
-        k, h, w = heatmaps.shape
-        if k != expected_count:
-            raise DimensionError(f"expected {expected_count} heatmap channels, got {k}")
-        return reshape(heatmaps, (k, h * w))
-    if heatmaps.ndim == 4:
-        n, k, h, w = heatmaps.shape
-        if k != expected_count:
-            raise DimensionError(f"expected {expected_count} heatmap channels, got {k}")
-        return reshape(heatmaps, (n, k, h * w))
-    raise DimensionError(f"expected a heatmap stack, got shape {heatmaps.shape}")
+    """Flatten an (n,k,h,w) heatmap stack into (n,k,h*w) node rows."""
+    if heatmaps.ndim != 4:
+        raise DimensionError(f"expected an (n,k,h,w) heatmap stack, got shape {heatmaps.shape}")
+    n, k, h, w = heatmaps.shape
+    if k != expected_count:
+        raise DimensionError(f"expected {expected_count} heatmap channels, got {k}")
+    return reshape(heatmaps, (n, k, h * w))
 
 
 def gcn_mix(features: Tensor, adjacency_norm: np.ndarray, weight: Tensor) -> Tensor:
@@ -112,13 +107,9 @@ def gcn_layer(features: Tensor, adjacency_norm: np.ndarray, weight: Tensor) -> T
 
 
 def refine_heatmaps(node_features: Tensor, height: int, width: int) -> Tensor:
-    """Unflatten final node features into a sigmoid heatmap stack."""
-    squash = sigmoid(node_features)
-    if squash.ndim == 2:
-        k = squash.shape[0]
-        return reshape(squash, (k, height, width))
-    n, k, _ = squash.shape
-    return reshape(squash, (n, k, height, width))
+    """Unflatten (n,k,height*width) node features into an (n,k,height,width) sigmoid heatmap stack."""
+    n, k, _ = node_features.shape
+    return reshape(sigmoid(node_features), (n, k, height, width))
 
 
 def classify_nodes(node_features: Tensor, w_mid: Tensor, w_out: Tensor) -> Tensor:

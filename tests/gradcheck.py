@@ -7,7 +7,8 @@ error would reject exact gradients on entries that merely happen to be tiny.
 
 The numeric side may run at a higher precision than the tape under test:
 checking a float32 model against a float64 central-difference oracle isolates
-formula errors from float32 rounding.
+formula errors from float32 rounding. ``assert_grads_match`` does exactly
+that for a loss built from a dict of leaf values.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .tensor import Tensor
+from hipgraf.autodiff import Tensor
 
 TINY = 1e-12
 
@@ -84,3 +85,27 @@ def check_gradients(
         numeric = numeric_gradient(probe_loss, target, h=h, indices=indices)
         errors[name] = normalized_max_error(analytic[name], numeric)
     return errors
+
+
+def assert_grads_match(
+    build: Callable[[Mapping[str, Tensor]], Tensor],
+    values: Mapping[str, np.ndarray],
+    tol32: float = 1e-3,
+    tol64: float | None = 1e-6,
+    h32: float = 1e-4,
+    h64: float = 1e-4,
+) -> None:
+    """Check ``build``'s gradients in float32, and in float64 unless ``tol64`` is None.
+
+    Both precisions start from the same float32-rounded values. The float64
+    graph is its own central-difference oracle (step ``h64``); the float32
+    analytic gradients are checked against central differences of that
+    float64 graph (step ``h32``).
+    """
+    f32 = {k: Tensor(np.asarray(v).astype(np.float32), requires_grad=True) for k, v in values.items()}
+    f64 = {k: Tensor(t.data.astype(np.float64), requires_grad=True) for k, t in f32.items()}
+    if tol64 is not None:
+        err64 = check_gradients(lambda: build(f64), f64, h=h64)
+        assert max(err64.values()) < tol64, f"float64 gradients off: {err64}"
+    err32 = check_gradients(lambda: build(f32), f32, h=h32, oracle_loss=lambda: build(f64).item(), oracle_params=f64)
+    assert max(err32.values()) < tol32, f"float32 gradients off: {err32}"

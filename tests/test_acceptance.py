@@ -13,7 +13,6 @@ import pytest
 from hipgraf.autodiff import (
     Tensor,
     bce_loss,
-    check_gradients,
     concat,
     conv2d,
     layer_norm,
@@ -33,11 +32,14 @@ from hipgraf.dataset import read_manifest
 from hipgraf.errors import FormatError
 from hipgraf.experiments import evaluate_model
 from hipgraf.metrics import GrafAngles, METRICS_CSV_HEADER, classify_graf, graf_angles, mre, sdr
-from hipgraf.nets.fusion import extract_neighborhood, modulated_fuse, modulation_weight_map, modulation_weights
+from hipgraf.nets.fusion import modulated_fuse
 from hipgraf.nets.graph import build_adjacency, gcn_layer, normalize_adjacency
 from hipgraf.nets.model import build_model
 from hipgraf.phantom import generate_dataset
 from hipgraf.training import make_gt_heatmaps, total_loss, train
+
+from fusion_reference import extract_neighborhood, modulation_weight_map, modulation_weights
+from gradcheck import check_gradients
 
 TOY16 = ModelConfig(
     backbone=BackboneConfig(

@@ -11,7 +11,7 @@ import pytest
 
 from hipgraf import checkpoint
 from hipgraf.cli import main
-from hipgraf.config import parse_config_file
+from hipgraf.config import KEY_SPECS, parse_config_file
 from hipgraf.dataset import load_image, read_manifest, read_pgm
 from hipgraf.experiments import detect
 from hipgraf.metrics import METRICS_CSV_HEADER, decode_landmarks, write_overlay
@@ -71,6 +71,25 @@ class TestGenerate:
         out = tmp_path / "ds"
         assert main(["generate", "--out", str(out), "--config", str(config), "--n_samples", "3", *TOY_ARGS]) == 0
         assert len(read_manifest(out / "manifest.csv")) == 3  # CLI override wins
+
+
+class TestRunConfigFlags:
+    """eval and infer take their config from the checkpoint, so they offer no run-config flags."""
+
+    @pytest.mark.parametrize("command", ["eval", "infer"])
+    def test_help_lists_no_run_config_key(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        flags = set(re.findall(r"--([\w-]+)", capsys.readouterr().out))
+        assert flags & {"config", *KEY_SPECS} == set()
+
+    def test_eval_refuses_a_run_config_flag(self, workspace, capsys):
+        args = ["eval", "--checkpoint", str(workspace / "model.ckpt"), "--data", str(workspace / "data" / "manifest.csv")]
+        with pytest.raises(SystemExit) as exc:
+            main([*args, "--lr", "0.5"])
+        assert exc.value.code == 2
+        assert "--lr" in capsys.readouterr().err
 
 
 class TestTrainEvalInfer:

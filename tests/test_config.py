@@ -205,3 +205,9 @@ def test_hipgraf_names_the_benchmark_reaches_exist():
                     assert found, f"{script}: {probe} probe of {ast.unparse(node.args[0])}.{name}"
     for name, keywords in PINNED_KEYWORDS:
         assert keywords <= passed.get(name, set()), name
+
+
+@pytest.mark.parametrize("module", ["hipgraf", "hipgraf.autodiff", "hipgraf.nets"])
+def test_every_exported_name_resolves(module):
+    package = importlib.import_module(module)
+    assert [name for name in package.__all__ if not hasattr(package, name)] == []

@@ -2,9 +2,10 @@
 
 Each case builds the op twice over the same values: a float64 graph probed
 by central differences (the oracle) and, for the 32-bit cases, a float32
-graph supplying the analytic gradients under test. Thresholds: 1e-6 for
-float64 analytic vs float64 oracle, 1e-3 for float32 analytic vs the
-float64 oracle.
+graph supplying the analytic gradients under test. Every case uses the
+defaults of ``gradcheck.assert_grads_match``: a central-difference step of
+1e-4, and thresholds of 1e-6 for float64 analytic vs float64 oracle and
+1e-3 for float32 analytic vs the float64 oracle.
 """
 
 import threading
@@ -16,7 +17,6 @@ from hipgraf.autodiff import (
     no_grad,
     Tensor,
     bce_loss,
-    check_gradients,
     concat,
     conv2d,
     default_dtype,
@@ -36,27 +36,7 @@ from hipgraf.autodiff import (
 )
 from hipgraf.errors import ContractError
 
-H = 1e-4
-TOL_F64 = 1e-6
-TOL_F32 = 1e-3
-
-
-def dual_tensors(values: dict[str, np.ndarray]):
-    """float32 and float64 leaves over bit-identical values."""
-    f32 = {k: Tensor(v.astype(np.float32), requires_grad=True) for k, v in values.items()}
-    f64 = {k: Tensor(v.astype(np.float32).astype(np.float64), requires_grad=True) for k, v in values.items()}
-    return f32, f64
-
-
-def assert_grads_match(build, values: dict[str, np.ndarray], tol64=TOL_F64, tol32=TOL_F32):
-    """Check the op in both precisions against the float64 oracle."""
-    f32, f64 = dual_tensors(values)
-    err64 = check_gradients(lambda: build(f64), f64, h=H)
-    worst64 = max(err64.values())
-    assert worst64 < tol64, f"float64 gradients off: {err64}"
-    err32 = check_gradients(lambda: build(f32), f32, h=H, oracle_loss=lambda: build(f64).item(), oracle_params=f64)
-    worst32 = max(err32.values())
-    assert worst32 < tol32, f"float32 gradients off: {err32}"
+from gradcheck import assert_grads_match
 
 
 def rnd(*shape, seed=0):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from hipgraf.autodiff import Tensor, check_gradients, mse_loss, relu, sigmoid
+from hipgraf.autodiff import Tensor, mse_loss, relu, sigmoid
 from hipgraf.errors import ConfigError, DimensionError
 from hipgraf.nets.graph import (
     LandmarkTopology,
@@ -15,6 +15,8 @@ from hipgraf.nets.graph import (
     normalize_adjacency,
     refine_heatmaps,
 )
+
+from gradcheck import assert_grads_match
 
 
 def rnd(*shape, seed=0, dtype=np.float32):
@@ -83,15 +85,15 @@ class TestNormalizeAdjacency:
 
 class TestNodeFeatures:
     def test_flatten_shape(self):
-        stack = Tensor(rnd(6, 32, 32, seed=2))
-        assert build_node_features(stack).shape == (6, 1024)
+        stack = Tensor(rnd(1, 6, 32, 32, seed=2))
+        assert build_node_features(stack).shape == (1, 6, 1024)
 
     def test_one_hot_heatmap_rows(self):
-        stack = np.zeros((6, 4, 4), dtype=np.float32)
-        stack[0] = 1.0
+        stack = np.zeros((1, 6, 4, 4), dtype=np.float32)
+        stack[0, 0] = 1.0
         rows = build_node_features(Tensor(stack)).data
-        np.testing.assert_array_equal(rows[0], np.ones(16))
-        np.testing.assert_array_equal(rows[1:], np.zeros((5, 16)))
+        np.testing.assert_array_equal(rows[0, 0], np.ones(16))
+        np.testing.assert_array_equal(rows[0, 1:], np.zeros((5, 16)))
 
     def test_flatten_unflatten_round_trip(self):
         stack = rnd(2, 6, 4, 4, seed=3)
@@ -101,7 +103,7 @@ class TestNodeFeatures:
 
     def test_wrong_channel_count_rejected(self):
         with pytest.raises(DimensionError, match="heatmap channels"):
-            build_node_features(Tensor(rnd(5, 4, 4)))
+            build_node_features(Tensor(rnd(1, 5, 4, 4)))
 
 
 class TestGcnLayer:
@@ -133,17 +135,17 @@ class TestGcnLayer:
 
 class TestRefineHeatmaps:
     def test_shape_and_range(self):
-        out = refine_heatmaps(Tensor(rnd(6, 1024, seed=6)), 32, 32)
-        assert out.shape == (6, 32, 32)
+        out = refine_heatmaps(Tensor(rnd(1, 6, 1024, seed=6)), 32, 32)
+        assert out.shape == (1, 6, 32, 32)
         assert (out.data > 0).all() and (out.data < 1).all()
 
     def test_zero_features_give_half_maps(self):
-        out = refine_heatmaps(Tensor(np.zeros((6, 16), dtype=np.float32)), 4, 4)
-        np.testing.assert_allclose(out.data, np.full((6, 4, 4), 0.5))
+        out = refine_heatmaps(Tensor(np.zeros((1, 6, 16), dtype=np.float32)), 4, 4)
+        np.testing.assert_allclose(out.data, np.full((1, 6, 4, 4), 0.5))
 
     def test_identity_weights_compose_to_sigmoid_relu(self):
         # two identity-weight layers under identity adjacency, then refine
-        stack = rnd(6, 4, 4, seed=7)
+        stack = rnd(1, 6, 4, 4, seed=7)
         features = build_node_features(Tensor(stack))
         eye16 = Tensor(np.eye(16, dtype=np.float32))
         out = features
@@ -236,7 +238,4 @@ class TestRefinerEndToEnd:
             out = gcn_layer(gcn_layer(t["g"], a_norm, t["w1"]), a_norm, t["w2"])
             return mse_loss(sigmoid(out), Tensor(target, dtype=t["g"].dtype)) + 0.1 * classify_nodes(out, t["w0"], t["wc"]).sum()
 
-        f32 = {k: Tensor(v, requires_grad=True) for k, v in vals.items()}
-        f64 = {k: Tensor(v.astype(np.float64), requires_grad=True) for k, v in vals.items()}
-        errors = check_gradients(lambda: build(f32), f32, h=1e-4, oracle_loss=lambda: build(f64).item(), oracle_params=f64)
-        assert max(errors.values()) < 1e-3, errors
+        assert_grads_match(build, vals, tol32=1e-3, tol64=None, h32=1e-4)

@@ -1,6 +1,7 @@
 """Forward-value contracts of the tensor ops: hand-computable cases, and the gradient ownership contract."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -31,6 +32,7 @@ from hipgraf.autodiff import (
     window_stack,
 )
 from hipgraf.errors import ConfigError, ContractError, DimensionError
+from hipgraf.nets.graph import build_node_features
 from hipgraf.nets.model import build_model
 from hipgraf.training import total_loss
 
@@ -179,6 +181,22 @@ class TestMatmul:
         assert a.grad.shape == (3, 4, 0) and b.grad.shape == (0, 2)
 
 
+@pytest.mark.parametrize(
+    "op, shape",
+    [
+        (lambda x: conv2d(x, Tensor(rnd(3, 2, 3, 3))), (2, 5, 5)),
+        (lambda x: transpose_conv2d(x, Tensor(rnd(2, 3, 2, 2)), stride=2), (2, 3, 3)),
+        (lambda x: maxpool2d(x, 2), (2, 4, 4)),
+        (build_node_features, (6, 4, 4)),
+    ],
+    ids=["conv2d", "transpose_conv2d", "maxpool2d", "build_node_features"],
+)
+def test_unbatched_input_is_rejected(op, shape):
+    # below the model's entry point every spatial tensor is (n, c, h, w)
+    with pytest.raises(DimensionError, match=re.escape(f"got shape {shape}")):
+        op(Tensor(rnd(*shape)))
+
+
 class TestConv2d:
     def test_one_by_one_unit_kernel_is_identity(self):
         x = rnd(1, 2, 5, 5, seed=4)
@@ -215,12 +233,6 @@ class TestConv2d:
         out = conv2d(Tensor(x), Tensor(w), Tensor(b), stride=stride, padding=padding)
         expected = conv2d_reference(x, w, stride, padding) + b[:, None, None]
         np.testing.assert_allclose(out.data, expected, rtol=1e-12, atol=1e-12)
-
-    def test_three_d_input_matches_loop_reference(self):
-        x, w = rnd(3, 7, 7, seed=24, dtype=np.float64), rnd(2, 3, 3, 3, seed=25, dtype=np.float64)
-        out = conv2d(Tensor(x), Tensor(w), stride=2, padding=1)
-        assert out.shape == (2, 4, 4)
-        np.testing.assert_allclose(out.data, conv2d_reference(x[None], w, 2, 1)[0], rtol=1e-12, atol=1e-12)
 
     def test_one_by_one_input_gradient_is_a_new_array(self):
         # an identity 1x1 kernel passes the upstream gradient (the multiplier)
@@ -268,37 +280,26 @@ class TestConv2d:
         (out * Tensor(g)).sum().backward()
         assert b.grad.tobytes() == g.sum(axis=0).sum(axis=(1, 2)).tobytes()
 
-    def test_no_grad_three_d_input_matches_recording_bit_for_bit(self):
-        x = Tensor(rnd(4, 7, 6, seed=31))
-        w = Tensor(rnd(2, 4, 3, 3, seed=32), requires_grad=True)
-        recorded = conv2d(x, w, stride=2, padding=1)
-        with no_grad():
-            free = conv2d(x, w, stride=2, padding=1)
-        assert free.shape == recorded.shape == (2, 4, 3)
-        assert free.data.tobytes() == recorded.data.tobytes()
-
 
     @settings(max_examples=40, deadline=None)
     @given(st.data())
     def test_recorded_gradients_match_loop_reference(self, data):
-        three_d = data.draw(st.booleans(), label="three_d")
-        n = 1 if three_d else data.draw(st.integers(1, 3), label="n")
+        n = data.draw(st.integers(1, 3), label="n")
         ci, co = data.draw(st.integers(1, 4), label="c_in"), data.draw(st.integers(1, 4), label="c_out")
         h, wd = data.draw(st.integers(3, 9), label="h"), data.draw(st.integers(3, 9), label="w")
         kh, kw = data.draw(st.integers(1, 3), label="kh"), data.draw(st.integers(1, 3), label="kw")
         stride, padding = data.draw(st.integers(1, 3), label="stride"), data.draw(st.integers(0, 2), label="padding")
         rng = np.random.default_rng(data.draw(st.integers(0, 2**16), label="seed"))
         x, w, b = rng.standard_normal((n, ci, h, wd)), rng.standard_normal((co, ci, kh, kw)), rng.standard_normal(co)
-        xt = Tensor(x[0] if three_d else x, requires_grad=True)
+        xt = Tensor(x, requires_grad=True)
         wt, bt = Tensor(w, requires_grad=True), Tensor(b, requires_grad=True)
         out = conv2d(xt, wt, bt, stride=stride, padding=padding)
         g = rng.standard_normal(out.shape)
         (out * Tensor(g)).sum().backward()
-        g4 = g[None] if three_d else g
-        gw, gx = conv2d_grad_reference(x, w, g4, stride, padding)
+        gw, gx = conv2d_grad_reference(x, w, g, stride, padding)
         np.testing.assert_allclose(wt.grad, gw, rtol=1e-10, atol=1e-10)
-        np.testing.assert_allclose(xt.grad, gx[0] if three_d else gx, rtol=1e-10, atol=1e-10)
-        np.testing.assert_allclose(bt.grad, g4.sum(axis=(0, 2, 3)), rtol=1e-10, atol=1e-10)
+        np.testing.assert_allclose(xt.grad, gx, rtol=1e-10, atol=1e-10)
+        np.testing.assert_allclose(bt.grad, g.sum(axis=(0, 2, 3)), rtol=1e-10, atol=1e-10)
 
     def test_recorded_forward_keeps_no_patch_matrix(self):
         n, c, kh, kw, size = 4, 8, 3, 3, 16
@@ -630,8 +631,7 @@ class TestShapeOps:
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_maxpool_matches_loop_reference(self, data):
-        three_d = data.draw(st.booleans(), label="three_d")
-        n = 1 if three_d else data.draw(st.integers(1, 3), label="n")
+        n = data.draw(st.integers(1, 3), label="n")
         c, kernel = data.draw(st.integers(1, 3), label="c"), data.draw(st.integers(1, 3), label="kernel")
         oh, ow = data.draw(st.integers(1, 4), label="oh"), data.draw(st.integers(1, 4), label="ow")
         rng = np.random.default_rng(data.draw(st.integers(0, 2**16), label="seed"))
@@ -640,12 +640,12 @@ class TestShapeOps:
         if data.draw(st.booleans(), label="nan"):
             x.flat[data.draw(st.integers(0, x.size - 1), label="nan_at")] = np.nan
         g = rng.standard_normal((n, c, oh, ow))
-        xt = Tensor(x[0] if three_d else x, requires_grad=True)
+        xt = Tensor(x, requires_grad=True)
         out = maxpool2d(xt, kernel)
-        (out * Tensor(g[0] if three_d else g)).sum().backward()
+        (out * Tensor(g)).sum().backward()
         expected, gx = maxpool2d_reference(x, kernel, g)
-        np.testing.assert_array_equal(out.data, expected[0] if three_d else expected)
-        np.testing.assert_array_equal(xt.grad, gx[0] if three_d else gx)
+        np.testing.assert_array_equal(out.data, expected)
+        np.testing.assert_array_equal(xt.grad, gx)
 
     def test_maxpool_gradient_goes_to_the_first_maximum(self):
         x = Tensor(np.array([[[[1.0, 3.0], [3.0, 3.0]], [[2.0, 2.0], [2.0, 2.0]]]]), requires_grad=True)
