@@ -3,7 +3,8 @@
 A ``Module`` is a plain object whose trainable tensors (and child modules)
 live in instance attributes. Parameter names follow attribute paths, so a
 given architecture always enumerates in the same order, which keeps
-initialization and checkpoints deterministic.
+initialization and checkpoints deterministic. New parameters take the
+calling thread's dtype: float32, or float64 inside ``using_dtype``.
 """
 
 from __future__ import annotations
@@ -93,19 +94,19 @@ def _claim(shape: tuple[int, ...]) -> None:
         left[shape] -= 1
 
 
-def glorot_uniform(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int, fan_out: int, dtype=None) -> Tensor:
+def glorot_uniform(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int, fan_out: int) -> Tensor:
     """Uniform(-a, a) with a = sqrt(6/(fan_in+fan_out))."""
     _claim(shape)
     a = np.sqrt(6.0 / (fan_in + fan_out))
-    data = rng.uniform(-a, a, size=shape).astype(dtype or default_dtype())
+    data = rng.uniform(-a, a, size=shape).astype(default_dtype())
     return Tensor(data, requires_grad=True)
 
 
-def zeros_param(shape: tuple[int, ...], dtype=None) -> Tensor:
+def zeros_param(shape: tuple[int, ...]) -> Tensor:
     _claim(shape)
-    return Tensor(np.zeros(shape, dtype=dtype or default_dtype()), requires_grad=True)
+    return Tensor(np.zeros(shape, dtype=default_dtype()), requires_grad=True)
 
 
-def ones_param(shape: tuple[int, ...], dtype=None) -> Tensor:
+def ones_param(shape: tuple[int, ...]) -> Tensor:
     _claim(shape)
-    return Tensor(np.ones(shape, dtype=dtype or default_dtype()), requires_grad=True)
+    return Tensor(np.ones(shape, dtype=default_dtype()), requires_grad=True)

@@ -82,9 +82,9 @@ class Tensor:
     of recorded ops keep ``grad is None``.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "name", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None, name: str | None = None):
+    def __init__(self, data, requires_grad: bool = False, dtype=None):
         if dtype is not None:
             arr = np.asarray(data, dtype=dtype)
         elif isinstance(data, np.ndarray) and np.issubdtype(data.dtype, np.floating):
@@ -94,7 +94,6 @@ class Tensor:
         self.data = arr
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
-        self.name = name
         self._parents: tuple[Tensor, ...] = ()
         self._backward: Callable[[np.ndarray], None] | None = None
 
@@ -125,12 +124,8 @@ class Tensor:
         return self.item()
 
     def __repr__(self) -> str:
-        tag = f" name={self.name!r}" if self.name else ""
         grad = ", grad" if self.requires_grad else ""
-        return f"Tensor(shape={self.shape}, dtype={self.data.dtype}{grad}{tag})"
-
-    def astype(self, dtype) -> "Tensor":
-        return Tensor(self.data.astype(dtype), requires_grad=False, dtype=dtype)
+        return f"Tensor(shape={self.shape}, dtype={self.data.dtype}{grad})"
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -318,7 +313,6 @@ def make_op(data: np.ndarray, parents: Sequence[Tensor], backward: Callable[[np.
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
-    out.name = None
     if records(parents):
         out.requires_grad = True
         out._parents = tuple(parents)

@@ -126,7 +126,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     )
 
 
-def restore_model(checkpoint: Checkpoint, dtype=None) -> LandmarkNet:
+def restore_model(checkpoint: Checkpoint) -> LandmarkNet:
     """Build a model from the checkpoint's config snapshot and load weights.
 
     Each parameter the config asks for must match the shape of a tensor in
@@ -135,7 +135,7 @@ def restore_model(checkpoint: Checkpoint, dtype=None) -> LandmarkNet:
     """
     params = checkpoint.param_arrays()
     with parameter_shapes(arr.shape for arr in params.values()):
-        model = build_model(checkpoint.model_config, seed=checkpoint.config["seed"], dtype=dtype)
+        model = build_model(checkpoint.model_config, seed=checkpoint.config["seed"])
     model.load_state(params, source="checkpoint")
     return model
 

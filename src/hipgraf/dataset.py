@@ -12,6 +12,7 @@ PGM preview of the same image. Manifest columns:
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -145,6 +146,11 @@ def read_manifest(path: str | Path, load_images: bool = True) -> list[ImageSampl
                 group = int(row[GROUP_COLUMN]) if GROUP_COLUMN in header and row.get(GROUP_COLUMN) else None
             except (TypeError, ValueError) as exc:
                 raise FormatError(f"{path}:{lineno}: malformed manifest row: {exc}") from exc
+            check_finite(landmarks, f"{path}:{lineno}: the landmark row")
+            if not math.isfinite(spacing):
+                raise DataError(f"{path}:{lineno}: spacing_mm_px is non-finite ({spacing})")
+            if spacing <= 0:
+                raise DataError(f"{path}:{lineno}: spacing_mm_px must be positive, got {spacing}")
             image = load_image(base / row["file"]) if load_images else np.empty((0, 0), dtype=np.float32)
             samples.append(
                 ImageSample(

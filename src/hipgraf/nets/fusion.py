@@ -66,7 +66,7 @@ def _check_pair(a: Tensor, b: Tensor) -> None:
 class MutualModulationFusion(Module):
     """The two modulation routes plus the channel combine and 1x1 projection."""
 
-    def __init__(self, rng: np.random.Generator, channels: int, window: int = 3, mode: str = "concat", dtype=None):
+    def __init__(self, rng: np.random.Generator, channels: int, window: int = 3, mode: str = "concat"):
         if window % 2 == 0 or window < 1:
             raise ConfigError(f"fusion window must be odd and positive, got {window}")
         if mode not in ("concat", "add"):
@@ -76,7 +76,7 @@ class MutualModulationFusion(Module):
         in_channels = 2 * channels if mode == "concat" else channels
         # no projection bias: the heatmap head normalizes each channel map to
         # zero mean, so a per-channel constant offset could never act
-        self.proj_weight = glorot_uniform(rng, (channels, in_channels, 1, 1), in_channels, channels, dtype=dtype)
+        self.proj_weight = glorot_uniform(rng, (channels, in_channels, 1, 1), in_channels, channels)
 
     def forward(self, f_local: Tensor, f_global: Tensor) -> Tensor:
         # local-to-global route: local neighborhoods re-weighted by the global center pixel;
@@ -93,8 +93,8 @@ class MutualModulationFusion(Module):
 class ConcatFusion(Module):
     """Plain channel concatenation + the same 1x1 projection (ablation path)."""
 
-    def __init__(self, rng: np.random.Generator, channels: int, dtype=None):
-        self.proj_weight = glorot_uniform(rng, (channels, 2 * channels, 1, 1), 2 * channels, channels, dtype=dtype)
+    def __init__(self, rng: np.random.Generator, channels: int):
+        self.proj_weight = glorot_uniform(rng, (channels, 2 * channels, 1, 1), 2 * channels, channels)
 
     def forward(self, f_local: Tensor, f_global: Tensor) -> Tensor:
         _check_pair(f_local, f_global)

@@ -133,16 +133,15 @@ class TopologicalRefiner(Module):
         layers: int = 2,
         hidden: int = 64,
         topology: LandmarkTopology = LandmarkTopology(),
-        dtype=None,
     ):
         h, w = feature_hw
         d = h * w
         self.feature_hw = feature_hw
         self.adjacency = build_adjacency(topology)
         self.adjacency_norm = normalize_adjacency(self.adjacency)
-        self.weights = [glorot_uniform(rng, (d, d), d, d, dtype=dtype) for _ in range(layers)]
-        self.w_mid = glorot_uniform(rng, (d, hidden), d, hidden, dtype=dtype)
-        self.w_out = glorot_uniform(rng, (hidden, 1), hidden, 1, dtype=dtype)
+        self.weights = [glorot_uniform(rng, (d, d), d, d) for _ in range(layers)]
+        self.w_mid = glorot_uniform(rng, (d, hidden), d, hidden)
+        self.w_out = glorot_uniform(rng, (hidden, 1), hidden, 1)
 
     def forward(self, heatmaps: Tensor, skip_logits: Tensor | None = None) -> tuple[Tensor, Tensor]:
         """Refined stack plus class logit.

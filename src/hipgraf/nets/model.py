@@ -60,10 +60,10 @@ HEAD_INIT_SCALE = 1.0 / 64.0
 class HeatmapHead(Module):
     """Spatially normalized input, fixed gains, 1x1 conv + sigmoid."""
 
-    def __init__(self, rng: np.random.Generator, channels: int, dtype=None):
-        self.weight = glorot_uniform(rng, (N_LANDMARKS, channels, 1, 1), channels, N_LANDMARKS, dtype=dtype)
+    def __init__(self, rng: np.random.Generator, channels: int):
+        self.weight = glorot_uniform(rng, (N_LANDMARKS, channels, 1, 1), channels, N_LANDMARKS)
         self.weight.data *= self.weight.data.dtype.type(HEAD_INIT_SCALE)
-        self.bias = zeros_param((N_LANDMARKS,), dtype=dtype)
+        self.bias = zeros_param((N_LANDMARKS,))
 
     def logits(self, fused: Tensor) -> Tensor:
         b, c, h, w = fused.shape
@@ -76,18 +76,18 @@ class HeatmapHead(Module):
 
 
 class LandmarkNet(Module):
-    def __init__(self, config: ModelConfig, seed: int = 0, dtype=None):
+    def __init__(self, config: ModelConfig, seed: int = 0):
         config.validate()
         self.config = config
         rng = np.random.default_rng(np.random.SeedSequence([seed, INIT_STREAM]))
         bb = config.backbone
-        self.unet = UNetBranch(bb, rng, dtype=dtype)
-        self.transformer = TransformerBranch(bb, rng, dtype=dtype)
+        self.unet = UNetBranch(bb, rng)
+        self.transformer = TransformerBranch(bb, rng)
         if config.uses_mmf:
-            self.fusion = MutualModulationFusion(rng, bb.channels, window=config.fusion.window, mode=config.fusion.mode, dtype=dtype)
+            self.fusion = MutualModulationFusion(rng, bb.channels, window=config.fusion.window, mode=config.fusion.mode)
         else:
-            self.fusion = ConcatFusion(rng, bb.channels, dtype=dtype)
-        self.head = HeatmapHead(rng, bb.channels, dtype=dtype)
+            self.fusion = ConcatFusion(rng, bb.channels)
+        self.head = HeatmapHead(rng, bb.channels)
         self.refiner = None
         if config.uses_tgcn:
             self.refiner = TopologicalRefiner(
@@ -96,7 +96,6 @@ class LandmarkNet(Module):
                 layers=config.graph.layers,
                 hidden=config.graph.hidden,
                 topology=LandmarkTopology(),
-                dtype=dtype,
             )
 
     @property
@@ -132,5 +131,5 @@ class LandmarkNet(Module):
         return ModelOutput(heatmaps=heatmaps, refined=refined, logit=logit)
 
 
-def build_model(config: ModelConfig, seed: int = 0, dtype=None) -> LandmarkNet:
-    return LandmarkNet(config, seed=seed, dtype=dtype)
+def build_model(config: ModelConfig, seed: int = 0) -> LandmarkNet:
+    return LandmarkNet(config, seed=seed)

@@ -68,27 +68,27 @@ def sincos_position_grid(grid: int, dim: int) -> np.ndarray:
 class LayerScale(Module):
     """Learned gain and shift applied after a normalization."""
 
-    def __init__(self, dim: int, dtype=None):
-        self.gain = ones_param((dim,), dtype=dtype)
-        self.shift = zeros_param((dim,), dtype=dtype)
+    def __init__(self, dim: int):
+        self.gain = ones_param((dim,))
+        self.shift = zeros_param((dim,))
 
     def forward(self, x: Tensor) -> Tensor:
         return add(mul(x, self.gain), self.shift)
 
 
 class SelfAttention(Module):
-    def __init__(self, rng: np.random.Generator, dim: int, heads: int, dtype=None):
+    def __init__(self, rng: np.random.Generator, dim: int, heads: int):
         self.heads = heads
         self.head_dim = dim // heads
-        self.wq = glorot_uniform(rng, (dim, dim), dim, dim, dtype=dtype)
-        self.wk = glorot_uniform(rng, (dim, dim), dim, dim, dtype=dtype)
-        self.wv = glorot_uniform(rng, (dim, dim), dim, dim, dtype=dtype)
-        self.wo = glorot_uniform(rng, (dim, dim), dim, dim, dtype=dtype)
-        self.bq = zeros_param((dim,), dtype=dtype)
+        self.wq = glorot_uniform(rng, (dim, dim), dim, dim)
+        self.wk = glorot_uniform(rng, (dim, dim), dim, dim)
+        self.wv = glorot_uniform(rng, (dim, dim), dim, dim)
+        self.wo = glorot_uniform(rng, (dim, dim), dim, dim)
+        self.bq = zeros_param((dim,))
         # no key bias: shifting every key moves all scores in a row equally,
         # which the softmax cancels, leaving the parameter gradient-free
-        self.bv = zeros_param((dim,), dtype=dtype)
-        self.bo = zeros_param((dim,), dtype=dtype)
+        self.bv = zeros_param((dim,))
+        self.bo = zeros_param((dim,))
 
     def _split(self, t: Tensor) -> Tensor:
         """(b, n, dim) -> (b, heads, n, head_dim)."""
@@ -111,15 +111,15 @@ class SelfAttention(Module):
 class EncoderLayer(Module):
     """Pre-norm block: x + attn(norm(x)), then x + mlp(norm(x))."""
 
-    def __init__(self, rng: np.random.Generator, dim: int, heads: int, dtype=None):
-        self.norm1 = LayerScale(dim, dtype=dtype)
-        self.attention = SelfAttention(rng, dim, heads, dtype=dtype)
-        self.norm2 = LayerScale(dim, dtype=dtype)
+    def __init__(self, rng: np.random.Generator, dim: int, heads: int):
+        self.norm1 = LayerScale(dim)
+        self.attention = SelfAttention(rng, dim, heads)
+        self.norm2 = LayerScale(dim)
         hidden = MLP_RATIO * dim
-        self.w1 = glorot_uniform(rng, (dim, hidden), dim, hidden, dtype=dtype)
-        self.b1 = zeros_param((hidden,), dtype=dtype)
-        self.w2 = glorot_uniform(rng, (hidden, dim), hidden, dim, dtype=dtype)
-        self.b2 = zeros_param((dim,), dtype=dtype)
+        self.w1 = glorot_uniform(rng, (dim, hidden), dim, hidden)
+        self.b1 = zeros_param((hidden,))
+        self.w2 = glorot_uniform(rng, (hidden, dim), hidden, dim)
+        self.b2 = zeros_param((dim,))
 
     def attention_input(self, x: Tensor) -> Tensor:
         return self.norm1.forward(layer_norm(x, axis=-1))
@@ -133,33 +133,33 @@ class EncoderLayer(Module):
 class TransformerBranch(Module):
     """(n,1,H,H) image -> (n,channels,feature,feature) global feature map."""
 
-    def __init__(self, config: BackboneConfig, rng: np.random.Generator, dtype=None):
+    def __init__(self, config: BackboneConfig, rng: np.random.Generator):
         config.validate()
         self.config = config
         p = config.patch_size
         dim = config.token_dim
         grid = config.input_size // p
         self.grid = grid
-        self.embed_w = glorot_uniform(rng, (p * p, dim), p * p, dim, dtype=dtype)
-        self.embed_b = zeros_param((dim,), dtype=dtype)
+        self.embed_w = glorot_uniform(rng, (p * p, dim), p * p, dim)
+        self.embed_b = zeros_param((dim,))
         # learned, but initialized to a sin/cos grid scaled to the magnitude
         # of the amplified patch tokens; a weak positional signal would
         # vanish under the attention layer norms
-        self.pos_embedding = zeros_param((grid * grid, dim), dtype=dtype)
+        self.pos_embedding = zeros_param((grid * grid, dim))
         self.pos_embedding.data += (POS_EMBEDDING_GAIN * sincos_position_grid(grid, dim)).astype(self.pos_embedding.data.dtype)
-        self.layers = [EncoderLayer(rng, dim, config.heads, dtype=dtype) for _ in range(config.transformer_layers)]
+        self.layers = [EncoderLayer(rng, dim, config.heads) for _ in range(config.transformer_layers)]
         ups = []
         size = grid
         current = dim
         while size < config.feature_size:
             target = config.channels if size * 2 == config.feature_size else dim
-            ups.append(Upsample2x(rng, current, target, dtype=dtype))
+            ups.append(Upsample2x(rng, current, target))
             current = target
             size *= 2
         self.ups = ups
         self.project = None
         if grid == config.feature_size:
-            self.project = _Project1x1(rng, dim, config.channels, dtype=dtype)
+            self.project = _Project1x1(rng, dim, config.channels)
         # learnable positional bias on the branch output, sin/cos initialized
         # at feature resolution: downstream 1x1 readouts can synthesize
         # location-specific responses without relying on what survives of the
@@ -168,7 +168,7 @@ class TransformerBranch(Module):
         # dominates the fused features.
         f = config.feature_size
         # the parameter before its table, so restore_model's shape check runs before any allocation
-        self.output_pos = zeros_param((config.channels, f, f), dtype=dtype)
+        self.output_pos = zeros_param((config.channels, f, f))
         table = sincos_position_grid(f, config.channels).T.reshape(config.channels, f, f)
         self.output_pos.data += (OUTPUT_POS_GAIN * table).astype(self.output_pos.data.dtype)
 
@@ -222,9 +222,9 @@ class TransformerBranch(Module):
 
 
 class _Project1x1(Module):
-    def __init__(self, rng: np.random.Generator, c_in: int, c_out: int, dtype=None):
-        self.weight = glorot_uniform(rng, (c_out, c_in, 1, 1), c_in, c_out, dtype=dtype)
-        self.bias = zeros_param((c_out,), dtype=dtype)
+    def __init__(self, rng: np.random.Generator, c_in: int, c_out: int):
+        self.weight = glorot_uniform(rng, (c_out, c_in, 1, 1), c_in, c_out)
+        self.bias = zeros_param((c_out,))
 
     def forward(self, x: Tensor) -> Tensor:
         return conv2d(x, self.weight, self.bias)

@@ -16,9 +16,9 @@ from ..errors import DimensionError
 
 
 class Conv3x3(Module):
-    def __init__(self, rng: np.random.Generator, c_in: int, c_out: int, dtype=None):
-        self.weight = glorot_uniform(rng, (c_out, c_in, 3, 3), fan_in=c_in * 9, fan_out=c_out * 9, dtype=dtype)
-        self.bias = zeros_param((c_out,), dtype=dtype)
+    def __init__(self, rng: np.random.Generator, c_in: int, c_out: int):
+        self.weight = glorot_uniform(rng, (c_out, c_in, 3, 3), fan_in=c_in * 9, fan_out=c_out * 9)
+        self.bias = zeros_param((c_out,))
 
     def forward(self, x: Tensor) -> Tensor:
         return relu(conv2d(x, self.weight, self.bias, stride=1, padding=1))
@@ -27,18 +27,18 @@ class Conv3x3(Module):
 class ConvBlock(Module):
     """Two 3x3 conv + relu stages."""
 
-    def __init__(self, rng: np.random.Generator, c_in: int, c_out: int, dtype=None):
-        self.first = Conv3x3(rng, c_in, c_out, dtype=dtype)
-        self.second = Conv3x3(rng, c_out, c_out, dtype=dtype)
+    def __init__(self, rng: np.random.Generator, c_in: int, c_out: int):
+        self.first = Conv3x3(rng, c_in, c_out)
+        self.second = Conv3x3(rng, c_out, c_out)
 
     def forward(self, x: Tensor) -> Tensor:
         return self.second.forward(self.first.forward(x))
 
 
 class Upsample2x(Module):
-    def __init__(self, rng: np.random.Generator, c_in: int, c_out: int, dtype=None):
-        self.weight = glorot_uniform(rng, (c_in, c_out, 2, 2), fan_in=c_in * 4, fan_out=c_out * 4, dtype=dtype)
-        self.bias = zeros_param((c_out,), dtype=dtype)
+    def __init__(self, rng: np.random.Generator, c_in: int, c_out: int):
+        self.weight = glorot_uniform(rng, (c_in, c_out, 2, 2), fan_in=c_in * 4, fan_out=c_out * 4)
+        self.bias = zeros_param((c_out,))
 
     def forward(self, x: Tensor) -> Tensor:
         return transpose_conv2d(x, self.weight, self.bias, stride=2)
@@ -52,7 +52,7 @@ WIDTH_MULT = 2
 class UNetBranch(Module):
     """(n,1,H,H) image -> (n,channels,feature,feature) local feature map."""
 
-    def __init__(self, config: BackboneConfig, rng: np.random.Generator, dtype=None):
+    def __init__(self, config: BackboneConfig, rng: np.random.Generator):
         config.validate()
         self.config = config
         depth = config.unet_depth
@@ -61,21 +61,21 @@ class UNetBranch(Module):
         self.n_up = n_up
         enc_channels = [base << i for i in range(depth)]
         self.encoders = [
-            ConvBlock(rng, 1 if i == 0 else enc_channels[i - 1], enc_channels[i], dtype=dtype) for i in range(depth)
+            ConvBlock(rng, 1 if i == 0 else enc_channels[i - 1], enc_channels[i]) for i in range(depth)
         ]
         bottleneck_channels = base << depth
         out_channels = config.channels
         if n_up == 0:
             bottleneck_channels = out_channels
-        self.bottleneck = ConvBlock(rng, enc_channels[-1], bottleneck_channels, dtype=dtype)
+        self.bottleneck = ConvBlock(rng, enc_channels[-1], bottleneck_channels)
         ups = []
         decoders = []
         current = bottleneck_channels
         for j in range(1, n_up + 1):
             skip_channels = enc_channels[depth - j]
             block_out = out_channels if j == n_up else skip_channels
-            ups.append(Upsample2x(rng, current, skip_channels, dtype=dtype))
-            decoders.append(ConvBlock(rng, 2 * skip_channels, block_out, dtype=dtype))
+            ups.append(Upsample2x(rng, current, skip_channels))
+            decoders.append(ConvBlock(rng, 2 * skip_channels, block_out))
             current = block_out
         self.ups = ups
         self.decoders = decoders

@@ -37,7 +37,7 @@ def check_fit_targets(y, n_samples: int, input_size: int, require_labels: bool) 
         raise DimensionError(
             f"expected targets of shape ({n_samples},13) [x1,y1..x6,y6,label] or ({n_samples},12), got {arr.shape}"
         )
-    landmarks = arr[:, :12].reshape(n_samples, 6, 2).astype(np.float32)
+    landmarks = check_finite(arr[:, :12], "the landmark targets").reshape(n_samples, 6, 2).astype(np.float32)
     if landmarks.min() < 0 or landmarks.max() > input_size - 1:
         raise DataError(f"landmark coordinates fall outside the {input_size}x{input_size} image")
     labels: np.ndarray | None = None

@@ -23,6 +23,7 @@ from hipgraf.autodiff import (
     pointwise,
     softmax,
     transpose_conv2d,
+    using_dtype,
     window_stack,
 )
 from hipgraf.checkpoint import load_checkpoint, restore_model, save_checkpoint
@@ -181,7 +182,8 @@ class TestCriterion1Gradients:
 
         # full model joint loss on the 16x16 toy config, float32 vs float64 oracle
         model32 = build_model(TOY16, seed=0)
-        model64 = build_model(TOY16, seed=0, dtype=np.float64)
+        with using_dtype(np.float64):
+            model64 = build_model(TOY16, seed=0)
         model64.load_state(model32.state_arrays(), source="float64 clone")
         images = np.random.default_rng(34).random((1, 16, 16)).astype(np.float32)
         gt = make_gt_heatmaps(np.full((6, 2), 8.0), 1.0, 4, 16)[None]

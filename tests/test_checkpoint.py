@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hipgraf.autodiff import tensorfile
+from hipgraf.autodiff import tensorfile, using_dtype
 from hipgraf.checkpoint import load_checkpoint, restore_model, save_checkpoint
 from hipgraf.config import default_run_config, merge_run_config, run_config_to_items
 from hipgraf.errors import FormatError, IncompleteCheckpointError
@@ -51,6 +51,21 @@ def test_round_trip_forward_is_bitwise_identical(tmp_path, toy_model_config):
     restored = restore_model(loaded)
     after = restored.forward(x).heatmaps.data
     assert np.array_equal(before, after)
+
+
+def test_restore_inside_using_dtype_gives_float64_parameters_equal_to_the_file(tmp_path, toy_model_config):
+    model = build_model(toy_model_config, seed=4)
+    _, items = toy_items(seed=4)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, model, items)
+    with using_dtype(np.float64):
+        restored = restore_model(load_checkpoint(path))
+    saved, loaded = model.state_arrays(), restored.state_arrays()
+    assert saved.keys() == loaded.keys()
+    for name, arr in loaded.items():
+        assert arr.dtype == np.float64, name
+        assert np.array_equal(arr, saved[name]), name
+    assert restore_model(load_checkpoint(path)).head.weight.dtype == np.float32
 
 
 def test_load_holds_the_file_bytes_once(tmp_path, toy_model_config_32):

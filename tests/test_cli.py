@@ -375,6 +375,48 @@ class TestNonFinitePixel:
         assert not out.exists()
 
 
+class TestNonFiniteManifestRow:
+    """A manifest row with a non-finite coordinate or a bad spacing is refused: exit 3 naming the manifest and line."""
+
+    @pytest.fixture
+    def damage(self, workspace, tmp_path):
+        def damage(column, value):
+            data = tmp_path / "data"
+            shutil.copytree(workspace / "data", data)
+            manifest = data / "manifest.csv"
+            lines = manifest.read_text().splitlines()
+            header = lines[0].split(",")
+            row = lines[2].split(",")
+            row[header.index(column)] = value
+            lines[2] = ",".join(row)
+            manifest.write_text("\n".join(lines) + "\n")
+            return manifest
+
+        return damage
+
+    CASES = [("x3", "nan"), ("x3", "inf"), ("spacing_mm_px", "nan")]
+
+    @pytest.mark.parametrize("column, value", CASES)
+    def test_eval(self, workspace, damage, capsys, column, value):
+        manifest = damage(column, value)
+        TestNonFinitePixel().run(["eval", "--checkpoint", str(workspace / "model.ckpt"), "--data", str(manifest)], f"{manifest}:3", capsys)
+
+    @pytest.mark.parametrize("column, value", CASES)
+    def test_train(self, damage, tmp_path, capsys, column, value):
+        manifest = damage(column, value)
+        out = tmp_path / "model.ckpt"
+        TestNonFinitePixel().run(["train", "--data", str(manifest), "--out", str(out), "--seed", "5", *TOY_ARGS], f"{manifest}:3", capsys)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["0", "-0.1"])
+    def test_non_positive_spacing(self, workspace, damage, capsys, value):
+        manifest = damage("spacing_mm_px", value)
+        code = main(["eval", "--checkpoint", str(workspace / "model.ckpt"), "--data", str(manifest)])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert f"{manifest}:3" in err and "spacing_mm_px must be positive" in err
+
+
 class TestAblate:
     def test_ablate_csv_shape(self, workspace, tmp_path):
         out = tmp_path / "ablation.csv"

@@ -143,6 +143,17 @@ class TestFitPredict:
         with pytest.raises(DimensionError, match="at least one image"):
             est.score(empty, y[:0])
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_target_rejected(self, value):
+        X, y = dataset_arrays()
+        est = HipLandmarkDetector(**toy_params()).fit(X, y)
+        bad = y.copy()
+        bad[1, 4] = value
+        with pytest.raises(DataError, match="landmark targets contains non-finite"):
+            HipLandmarkDetector(**toy_params()).fit(X, bad)
+        with pytest.raises(DataError, match="landmark targets contains non-finite"):
+            est.score(X, bad)
+
     def test_fit_history_exposed(self):
         X, y = dataset_arrays()
         est = HipLandmarkDetector(**toy_params())

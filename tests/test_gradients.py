@@ -35,6 +35,7 @@ from hipgraf.autodiff import (
     window_stack,
 )
 from hipgraf.errors import ContractError
+from hipgraf.nets.model import build_model
 
 from gradcheck import assert_grads_match
 
@@ -241,7 +242,7 @@ class TestNoGrad:
 
 
 class TestDefaultDtype:
-    def test_using_dtype_is_scoped_to_the_calling_thread(self):
+    def test_using_dtype_is_scoped_to_the_calling_thread(self, toy_model_config):
         inside = threading.Event()
         release = threading.Event()
         seen = {}
@@ -251,12 +252,15 @@ class TestDefaultDtype:
                 inside.set()
                 release.wait(timeout=30)
                 seen["worker"] = Tensor([1.0, 2.0]).dtype
+                seen["worker_model"] = build_model(toy_model_config, seed=0)
 
         worker = threading.Thread(target=hold_block_open)
         worker.start()
         try:
             assert inside.wait(timeout=30)
             main_dtype = Tensor([1.0, 2.0]).dtype  # while the worker is inside its block
+            release.set()
+            main_model = build_model(toy_model_config, seed=0)  # while the worker may be building its own
         finally:
             release.set()
             worker.join(timeout=30)
@@ -264,6 +268,10 @@ class TestDefaultDtype:
         assert main_dtype == np.float32
         assert seen["worker"] == np.float64
         assert Tensor([1.0]).dtype == np.float32
+        worker_params, main_params = seen["worker_model"].state_arrays(), main_model.state_arrays()
+        assert worker_params.keys() == main_params.keys()
+        assert all(a.dtype == np.float64 for a in worker_params.values())
+        assert all(a.dtype == np.float32 for a in main_params.values())
 
     @pytest.mark.parametrize("dtype", [np.float16, np.int32])
     def test_using_dtype_rejects_other_dtypes(self, dtype):
