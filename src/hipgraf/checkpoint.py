@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import parameter_shapes, tensorfile
-from .config import ModelConfig, merge_run_config, model_config_from
+from .config import ModelConfig, merge_run_config, model_config_from, train_config_from
 from .errors import FormatError
 from .nets.model import LandmarkNet, build_model
 from .training import Adam
@@ -118,6 +118,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         try:
             config = merge_run_config(config_items)
             model_config = model_config_from(config)
+            train_config_from(config)  # the training keys too: restore_model seeds from them
         except ValueError as exc:
             raise FormatError(f"{path}: checkpoint header: {exc}") from exc
         arrays = tensorfile.read_tensors(fh)

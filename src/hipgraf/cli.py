@@ -1,9 +1,12 @@
 """Command-line entry point.
 
 Subcommands wire config files to the generate/train/eval/infer/ablate
-workflows. generate, train and ablate take every run-config key as
-``--key value``; command-line values override the config file, which
-overrides defaults. eval and infer take their config from the checkpoint.
+workflows. generate, train and ablate take as ``--key value`` the run-config
+keys they read: generate the generator keys, train the model and training
+keys, ablate those and the evaluation keys. A ``--config`` file may hold any
+run-config key, so one file can describe a whole generate -> train -> ablate
+run. Command-line values override the config file, which overrides defaults.
+eval and infer take their config from the checkpoint.
 
 Exit codes: 0 success, 2 config error, 3 data error, 4 format error,
 5 numeric abort; unexpected failures return 1.
@@ -18,6 +21,11 @@ from pathlib import Path
 from . import checkpoint as ckpt
 from .config import (
     KEY_SPECS,
+    EvalConfig,
+    GeneratorConfig,
+    ModelConfig,
+    TrainConfig,
+    _key_specs,
     eval_config_from,
     generator_config_from,
     merge_run_config,
@@ -41,9 +49,11 @@ EXIT_FORMAT = 4
 EXIT_NUMERIC = 5
 
 
-def _add_config_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="run config file of 'key = value' lines")
-    for key, (_, default, help_text) in KEY_SPECS.items():
+def _add_config_options(parser: argparse.ArgumentParser, *classes) -> None:
+    """``--config`` plus one ``--key`` flag for each run-config key that ``classes`` read."""
+    parser.add_argument("--config", help="run config file of 'key = value' lines (any run-config key)")
+    for key in _key_specs(*classes):
+        _, default, help_text = KEY_SPECS[key]
         parser.add_argument(f"--{key}", metavar="V", help=f"{help_text} (default {default})")
 
 
@@ -63,13 +73,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_generate = sub.add_parser("generate", help="write a synthetic phantom dataset")
     p_generate.add_argument("--out", required=True, help="output directory")
-    _add_config_options(p_generate)
+    _add_config_options(p_generate, GeneratorConfig)
 
     p_train = sub.add_parser("train", help="train a model on a generated dataset")
     p_train.add_argument("--data", required=True, help="manifest CSV path")
     p_train.add_argument("--out", required=True, help="checkpoint output path")
     p_train.add_argument("--log", help="loss log CSV path (default: <out>.losses.csv)")
-    _add_config_options(p_train)
+    _add_config_options(p_train, ModelConfig, TrainConfig)
 
     p_eval = sub.add_parser("eval", help="evaluate a checkpoint on a dataset")
     p_eval.add_argument("--checkpoint", required=True)
@@ -85,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ablate = sub.add_parser("ablate", help="cross-validate the four model variants")
     p_ablate.add_argument("--data", required=True, help="manifest CSV path")
     p_ablate.add_argument("--out", required=True, help="comparison CSV path")
-    _add_config_options(p_ablate)
+    _add_config_options(p_ablate, ModelConfig, TrainConfig, EvalConfig)
 
     return parser
 
@@ -100,8 +110,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
 def cmd_train(args: argparse.Namespace) -> int:
     values = _collect_config(args)
     samples = read_manifest(args.data)
-    model = build_model(model_config_from(values), seed=values["seed"])
     train_cfg = train_config_from(values)
+    model = build_model(model_config_from(values), seed=train_cfg.seed)
     log_path = args.log if args.log else f"{args.out}.losses.csv"
     result = train(samples, model, train_cfg, log_path=log_path)
     ckpt.save_checkpoint(

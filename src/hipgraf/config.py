@@ -3,12 +3,15 @@
 A run config is a text file of ``key = value`` lines (``#`` starts a
 comment). Every key is a field of the dataclasses below, which holds its
 default and help text; unknown keys are a hard error so typos cannot silently
-fall back to defaults. The same keys are exposed as ``--key value``
-command-line overrides, which win over the file.
+fall back to defaults. A file may hold any key. On the command line each
+command takes as ``--key value`` only the keys of the dataclasses it fills,
+and those overrides win over the file. Validation refuses non-finite floats
+and negative seeds.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
 from typing import get_type_hints
@@ -44,6 +47,8 @@ class BackboneConfig:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
         if self.input_size % self.patch_size:
             raise ConfigError(f"input_size {self.input_size} not divisible by patch_size {self.patch_size}")
+        if self.unet_depth >= self.input_size.bit_length():  # 2^unet_depth > input_size, and no huge shift below
+            raise ConfigError(f"unet_depth {self.unet_depth} too deep for input_size {self.input_size}")
         if self.input_size % (1 << self.unet_depth):
             raise ConfigError(f"input_size {self.input_size} not divisible by 2^unet_depth ({1 << self.unet_depth})")
         if self.input_size % self.feature_size:
@@ -133,19 +138,20 @@ class TrainConfig:
     max_steps: int = _key(0, "stop after this many optimizer steps (0 = run all epochs)")
 
     def validate(self) -> "TrainConfig":
-        if self.lr < 0:
-            raise ConfigError(f"lr must be nonnegative, got {self.lr}")
+        if not 0 <= self.lr < math.inf:
+            raise ConfigError(f"lr must be nonnegative and finite, got {self.lr}")
         for name in ("epochs", "batch_size"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.lam < 0:
-            raise ConfigError(f"lambda must be nonnegative, got {self.lam}")
-        if self.sigma <= 0:
-            raise ConfigError(f"sigma must be positive, got {self.sigma}")
+        if not 0 <= self.lam < math.inf:
+            raise ConfigError(f"lambda must be nonnegative and finite, got {self.lam}")
+        if not 0 < self.sigma < math.inf:
+            raise ConfigError(f"sigma must be positive and finite, got {self.sigma}")
         if not 0 <= self.hflip_prob <= 1:
             raise ConfigError(f"hflip_prob must lie in [0,1], got {self.hflip_prob}")
-        if self.max_steps < 0:
-            raise ConfigError(f"max_steps must be nonnegative, got {self.max_steps}")
+        for name in ("seed", "max_steps"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be nonnegative, got {getattr(self, name)}")
         return self
 
 
@@ -164,14 +170,15 @@ class GeneratorConfig:
             raise ConfigError(f"n_samples must be positive, got {self.n_samples}")
         if not 0 <= self.class_balance <= 1:
             raise ConfigError(f"class_balance must lie in [0,1], got {self.class_balance}")
-        if self.spacing <= 0:
-            raise ConfigError(f"spacing must be positive, got {self.spacing}")
-        if self.speckle_gamma < 0:
-            raise ConfigError(f"speckle_gamma must be nonnegative, got {self.speckle_gamma}")
+        if not 0 < self.spacing < math.inf:
+            raise ConfigError(f"spacing must be positive and finite, got {self.spacing}")
+        if not 0 <= self.speckle_gamma < math.inf:
+            raise ConfigError(f"speckle_gamma must be nonnegative and finite, got {self.speckle_gamma}")
         if self.size < 32:
             raise ConfigError(f"image size must be at least 32, got {self.size}")
-        if self.group_size < 0:
-            raise ConfigError(f"group_size must be nonnegative, got {self.group_size}")
+        for name in ("seed", "group_size"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be nonnegative, got {getattr(self, name)}")
         return self
 
 
@@ -199,8 +206,8 @@ def _key_of(f) -> str:
     return f.metadata.get("key", f.name)
 
 
-def _key_specs() -> dict[str, tuple]:
-    """Walk the dataclasses' scalar fields, nested ones in place, in declaration order."""
+def _key_specs(*classes) -> dict[str, tuple]:
+    """Walk the scalar fields of ``classes``, nested ones in place, in declaration order."""
     specs: dict[str, tuple] = {}
 
     def walk(cls) -> None:
@@ -210,16 +217,16 @@ def _key_specs() -> dict[str, tuple]:
             if is_dataclass(kind):
                 walk(kind)
             elif _key_of(f) not in specs:  # seed and input_size are read by two dataclasses
-                specs[_key_of(f)] = (_parse_bool if kind is bool else kind, f.default, f.metadata["help"])
+                specs[_key_of(f)] = (_parse_bool if kind is bool else kind, f.default, f.metadata.get("help"))
 
-    for cls in (ModelConfig, TrainConfig, GeneratorConfig, EvalConfig):
+    for cls in classes:
         walk(cls)
     return specs
 
 
-# key -> (parser, default, help). The flat namespace is the config file format
-# and the CLI override surface.
-KEY_SPECS: dict[str, tuple] = _key_specs()
+# key -> (parser, default, help). The flat namespace is the config file format;
+# each command's CLI overrides are the keys of the dataclasses it fills.
+KEY_SPECS: dict[str, tuple] = _key_specs(ModelConfig, TrainConfig, GeneratorConfig, EvalConfig)
 
 
 def default_run_config() -> dict:
@@ -227,9 +234,13 @@ def default_run_config() -> dict:
 
 
 def parse_config_file(path: str | Path) -> dict:
-    """Read ``key = value`` lines; unknown keys and bad values are errors."""
+    """Read UTF-8 ``key = value`` lines; unknown keys and bad values are errors."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
     values: dict = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

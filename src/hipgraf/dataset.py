@@ -151,6 +151,8 @@ def read_manifest(path: str | Path, load_images: bool = True) -> list[ImageSampl
                 raise DataError(f"{path}:{lineno}: spacing_mm_px is non-finite ({spacing})")
             if spacing <= 0:
                 raise DataError(f"{path}:{lineno}: spacing_mm_px must be positive, got {spacing}")
+            if label not in (0, 1):
+                raise DataError(f"{path}:{lineno}: label must be 0 or 1, got {label}")
             image = load_image(base / row["file"]) if load_images else np.empty((0, 0), dtype=np.float32)
             samples.append(
                 ImageSample(

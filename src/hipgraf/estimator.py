@@ -111,11 +111,12 @@ class HipLandmarkDetector:
     def fit(self, X, y) -> "HipLandmarkDetector":
         values = self._run_config()
         model_cfg = model_config_from(values)
+        train_cfg = train_config_from(values)
         images = check_image_batch(X, input_size=self.input_size)
         landmarks, labels = check_fit_targets(y, images.shape[0], self.input_size, require_labels=model_cfg.uses_tgcn)
         samples = build_samples(images, landmarks, labels, self.spacing)
         self.model_ = build_model(model_cfg, seed=self.seed)
-        result = train(samples, self.model_, train_config_from(values))
+        result = train(samples, self.model_, train_cfg)
         self.history_ = result.history
         self.n_steps_ = result.steps_run
         return self

@@ -4,7 +4,6 @@ from .unet import UNetBranch
 from .transformer import TransformerBranch
 from .fusion import ConcatFusion, MutualModulationFusion, modulated_fuse
 from .graph import (
-    LandmarkTopology,
     TopologicalRefiner,
     build_adjacency,
     build_node_features,
@@ -19,7 +18,6 @@ __all__ = [
     "ConcatFusion",
     "HeatmapHead",
     "LandmarkNet",
-    "LandmarkTopology",
     "ModelOutput",
     "MutualModulationFusion",
     "TopologicalRefiner",

@@ -10,8 +10,6 @@ pooled through a two-stage linear head into a single abnormality logit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ..autodiff import (
@@ -26,37 +24,17 @@ from ..autodiff import (
     reshape,
     sigmoid,
 )
-from ..errors import ConfigError, DimensionError
+from ..errors import DimensionError
 
-DEFAULT_PAIRS = ((1, 2), (3, 4), (5, 6))
-
-
-@dataclass(frozen=True)
-class LandmarkTopology:
-    """Node count and the collinear landmark pairs, 1-based."""
-
-    count: int = 6
-    pairs: tuple[tuple[int, int], ...] = DEFAULT_PAIRS
-
-    def validate(self) -> "LandmarkTopology":
-        seen: set[int] = set()
-        for a, b in self.pairs:
-            for v in (a, b):
-                if not 1 <= v <= self.count:
-                    raise ConfigError(f"landmark index {v} outside 1..{self.count}")
-                if v in seen:
-                    raise ConfigError(f"landmark {v} appears in more than one pair")
-                seen.add(v)
-        if len(seen) != self.count:
-            raise ConfigError(f"pairs cover {len(seen)} of {self.count} landmarks")
-        return self
+# The collinear landmark pairs, 1-based: baseline, bony roof, cartilage roof.
+PAIRS = ((1, 2), (3, 4), (5, 6))
+NODE_COUNT = 2 * len(PAIRS)
 
 
-def build_adjacency(topology: LandmarkTopology = LandmarkTopology()) -> np.ndarray:
+def build_adjacency() -> np.ndarray:
     """Symmetric 0/1 adjacency with one edge per collinear pair."""
-    topology.validate()
-    adjacency = np.zeros((topology.count, topology.count), dtype=np.float64)
-    for a, b in topology.pairs:
+    adjacency = np.zeros((NODE_COUNT, NODE_COUNT), dtype=np.float64)
+    for a, b in PAIRS:
         adjacency[a - 1, b - 1] = 1.0
         adjacency[b - 1, a - 1] = 1.0
     return adjacency
@@ -66,7 +44,7 @@ def normalize_adjacency(adjacency: np.ndarray) -> np.ndarray:
     """Symmetric renormalization D^-1/2 (A + I) D^-1/2 with self loops added.
 
     Entry (i,j) is computed as a_ij / sqrt(d_i * d_j), which is exact when
-    the degree product is a perfect square; the default topology then yields
+    the degree product is a perfect square; the pair graph then yields
     (A + I) / 2 to the bit.
     """
     adjacency = np.asarray(adjacency, dtype=np.float64)
@@ -79,13 +57,13 @@ def normalize_adjacency(adjacency: np.ndarray) -> np.ndarray:
     return with_self / np.sqrt(np.outer(degree, degree))
 
 
-def build_node_features(heatmaps: Tensor, expected_count: int = 6) -> Tensor:
+def build_node_features(heatmaps: Tensor) -> Tensor:
     """Flatten an (n,k,h,w) heatmap stack into (n,k,h*w) node rows."""
     if heatmaps.ndim != 4:
         raise DimensionError(f"expected an (n,k,h,w) heatmap stack, got shape {heatmaps.shape}")
     n, k, h, w = heatmaps.shape
-    if k != expected_count:
-        raise DimensionError(f"expected {expected_count} heatmap channels, got {k}")
+    if k != NODE_COUNT:
+        raise DimensionError(f"expected {NODE_COUNT} heatmap channels, got {k}")
     return reshape(heatmaps, (n, k, h * w))
 
 
@@ -132,13 +110,11 @@ class TopologicalRefiner(Module):
         feature_hw: tuple[int, int],
         layers: int = 2,
         hidden: int = 64,
-        topology: LandmarkTopology = LandmarkTopology(),
     ):
         h, w = feature_hw
         d = h * w
         self.feature_hw = feature_hw
-        self.adjacency = build_adjacency(topology)
-        self.adjacency_norm = normalize_adjacency(self.adjacency)
+        self.adjacency_norm = normalize_adjacency(build_adjacency())
         self.weights = [glorot_uniform(rng, (d, d), d, d) for _ in range(layers)]
         self.w_mid = glorot_uniform(rng, (d, hidden), d, hidden)
         self.w_out = glorot_uniform(rng, (hidden, 1), hidden, 1)
@@ -158,14 +134,14 @@ class TopologicalRefiner(Module):
         pre-sigmoid heatmap logits when available (full dynamic range);
         otherwise the node features themselves are used.
         """
-        base = build_node_features(heatmaps, expected_count=self.adjacency.shape[0])
+        base = build_node_features(heatmaps)
         features = base
         for weight in self.weights[:-1]:
             features = gcn_layer(features, self.adjacency_norm, weight)
         features = gcn_mix(features, self.adjacency_norm, self.weights[-1])
         h, w = self.feature_hw
         if skip_logits is not None:
-            skip = build_node_features(skip_logits, expected_count=self.adjacency.shape[0])
+            skip = build_node_features(skip_logits)
         else:
             skip = base
         refined = refine_heatmaps(add(skip, features), h, w)

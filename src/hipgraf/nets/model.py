@@ -21,7 +21,7 @@ from ..autodiff import Module, Tensor, conv2d, glorot_uniform, layer_norm, resha
 from ..config import ModelConfig
 from ..errors import DimensionError
 from .fusion import ConcatFusion, MutualModulationFusion
-from .graph import LandmarkTopology, TopologicalRefiner
+from .graph import TopologicalRefiner
 from .transformer import TransformerBranch
 from .unet import UNetBranch
 
@@ -95,7 +95,6 @@ class LandmarkNet(Module):
                 feature_hw=(bb.feature_size, bb.feature_size),
                 layers=config.graph.layers,
                 hidden=config.graph.hidden,
-                topology=LandmarkTopology(),
             )
 
     @property

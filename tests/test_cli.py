@@ -41,7 +41,7 @@ def workspace(tmp_path_factory):
     """Generated toy dataset plus a trained checkpoint, shared across tests."""
     root = tmp_path_factory.mktemp("cli")
     data = root / "data"
-    code = main(["generate", "--out", str(data), "--n_samples", "6", "--seed", "5", *TOY_ARGS])
+    code = main(["generate", "--out", str(data), "--n_samples", "6", "--seed", "5", "--input_size", "32"])
     assert code == 0
     ckpt = root / "model.ckpt"
     code = main(["train", "--data", str(data / "manifest.csv"), "--out", str(ckpt), "--seed", "5", *TOY_ARGS])
@@ -52,7 +52,7 @@ def workspace(tmp_path_factory):
 class TestGenerate:
     def test_writes_requested_rows(self, tmp_path):
         out = tmp_path / "ds"
-        assert main(["generate", "--out", str(out), "--n_samples", "10", "--seed", "1", *TOY_ARGS]) == 0
+        assert main(["generate", "--out", str(out), "--n_samples", "10", "--seed", "1", "--input_size", "32"]) == 0
         samples = read_manifest(out / "manifest.csv")
         assert len(samples) == 10
 
@@ -69,20 +69,67 @@ class TestGenerate:
         values = parse_config_file(config)
         assert values == {"n_samples": 4, "seed": 9}
         out = tmp_path / "ds"
-        assert main(["generate", "--out", str(out), "--config", str(config), "--n_samples", "3", *TOY_ARGS]) == 0
+        assert main(["generate", "--out", str(out), "--config", str(config), "--n_samples", "3", "--input_size", "32"]) == 0
         assert len(read_manifest(out / "manifest.csv")) == 3  # CLI override wins
 
 
+def help_flags(command, capsys) -> set[str]:
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    return set(re.findall(r"--([\w-]+)", capsys.readouterr().out))
+
+
 class TestRunConfigFlags:
-    """eval and infer take their config from the checkpoint, so they offer no run-config flags."""
+    """Each command offers the run-config keys it reads; eval and infer take theirs from the checkpoint."""
 
     @pytest.mark.parametrize("command", ["eval", "infer"])
     def test_help_lists_no_run_config_key(self, command, capsys):
+        assert help_flags(command, capsys) & {"config", *KEY_SPECS} == set()
+
+    @pytest.mark.parametrize(
+        "command, keys",
+        [
+            ("generate", ["n_samples", "class_balance", "spacing", "speckle_gamma", "input_size", "seed", "group_size"]),
+            ("train", list(KEY_SPECS)[:21]),  # the model keys, then the training keys
+            ("ablate", [*list(KEY_SPECS)[:21], "folds", "grouped"]),
+        ],
+    )
+    def test_help_lists_exactly_the_keys_the_command_reads(self, command, keys, capsys):
+        assert list(KEY_SPECS)[20] == "max_steps"
+        flags = help_flags(command, capsys)
+        assert "config" in flags and flags & {*KEY_SPECS} == set(keys)
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["generate", "--out", "unused", "--lr", "0.5"], "--lr"),
+            (["train", "--data", "unused.csv", "--out", "unused.ckpt", "--folds", "3"], "--folds"),
+            (["ablate", "--data", "unused.csv", "--out", "unused.csv", "--n_samples", "4"], "--n_samples"),
+        ],
+        ids=["generate", "train", "ablate"],
+    )
+    def test_a_key_the_command_does_not_read_exits_2(self, argv, flag, capsys):
         with pytest.raises(SystemExit) as exc:
-            main([command, "--help"])
-        assert exc.value.code == 0
-        flags = set(re.findall(r"--([\w-]+)", capsys.readouterr().out))
-        assert flags & {"config", *KEY_SPECS} == set()
+            main(argv)
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+
+    def test_one_file_with_every_dataclass_drives_generate_and_train(self, tmp_path):
+        config = tmp_path / "run.cfg"
+        toy = dict(zip(TOY_ARGS[::2], TOY_ARGS[1::2]))
+        lines = [f"{flag[2:]} = {value}" for flag, value in toy.items()]
+        lines += ["n_samples = 4", "speckle_gamma = 0.2", "seed = 3", "folds = 3", "grouped = false"]
+        config.write_text("\n".join(lines) + "\n")
+        assert {*parse_config_file(config)} & {"n_samples", "lr", "heads", "folds"} == {"n_samples", "lr", "heads", "folds"}
+        data = tmp_path / "data"
+        assert main(["generate", "--out", str(data), "--config", str(config)]) == 0
+        assert len(read_manifest(data / "manifest.csv")) == 4
+        out = tmp_path / "model.ckpt"
+        assert main(["train", "--data", str(data / "manifest.csv"), "--out", str(out), "--config", str(config)]) == 0
+        loaded = checkpoint.load_checkpoint(out)
+        assert (loaded.step, loaded.model_config.backbone.heads) == (2, 2)
+        assert (loaded.config["folds"], loaded.config["n_samples"], loaded.config["seed"]) == (3, 4, 3)
 
     def test_eval_refuses_a_run_config_flag(self, workspace, capsys):
         args = ["eval", "--checkpoint", str(workspace / "model.ckpt"), "--data", str(workspace / "data" / "manifest.csv")]
@@ -311,6 +358,8 @@ class TestHostileInput:
             (b"cfg.lr=0.001", b"cfg.lr=x.001", "lr"),  # a value its key's parser rejects
             (b"cfg.lr=0.001", b"cfg.zz=0.001", "zz"),  # a key the run config does not have
             (b"cfg.channels=8", b"cfg.channels=0", "channels"),  # a value the model config rejects
+            (b"cfg.sigma=1.0", b"cfg.sigma=nan", "sigma"),  # a value the training config rejects
+            (b"cfg.hflip_prob=0.0\ncfg.seed=5", b"cfg.hflip_prob=0.\ncfg.seed=-1", "seed"),  # restore_model seeds from it
         ],
     )
     def test_bad_config_entry_in_checkpoint_header(self, workspace, tmp_path, capsys, entry, damaged, key):
@@ -415,6 +464,61 @@ class TestNonFiniteManifestRow:
         err = capsys.readouterr().err
         assert code == 3
         assert f"{manifest}:3" in err and "spacing_mm_px must be positive" in err
+
+    @pytest.mark.parametrize("value", ["7", "-1"])
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_label_other_than_0_or_1(self, workspace, damage, tmp_path, capsys, command, value):
+        manifest = damage("label", value)
+        out = tmp_path / "model.ckpt"
+        if command == "train":
+            argv = ["train", "--data", str(manifest), "--out", str(out), "--seed", "5", *TOY_ARGS]
+        else:
+            argv = ["eval", "--checkpoint", str(workspace / "model.ckpt"), "--data", str(manifest)]
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 3
+        assert f"{manifest}:3" in err and "label must be 0 or 1" in err and "Traceback" not in err
+        assert not out.exists() and not (tmp_path / "model.ckpt.losses.csv").exists()
+
+
+class TestRunConfigValidation:
+    """A value no run can use is refused before any work: exit 2 naming the key, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("generate", "speckle_gamma", "nan"),
+            ("generate", "spacing", "inf"),
+            ("generate", "seed", "-1"),
+            ("train", "lr", "nan"),
+            ("train", "lambda", "nan"),
+            ("train", "sigma", "nan"),
+            ("train", "lr", "inf"),
+            ("train", "seed", "-1"),
+            ("train", "unet_depth", "100000000000000000000"),
+            ("ablate", "seed", "-1"),
+        ],
+    )
+    def test_exits_2(self, workspace, tmp_path, capsys, command, flag, value):
+        out = tmp_path / "out"
+        argv = {
+            "generate": ["generate", "--out", str(out), "--n_samples", "2", "--input_size", "32"],
+            "train": ["train", "--data", str(workspace / "data" / "manifest.csv"), "--out", str(out), *TOY_ARGS],
+            "ablate": ["ablate", "--data", str(workspace / "data" / "manifest.csv"), "--out", str(out), "--folds", "2", *TOY_ARGS],
+        }[command]
+        code = main([*argv, f"--{flag}", value])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "error: config:" in err and flag in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_config_file_that_is_not_utf8(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_bytes(b"n_samples = 4\nseed = \xff\n")
+        code = main(["generate", "--out", str(tmp_path / "ds"), "--config", str(config)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "error: config:" in err and str(config) in err and "UTF-8" in err
 
 
 class TestAblate:

@@ -6,6 +6,7 @@ import inspect
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import hipgraf.config as config
 from hipgraf.config import (
@@ -17,9 +18,12 @@ from hipgraf.config import (
     default_run_config,
     eval_config_from,
     generator_config_from,
+    merge_run_config,
     model_config_from,
+    parse_config_file,
     train_config_from,
 )
+from hipgraf.errors import ConfigError
 from hipgraf.estimator import PARAM_ALIASES, HipLandmarkDetector
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -90,6 +94,40 @@ def test_aliased_and_shared_keys_reach_their_fields():
     assert (train.lam, train.seed) == (0.7, 3)
     generator = generator_config_from(values)
     assert (generator.size, generator.seed) == (64, 3)
+
+
+# a known key with an arbitrary value, or with a value at the edge of its range
+_KEY_LINE = st.builds(
+    lambda key, value: f"{key} = {value}".encode(),
+    st.sampled_from(sorted(KEY_SPECS)),
+    st.one_of(
+        st.sampled_from(["true", "-1", "0", "nan", "inf", "1" + "0" * 20]),
+        st.text(max_size=12),
+        st.integers().map(str),
+        st.floats().map(repr),
+    ),
+)
+_CONFIG_BYTES = st.one_of(
+    st.binary(max_size=200),
+    st.lists(_KEY_LINE, max_size=6).map(b"\n".join),
+    st.lists(st.one_of(_KEY_LINE, st.binary(max_size=40)), max_size=6).map(b"\n".join),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(blob=_CONFIG_BYTES)
+def test_any_config_file_raises_only_config_error(tmp_path_factory, blob):
+    path = tmp_path_factory.getbasetemp() / "fuzz.cfg"
+    path.write_bytes(blob)
+    try:
+        values = merge_run_config(parse_config_file(path))
+    except ConfigError:
+        return
+    for build in (model_config_from, train_config_from, generator_config_from, eval_config_from):
+        try:
+            build(values)
+        except ConfigError:
+            pass
 
 
 # name -> parameter names; the benchmark harnesses call these

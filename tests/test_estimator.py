@@ -120,6 +120,12 @@ class TestFitPredict:
         with pytest.raises(ConfigError, match="classification head"):
             est.predict_proba(X)
 
+    @pytest.mark.parametrize("param, value", [("seed", -1), ("lr", np.nan)])
+    def test_invalid_training_param_rejected_before_building_the_model(self, param, value):
+        X, y = dataset_arrays()
+        with pytest.raises(ConfigError, match=param):
+            HipLandmarkDetector(**toy_params(**{param: value})).fit(X, y)
+
     def test_missing_labels_rejected_for_full_variant(self):
         X, y = dataset_arrays()
         with pytest.raises(DataError, match="label column"):

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from hipgraf.autodiff import Tensor, mse_loss, relu, sigmoid
-from hipgraf.errors import ConfigError, DimensionError
+from hipgraf.errors import DimensionError
 from hipgraf.nets.graph import (
-    LandmarkTopology,
     TopologicalRefiner,
     build_adjacency,
     build_node_features,
@@ -45,14 +44,6 @@ class TestTopology:
         a = build_adjacency()
         np.testing.assert_array_equal(a, a.T)
         np.testing.assert_array_equal(a.sum(axis=1), np.ones(6))
-
-    def test_overlapping_pairs_rejected(self):
-        with pytest.raises(ConfigError, match="more than one pair"):
-            build_adjacency(LandmarkTopology(count=6, pairs=((1, 2), (2, 3), (5, 6))))
-
-    def test_uncovered_landmark_rejected(self):
-        with pytest.raises(ConfigError, match="cover"):
-            LandmarkTopology(count=6, pairs=((1, 2), (3, 4))).validate()
 
 
 class TestNormalizeAdjacency:
