@@ -10,6 +10,16 @@ deliberately crude imaging model; realism is out of scope.
 
 Reproducibility: sample i of a dataset uses a generator seeded from
 (seed, i), so regeneration and parallel generation give identical bytes.
+
+Cut-off: each line and blob adds ``amplitude * exp(-r**2 / (2 sigma**2))``
+only on the pixels within its reach, the distance at which that term falls to
+``TERM_CUT``. Every pixel starts at ``BACKGROUND_LEVEL`` and gains only
+non-negative terms, so each sum it takes part in is at least that large; under
+round-to-nearest, adding less than half an ulp of a value gives the value back
+unchanged. ``TERM_CUT`` is a quarter of half an ulp of ``BACKGROUND_LEVEL``,
+the margin covering the rounding of the distance and of ``exp``, so a term past
+the reach could not have changed the pixel it skips. The cut is computed from
+``BACKGROUND_LEVEL``: change the background and the reach follows.
 """
 
 from __future__ import annotations
@@ -54,6 +64,9 @@ LINE_AMPLITUDES = (0.62, 0.45, 0.30)
 LINE_SIGMA_PX = 1.2
 BLOB_AMPLITUDE = 0.9
 BLOB_SIGMA_PX = 2.0
+LINE_PAIRS = ((0, 1), (2, 3), (4, 5))
+# the size below which a term cannot change a pixel (see the module docstring)
+TERM_CUT = float(np.spacing(BACKGROUND_LEVEL)) / 8.0
 
 
 @dataclass
@@ -108,7 +121,7 @@ def _layout_ok(landmarks: np.ndarray, size: int) -> bool:
     if landmarks.min() < lo or landmarks.max() > hi:
         return False
     separation = min_pair_separation(size)
-    for a, b in ((0, 1), (2, 3), (4, 5)):
+    for a, b in LINE_PAIRS:
         if np.linalg.norm(landmarks[a] - landmarks[b]) < separation:
             return False
     return True
@@ -133,32 +146,81 @@ def sample_geometry(class_request: str = "any", rng: np.random.Generator | None 
     raise GenerationError(f"no {class_request} layout found within {REJECTION_BUDGET} draws")
 
 
-def _segment_distance_field(size: int, p0: np.ndarray, p1: np.ndarray) -> np.ndarray:
-    """Distance from each pixel center to the segment p0-p1."""
-    ys, xs = np.mgrid[0:size, 0:size]
-    pts = np.stack([xs, ys], axis=-1).astype(np.float64)
+def _reach(amplitude: float, sigma: float) -> float:
+    """Distance past which ``amplitude * exp(-r**2 / (2 sigma**2))`` is below ``TERM_CUT``."""
+    return sigma * math.sqrt(2.0 * math.log(amplitude / TERM_CUT))
+
+
+LINE_REACH_PX = tuple(_reach(amplitude, LINE_SIGMA_PX) for amplitude in LINE_AMPLITUDES)
+BLOB_REACH_PX = _reach(BLOB_AMPLITUDE, BLOB_SIGMA_PX)
+
+
+def _span(lo: float, hi: float, size: int) -> slice:
+    """The pixel indices in [lo, hi], rounded outward and clipped to [0, size)."""
+    start = max(0, math.floor(lo))
+    return slice(start, max(start, min(size, math.ceil(hi) + 1)))
+
+
+def _window(xs: tuple[float, ...], ys: tuple[float, ...], reach: float, size: int) -> tuple[slice, slice]:
+    """Rows and columns of the pixels within ``reach`` of the box around the points (xs, ys)."""
+    return _span(min(ys) - reach, max(ys) + reach, size), _span(min(xs) - reach, max(xs) + reach, size)
+
+
+def _pixel_coords(rows: slice, cols: slice) -> tuple[np.ndarray, np.ndarray]:
+    """Pixel-center x as a row vector and y as a column vector, for broadcasting over the window."""
+    return np.arange(cols.start, cols.stop, dtype=np.float64), np.arange(rows.start, rows.stop, dtype=np.float64)[:, None]
+
+
+def _segment_distance(rows: slice, cols: slice, p0: np.ndarray, p1: np.ndarray) -> np.ndarray:
+    """Distance from each pixel center of the window to the segment p0-p1; a point when they coincide."""
+    xs, ys = _pixel_coords(rows, cols)
     d = p1 - p0
     length_sq = float(d @ d)
-    t = np.clip(((pts - p0) @ d) / length_sq, 0.0, 1.0)
-    nearest = p0 + t[..., None] * d
-    return np.linalg.norm(pts - nearest, axis=-1)
+    t = np.clip(((xs - p0[0]) * d[0] + (ys - p0[1]) * d[1]) / length_sq, 0.0, 1.0) if length_sq > 0.0 else 0.0
+    ex = xs - (p0[0] + t * d[0])
+    ey = ys - (p0[1] + t * d[1])
+    return np.sqrt(ex * ex + ey * ey)
+
+
+def _checked_landmarks(landmarks) -> np.ndarray:
+    """``landmarks`` as a float64 array; ``DataError`` unless it is (6, 2) and finite."""
+    message = "landmarks must be a (6, 2) array of finite numbers"
+    try:
+        points = np.asarray(landmarks, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"{message}: {exc}") from exc
+    if points.shape != (6, 2):
+        raise DataError(f"{message}, got shape {points.shape}")
+    if not np.isfinite(points).all():
+        raise DataError(f"{message}, got {points.tolist()}")
+    return points
+
+
+def _clean_image(landmarks: np.ndarray, size: int) -> np.ndarray:
+    """The noise-free float64 image: background plus each line and blob on the pixels within its reach."""
+    points = landmarks.tolist()
+    clean = np.full((size, size), BACKGROUND_LEVEL, dtype=np.float64)
+    for amplitude, reach, (a, b) in zip(LINE_AMPLITUDES, LINE_REACH_PX, LINE_PAIRS):
+        (xa, ya), (xb, yb) = points[a], points[b]
+        rows, cols = _window((xa, xb), (ya, yb), reach, size)
+        dist = _segment_distance(rows, cols, landmarks[a], landmarks[b])
+        clean[rows, cols] += amplitude * np.exp(-(dist**2) / (2.0 * LINE_SIGMA_PX**2))
+    for x, y in points:
+        rows, cols = _window((x,), (y,), BLOB_REACH_PX, size)
+        xs, ys = _pixel_coords(rows, cols)
+        r_sq = (xs - x) ** 2 + (ys - y) ** 2
+        clean[rows, cols] += BLOB_AMPLITUDE * np.exp(-r_sq / (2.0 * BLOB_SIGMA_PX**2))
+    return clean
 
 
 def render_phantom(landmarks: np.ndarray, rng: np.random.Generator | None = None, size: int = 128, speckle_gamma: float = 0.3) -> np.ndarray:
     """Render lines and blobs, then multiply in speckle and clamp to [0,1].
 
     With ``speckle_gamma`` zero the output is a deterministic function of the
-    landmarks alone.
+    landmarks alone. Raises ``DataError`` unless ``landmarks`` is a (6, 2)
+    array of finite (x, y) pixel coordinates.
     """
-    landmarks = np.asarray(landmarks, dtype=np.float64)
-    clean = np.full((size, size), BACKGROUND_LEVEL, dtype=np.float64)
-    for amplitude, (a, b) in zip(LINE_AMPLITUDES, ((0, 1), (2, 3), (4, 5))):
-        dist = _segment_distance_field(size, landmarks[a], landmarks[b])
-        clean += amplitude * np.exp(-(dist**2) / (2.0 * LINE_SIGMA_PX**2))
-    ys, xs = np.mgrid[0:size, 0:size]
-    for x, y in landmarks:
-        r_sq = (xs - x) ** 2 + (ys - y) ** 2
-        clean += BLOB_AMPLITUDE * np.exp(-r_sq / (2.0 * BLOB_SIGMA_PX**2))
+    clean = _clean_image(_checked_landmarks(landmarks), size)
     if speckle_gamma > 0.0:
         if rng is None:
             rng = np.random.default_rng()

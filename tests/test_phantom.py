@@ -1,20 +1,38 @@
 """Phantom geometry, rendering and dataset generation contracts."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import phantom_reference
+from hipgraf import phantom
 from hipgraf.config import GeneratorConfig
 from hipgraf.dataset import read_manifest, read_pgm
 from hipgraf.errors import DataError
 from hipgraf.metrics import classify_graf, graf_angles
 from hipgraf.phantom import (
+    LINE_PAIRS,
     border_margin,
     generate_dataset,
     render_phantom,
     sample_geometry,
 )
+
+
+@st.composite
+def render_cases(draw):
+    """Image size, landmarks from beyond the border to the interior (some pairs short or coincident), speckle."""
+    size = draw(st.integers(16, 160))
+    coord = st.floats(-40.0, size + 40.0)
+    landmarks = np.array([[draw(coord), draw(coord)] for _ in range(6)])
+    offset = st.floats(-2.0, 2.0)
+    for a, b in LINE_PAIRS:
+        if draw(st.booleans()):
+            landmarks[b] = landmarks[a] + [draw(offset), draw(offset)]
+    return size, landmarks, draw(st.sampled_from([0.0, 0.3])), draw(st.integers(0, 2**32 - 1))
 
 
 class TestSampleGeometry:
@@ -100,10 +118,8 @@ class TestRenderPhantom:
         for x, y in g.landmarks:
             far &= (xs - x) ** 2 + (ys - y) ** 2 > 100.0
         # also stay away from the three segments
-        from hipgraf.phantom import _segment_distance_field
-
-        for a, b in ((0, 1), (2, 3), (4, 5)):
-            far &= _segment_distance_field(128, g.landmarks[a].astype(float), g.landmarks[b].astype(float)) > 10.0
+        for a, b in LINE_PAIRS:
+            far &= phantom_reference.segment_distance_field(128, g.landmarks[a], g.landmarks[b]) > 10.0
         assert far.any()
         far_max = img[far].max()
         for x, y in np.round(g.landmarks).astype(int):
@@ -123,6 +139,47 @@ class TestRenderPhantom:
         g = sample_geometry("any", rng=np.random.default_rng(10))
         img = render_phantom(g.landmarks, rng=np.random.default_rng(11), speckle_gamma=0.3)
         assert img.min() >= 0.0 and img.max() <= 1.0
+
+    @given(render_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_equals_the_full_image_reference_bit_for_bit(self, case):
+        size, landmarks, gamma, seed = case
+        # the float64 sum first: float32 rounding would hide a term cut off a few ulps too early
+        # (every value is at least 0.056, so no signed zero or NaN can hide a bit in ==)
+        np.testing.assert_array_equal(phantom._clean_image(landmarks, size), phantom_reference.clean_image(landmarks, size), strict=True)
+        np.testing.assert_array_equal(
+            render_phantom(landmarks, rng=np.random.default_rng(seed), size=size, speckle_gamma=gamma),
+            phantom_reference.render_phantom(landmarks, rng=np.random.default_rng(seed), size=size, speckle_gamma=gamma),
+            strict=True,
+        )
+
+    def test_zero_length_segment_renders_as_a_point(self):
+        landmarks = sample_geometry("any", rng=np.random.default_rng(12)).landmarks
+        for a, b in LINE_PAIRS:
+            coincident = landmarks.copy()
+            coincident[b] = coincident[a]
+            img = render_phantom(coincident, speckle_gamma=0.0)
+            nearly = coincident.copy()
+            nearly[b, 0] += 1e-9
+            assert np.isfinite(img).all()
+            np.testing.assert_allclose(img, render_phantom(nearly, speckle_gamma=0.0), rtol=0, atol=1e-6)
+
+    @pytest.mark.parametrize(
+        "landmarks",
+        [
+            np.zeros((5, 2)),
+            np.zeros((6, 3)),
+            np.zeros(12),
+            np.array([[60.0, 20.0]] * 5 + [[np.nan, 40.0]]),
+            np.array([[60.0, 20.0]] * 5 + [[40.0, np.inf]]),
+            [[1.0, 2.0]] * 5 + [[1.0]],
+            [["a", "b"]] * 6,
+        ],
+        ids=["5x2", "6x3", "flat", "nan", "inf", "ragged", "text"],
+    )
+    def test_landmarks_must_be_six_finite_points(self, landmarks):
+        with pytest.raises(DataError, match=r"\(6, 2\) array of finite numbers"):
+            render_phantom(landmarks, speckle_gamma=0.0)
 
 
 class TestGenerateDataset:
@@ -148,6 +205,29 @@ class TestGenerateDataset:
         for i in range(4):
             assert (tmp_path / "a" / f"sample_{i:04d}.tgt").read_bytes() == (tmp_path / "b" / f"sample_{i:04d}.tgt").read_bytes()
             assert (tmp_path / "a" / f"sample_{i:04d}.pgm").read_bytes() == (tmp_path / "b" / f"sample_{i:04d}.pgm").read_bytes()
+
+    # sha256 over each file's name and bytes, in name order, as the full-image
+    # renderer wrote them (x86-64 with AVX-512, numpy 2.4, OpenBLAS 0.3.31)
+    @pytest.mark.parametrize(
+        "config, digest",
+        [
+            (
+                GeneratorConfig(n_samples=6, class_balance=0.5, seed=11, size=64),
+                "13af6ddd1e71f29191c98a33e290225666fce975c667045c8cb6028e7045d85e",
+            ),
+            (
+                GeneratorConfig(n_samples=4, class_balance=0.5, seed=12, size=128),
+                "9ae0ac78ab2ac159e16fbd8f51c9f850c974ef4bb7667a9228566550b380678d",
+            ),
+        ],
+        ids=["64px", "128px"],
+    )
+    def test_bytes_match_pinned_digest(self, tmp_path, config, digest):
+        generate_dataset(tmp_path, config)
+        sha = hashlib.sha256()
+        for path in sorted(tmp_path.iterdir()):
+            sha.update(path.name.encode() + b"\0" + path.read_bytes())
+        assert sha.hexdigest() == digest
 
     def test_manifest_angles_match_stored_landmarks(self, tmp_path):
         cfg = GeneratorConfig(n_samples=6, class_balance=0.5, seed=4, size=64)
