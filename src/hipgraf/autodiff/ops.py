@@ -20,8 +20,10 @@ the flipped, channel-swapped kernels (Dumoulin & Visin 2016, "A guide to
 convolution arithmetic for deep learning"), so no read-modify-write scatter
 is needed. maxpool2d folds its window views with ``np.maximum`` and its
 backward compares the same views with the output, keeping nothing the tape
-does not already hold. conv2d and transpose_conv2d add their bias in place
-on the output they allocated, so a biased conv is one tape node.
+does not already hold, and unfold_neighborhoods keeps no edge-padded copy:
+its backward scatters into a zeroed padded buffer and folds the border back.
+conv2d and transpose_conv2d add their bias in place on the output they
+allocated, so a biased conv is one tape node.
 
 That recompute rests on the tape's contract (see ``make_op``): a recorded
 op may read its inputs' ``.data`` again when backward runs, so no op may
@@ -362,63 +364,45 @@ def bce_loss(logit: Tensor, label) -> Tensor:
 # -- neighborhood windows (used by the fusion module) ----------------------------
 
 
-def pad_edge(x: Tensor, pad: int) -> Tensor:
-    """Replicate the border of the last two axes ``pad`` pixels outward."""
+def unfold_neighborhoods(x: Tensor, window: int) -> Tensor:
+    """Edge-replicated (n, window^2, c, h, w) neighborhoods of every pixel.
+
+    Slot u*window+v holds the map shifted by (u-p, v-p), p = window//2,
+    row-major: the (u, v) view of ``_windows`` over one edge-padded copy of
+    x, which the forward frees once the slots are copied. The backward adds
+    each slot's gradient onto its view of one zeroed padded buffer, then
+    folds that buffer's border back onto the edge pixels it replicated.
+    """
+    if window % 2 == 0 or window < 1:
+        raise ConfigError(f"neighborhood window must be odd and positive, got {window}")
     if x.ndim != 4:
-        raise DimensionError(f"pad_edge expects (n,c,h,w), got shape {x.shape}")
-    if pad == 0:
-        return x
+        raise DimensionError(f"unfold_neighborhoods expects (n,c,h,w), got shape {x.shape}")
     n, c, h, w = x.shape
-    data = np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad)), mode="edge")
+    p = window // 2
+    xp = np.pad(x.data, ((0, 0), (0, 0), (p, p), (p, p)), mode="edge")
+    data = np.empty((n, window * window, c, h, w), dtype=x.data.dtype)
+    for u, v, view in _windows(xp, window, window, 1, h, w):
+        data[:, u * window + v] = view
 
     def backward(g: np.ndarray) -> None:
-        gx = g[:, :, pad : pad + h, pad : pad + w].copy()
-        gx[:, :, :1, :] += g[:, :, :pad, pad : pad + w].sum(axis=2, keepdims=True)
-        gx[:, :, -1:, :] += g[:, :, pad + h :, pad : pad + w].sum(axis=2, keepdims=True)
-        gx[:, :, :, :1] += g[:, :, pad : pad + h, :pad].sum(axis=3, keepdims=True)
-        gx[:, :, :, -1:] += g[:, :, pad : pad + h, pad + w :].sum(axis=3, keepdims=True)
-        gx[:, :, 0, 0] += g[:, :, :pad, :pad].sum(axis=(2, 3))
-        gx[:, :, 0, -1] += g[:, :, :pad, pad + w :].sum(axis=(2, 3))
-        gx[:, :, -1, 0] += g[:, :, pad + h :, :pad].sum(axis=(2, 3))
-        gx[:, :, -1, -1] += g[:, :, pad + h :, pad + w :].sum(axis=(2, 3))
+        gp = np.zeros((n, c, h + 2 * p, w + 2 * p), dtype=x.data.dtype)
+        for u, v, view in _windows(gp, window, window, 1, h, w):
+            view += g[:, u * window + v]
+        # interior first, then each border strip onto the edge row or column
+        # it copied, then each corner block onto its corner pixel (with p = 0
+        # every strip is empty and adds zeros)
+        gx = gp[:, :, p : p + h, p : p + w].copy()
+        gx[:, :, :1, :] += gp[:, :, :p, p : p + w].sum(axis=2, keepdims=True)
+        gx[:, :, -1:, :] += gp[:, :, p + h :, p : p + w].sum(axis=2, keepdims=True)
+        gx[:, :, :, :1] += gp[:, :, p : p + h, :p].sum(axis=3, keepdims=True)
+        gx[:, :, :, -1:] += gp[:, :, p : p + h, p + w :].sum(axis=3, keepdims=True)
+        gx[:, :, 0, 0] += gp[:, :, :p, :p].sum(axis=(2, 3))
+        gx[:, :, 0, -1] += gp[:, :, :p, p + w :].sum(axis=(2, 3))
+        gx[:, :, -1, 0] += gp[:, :, p + h :, :p].sum(axis=(2, 3))
+        gx[:, :, -1, -1] += gp[:, :, p + h :, p + w :].sum(axis=(2, 3))
         _accumulate(x, gx)
 
     return make_op(data, (x,), backward)
-
-
-def window_stack(x: Tensor, window: int) -> Tensor:
-    """Stack the window*window shifted views of a padded map.
-
-    Input (n,c,h+2p,w+2p) with p = window//2 yields (n, window^2, c, h, w);
-    slot u*window+v holds the view shifted by (u-p, v-p), row-major.
-    """
-    if x.ndim != 4:
-        raise DimensionError(f"window_stack expects (n,c,hp,wp), got shape {x.shape}")
-    n, c, hp, wp = x.shape
-    h = hp - window + 1
-    w = wp - window + 1
-    if h < 1 or w < 1:
-        raise DimensionError(f"window {window} larger than padded input {x.shape}")
-    data = np.empty((n, window * window, c, h, w), dtype=x.data.dtype)
-    _gather(x.data, _slot_view(data, window), 1)
-
-    def backward(g: np.ndarray) -> None:
-        _accumulate(x, _scatter(_slot_view(g, window), np.zeros_like(x.data), 1))
-
-    return make_op(data, (x,), backward)
-
-
-def _slot_view(stack: np.ndarray, window: int) -> np.ndarray:
-    """(n, window^2, c, h, w) stack seen as the (n, c, window, window, h, w) slots of _gather."""
-    n, _, c, h, w = stack.shape
-    return stack.reshape(n, window, window, c, h, w).transpose(0, 3, 1, 2, 4, 5)
-
-
-def unfold_neighborhoods(x: Tensor, window: int) -> Tensor:
-    """Edge-replicated (n, window^2, c, h, w) neighborhoods of every pixel."""
-    if window % 2 == 0 or window < 1:
-        raise ConfigError(f"neighborhood window must be odd and positive, got {window}")
-    return window_stack(pad_edge(x, window // 2), window)
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:

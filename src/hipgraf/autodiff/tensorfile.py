@@ -93,7 +93,10 @@ def _read(fh: BinaryIO) -> dict[str, np.ndarray]:
         n_bytes = 4 * math.prod(shape)
         if n_bytes > end - fh.tell():
             raise FormatError(f"truncated tensor container while reading payload of {name!r}")
-        arr = np.empty(shape, dtype="<f4")
+        try:
+            arr = np.empty(shape, dtype="<f4")
+        except ValueError as exc:  # an empty shape can still hold dims numpy refuses, or more than 64 of them
+            raise FormatError(f"unsupported shape {shape} for tensor {name!r}: {exc}") from exc
         if fh.readinto(arr.reshape(-1).view(np.uint8)) != n_bytes:
             raise FormatError(f"truncated tensor container while reading payload of {name!r}")
         tensors[name] = arr

@@ -12,6 +12,7 @@ PGM preview of the same image. Manifest columns:
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -77,6 +78,8 @@ def read_pgm(path: str | Path) -> np.ndarray:
     if not all(f.isdigit() for f in fields):
         raise FormatError(f"{path}: PGM header fields must be decimal integers, got {fields!r}")
     w, h, maxval = (int(f) for f in fields)
+    if w == 0 or h == 0:
+        raise FormatError(f"{path}: PGM image has no pixels ({w}x{h})")
     if maxval != 255:
         raise FormatError(f"{path}: only 8-bit PGM supported, maxval={maxval}")
     payload = blob[pos : pos + w * h]
@@ -105,7 +108,7 @@ def check_finite(images: np.ndarray, what: str) -> np.ndarray:
 
 def load_image(path: str | Path) -> np.ndarray:
     path = Path(path)
-    if not path.exists():
+    if not path.is_file():
         raise DataError(f"image file not found: {path}")
     if path.suffix == ".pgm":
         return read_pgm(path)
@@ -124,48 +127,53 @@ def write_manifest(path: str | Path, rows: list[dict]) -> None:
 
 def read_manifest(path: str | Path, load_images: bool = True) -> list[ImageSample]:
     path = Path(path)
-    if not path.exists():
+    if not path.is_file():
         raise DataError(f"manifest not found: {path}")
     base = path.parent
     samples: list[ImageSample] = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
+    try:
+        reader = csv.DictReader(io.StringIO(path.read_bytes().decode("utf-8"), newline=""))
         header = reader.fieldnames or []
-        missing = [c for c in MANIFEST_COLUMNS if c not in header]
-        if missing:
-            raise FormatError(f"{path}: manifest missing columns {missing}")
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                landmarks = np.array(
-                    [[float(row[f"x{i}"]), float(row[f"y{i}"])] for i in range(1, 7)], dtype=np.float32
-                )
-                label = int(row["label"])
-                spacing = float(row["spacing_mm_px"])
-                alpha = float(row["alpha_deg"])
-                beta = float(row["beta_deg"])
-                group = int(row[GROUP_COLUMN]) if GROUP_COLUMN in header and row.get(GROUP_COLUMN) else None
-            except (TypeError, ValueError) as exc:
-                raise FormatError(f"{path}:{lineno}: malformed manifest row: {exc}") from exc
-            check_finite(landmarks, f"{path}:{lineno}: the landmark row")
-            if not math.isfinite(spacing):
-                raise DataError(f"{path}:{lineno}: spacing_mm_px is non-finite ({spacing})")
-            if spacing <= 0:
-                raise DataError(f"{path}:{lineno}: spacing_mm_px must be positive, got {spacing}")
-            if label not in (0, 1):
-                raise DataError(f"{path}:{lineno}: label must be 0 or 1, got {label}")
-            image = load_image(base / row["file"]) if load_images else np.empty((0, 0), dtype=np.float32)
-            samples.append(
-                ImageSample(
-                    name=row["file"],
-                    image=image,
-                    landmarks=landmarks,
-                    label=label,
-                    spacing=spacing,
-                    alpha=alpha,
-                    beta=beta,
-                    group=group,
-                )
+        rows = [(reader.line_num, row) for row in reader]  # the line each row ends on, blank lines counted
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise FormatError(f"{path}: not a UTF-8 CSV manifest: {exc}") from exc
+    missing = [c for c in MANIFEST_COLUMNS if c not in header]
+    if missing:
+        raise FormatError(f"{path}: manifest missing columns {missing}")
+    for lineno, row in rows:
+        try:
+            landmarks = np.array(
+                [[float(row[f"x{i}"]), float(row[f"y{i}"])] for i in range(1, 7)], dtype=np.float32
             )
+            label = int(row["label"])
+            spacing = float(row["spacing_mm_px"])
+            alpha = float(row["alpha_deg"])
+            beta = float(row["beta_deg"])
+            group = int(row[GROUP_COLUMN]) if GROUP_COLUMN in header and row.get(GROUP_COLUMN) else None
+        except (TypeError, ValueError) as exc:
+            raise FormatError(f"{path}:{lineno}: malformed manifest row: {exc}") from exc
+        if row["file"] is None:
+            raise FormatError(f"{path}:{lineno}: malformed manifest row: it ends before the file column")
+        check_finite(landmarks, f"{path}:{lineno}: the landmark row")
+        if not math.isfinite(spacing):
+            raise DataError(f"{path}:{lineno}: spacing_mm_px is non-finite ({spacing})")
+        if spacing <= 0:
+            raise DataError(f"{path}:{lineno}: spacing_mm_px must be positive, got {spacing}")
+        if label not in (0, 1):
+            raise DataError(f"{path}:{lineno}: label must be 0 or 1, got {label}")
+        image = load_image(base / row["file"]) if load_images else np.empty((0, 0), dtype=np.float32)
+        samples.append(
+            ImageSample(
+                name=row["file"],
+                image=image,
+                landmarks=landmarks,
+                label=label,
+                spacing=spacing,
+                alpha=alpha,
+                beta=beta,
+                group=group,
+            )
+        )
     if not samples:
         raise DataError(f"{path}: manifest has no samples")
     return samples

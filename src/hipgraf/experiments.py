@@ -16,6 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .autodiff import no_grad
+from .autodiff.ops import _sigmoid
 from .config import EvalConfig, ModelConfig, TrainConfig
 from .dataset import ImageSample
 from .errors import ConfigError
@@ -76,8 +77,7 @@ def detect(model: LandmarkNet, images: Sequence[np.ndarray], batch_size: int = 8
             stacks = out.detection_stack().data
             coords.extend(decode_landmarks(stack, upscale=upscale)[0] for stack in stacks)
             if probs is not None:
-                logits = np.asarray(out.logit.data, dtype=np.float64)
-                probs.extend(1.0 / (1.0 + np.exp(-logits)))
+                probs.extend(_sigmoid(np.asarray(out.logit.data, dtype=np.float64)))
     return coords, probs
 
 

@@ -7,14 +7,14 @@ with the roles swapped, and the two modulated maps are then combined along
 the channel axis and projected back to the branch width so downstream heads
 never see the fusion choice.
 
-``modulated_fuse`` records two steps. ``unfold_neighborhoods`` stacks the
-edge-replicated (n, window^2, c, h, w) neighborhoods of the source; then one
-op scores each slot by its channel dot product with the guide pixel
-(``einsum("nkchw,nchw->nkhw")``), softmaxes the scores over the slots and
-sums the slots under those weights (``einsum("nkchw,nkhw->nchw")``). Its
-backward keeps only the stack and the weights, so no (n, window^2, c, h, w)
-product array and no intermediate tape node is built (the fused-op idea of
-Dao et al. 2022, "FlashAttention").
+``modulated_fuse`` records two tape nodes. ``unfold_neighborhoods`` pads
+and stacks the edge-replicated (n, window^2, c, h, w) neighborhoods of the
+source in one op; then one op scores each slot by its channel dot product
+with the guide pixel (``einsum("nkchw,nchw->nkhw")``), softmaxes the scores
+over the slots and sums the slots under those weights
+(``einsum("nkchw,nkhw->nchw")``). Its backward keeps only the stack and the
+weights, so no (n, window^2, c, h, w) product array and no intermediate tape
+node is built (the fused-op idea of Dao et al. 2022, "FlashAttention").
 """
 
 from __future__ import annotations

@@ -67,6 +67,8 @@ BLOB_SIGMA_PX = 2.0
 LINE_PAIRS = ((0, 1), (2, 3), (4, 5))
 # the size below which a term cannot change a pixel (see the module docstring)
 TERM_CUT = float(np.spacing(BACKGROUND_LEVEL)) / 8.0
+# the largest |coordinate| rendered: no difference, product or square of such coordinates overflows
+COORD_LIMIT = math.sqrt(float(np.finfo(np.float64).max)) / 8.0
 
 
 @dataclass
@@ -183,15 +185,15 @@ def _segment_distance(rows: slice, cols: slice, p0: np.ndarray, p1: np.ndarray) 
 
 
 def _checked_landmarks(landmarks) -> np.ndarray:
-    """``landmarks`` as a float64 array; ``DataError`` unless it is (6, 2) and finite."""
-    message = "landmarks must be a (6, 2) array of finite numbers"
+    """``landmarks`` as a float64 array; ``DataError`` unless it is (6, 2) and within ±``COORD_LIMIT``."""
+    message = f"landmarks must be a (6, 2) array of finite numbers within ±{COORD_LIMIT:.3g}"
     try:
         points = np.asarray(landmarks, dtype=np.float64)
     except (TypeError, ValueError) as exc:
         raise DataError(f"{message}: {exc}") from exc
     if points.shape != (6, 2):
         raise DataError(f"{message}, got shape {points.shape}")
-    if not np.isfinite(points).all():
+    if not (np.abs(points) <= COORD_LIMIT).all():  # false for NaN too
         raise DataError(f"{message}, got {points.tolist()}")
     return points
 
@@ -218,7 +220,7 @@ def render_phantom(landmarks: np.ndarray, rng: np.random.Generator | None = None
 
     With ``speckle_gamma`` zero the output is a deterministic function of the
     landmarks alone. Raises ``DataError`` unless ``landmarks`` is a (6, 2)
-    array of finite (x, y) pixel coordinates.
+    array of (x, y) pixel coordinates within ±``COORD_LIMIT`` (about 1.7e153).
     """
     clean = _clean_image(_checked_landmarks(landmarks), size)
     if speckle_gamma > 0.0:

@@ -19,12 +19,11 @@ from hipgraf.autodiff import (
     matmul,
     maxpool2d,
     mse_loss,
-    pad_edge,
     pointwise,
     softmax,
     transpose_conv2d,
+    unfold_neighborhoods,
     using_dtype,
-    window_stack,
 )
 from hipgraf.checkpoint import load_checkpoint, restore_model, save_checkpoint
 from hipgraf.cli import main as cli_main
@@ -131,14 +130,14 @@ class TestCriterion1Gradients:
         worst = max(
             worst,
             self._check(
-                lambda t: (pad_edge(t["x"], 1) * Tensor(rnd(1, 2, 5, 5, seed=21), dtype=t["x"].dtype)).sum(),
+                lambda t: (unfold_neighborhoods(t["x"], 5) * Tensor(rnd(1, 25, 2, 3, 3, seed=21), dtype=t["x"].dtype)).sum(),
                 {"x": rnd(1, 2, 3, 3, seed=20)},
             ),
         )
         worst = max(
             worst,
             self._check(
-                lambda t: (window_stack(t["x"], 3) * Tensor(rnd(1, 9, 2, 3, 3, seed=23), dtype=t["x"].dtype)).sum(),
+                lambda t: (unfold_neighborhoods(t["x"], 3) * Tensor(rnd(1, 9, 2, 5, 5, seed=23), dtype=t["x"].dtype)).sum(),
                 {"x": rnd(1, 2, 5, 5, seed=22)},
             ),
         )

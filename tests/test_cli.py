@@ -389,6 +389,45 @@ class TestHostileInput:
         bad.write_bytes(tgt_header(b"image", dims))
         self.infer(workspace, capsys, image=bad)
 
+    @pytest.mark.parametrize("dims", [(0, 0x80000000, 0x80000000), (0,) * 65])
+    def test_empty_tensor_of_a_shape_numpy_refuses(self, tmp_path, workspace, capsys, dims):
+        bad = tmp_path / "bad.tgt"
+        bad.write_bytes(tgt_header(b"image", dims))
+        self.infer(workspace, capsys, image=bad)
+
+    def test_pgm_without_pixels(self, tmp_path, workspace, capsys):
+        # zero rows pass the payload-length check whatever the width, which numpy cannot reshape to
+        bad = tmp_path / "bad.pgm"
+        bad.write_bytes(b"P5\n%d 0\n255\n" % 2**40)
+        assert "no pixels" in self.infer(workspace, capsys, image=bad)
+
+
+class TestNonUtf8Manifest:
+    """A manifest whose bytes are not UTF-8 exits 4 naming the manifest, never a traceback."""
+
+    @pytest.fixture
+    def manifest(self, workspace, tmp_path):
+        data = tmp_path / "data"
+        shutil.copytree(workspace / "data", data)
+        manifest = data / "manifest.csv"
+        blob = manifest.read_bytes()
+        manifest.write_bytes(blob.replace(b"sample_0001", b"sample_\xff001", 1))
+        return manifest
+
+    def run(self, argv, manifest, capsys):
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 4
+        assert "error: format:" in err and str(manifest) in err and "UTF-8" in err and "Traceback" not in err
+
+    def test_train(self, manifest, tmp_path, capsys):
+        out = tmp_path / "model.ckpt"
+        self.run(["train", "--data", str(manifest), "--out", str(out), "--seed", "5", *TOY_ARGS], manifest, capsys)
+        assert not out.exists()
+
+    def test_eval(self, workspace, manifest, capsys):
+        self.run(["eval", "--checkpoint", str(workspace / "model.ckpt"), "--data", str(manifest)], manifest, capsys)
+
 
 class TestNonFinitePixel:
     """A .tgt image holding a NaN or an infinity is refused by every reader: exit 3 naming the file."""

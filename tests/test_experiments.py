@@ -1,8 +1,11 @@
 """Fold construction, cross-validation aggregation and the ablation table."""
 
+import warnings
+
 import numpy as np
 import pytest
 
+from hipgraf.autodiff import no_grad
 from hipgraf.config import EvalConfig, ModelConfig, TrainConfig
 from hipgraf.errors import ConfigError
 from hipgraf.experiments import (
@@ -151,6 +154,17 @@ class TestDetectReference:
         # the logit goes through folded GEMMs, whose rounding may differ in the last bit
         np.testing.assert_array_equal(np.stack(coords), np.asarray(STORED_COORDS))
         np.testing.assert_allclose(probs, STORED_PROBS, rtol=0, atol=1e-6)
+
+    def test_a_very_negative_logit_gives_probability_zero_without_warning(self):
+        model = build_model(tiny_cfgs()[0], seed=0)
+        images = [render_phantom(sample_geometry(rng=np.random.default_rng(3), size=32).landmarks, size=32)]
+        with no_grad():
+            logit = float(model.forward(np.stack(images)[:, None]).logit.data[0])
+        model.refiner.w_out.data *= -1e4 / logit  # the logit is linear in w_out
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # 1/(1+exp(1e4)) overflowed in exp
+            _, probs = detect(model, images)
+        assert probs == [0.0]
 
 
 @pytest.fixture(scope="module")

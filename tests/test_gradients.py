@@ -26,13 +26,12 @@ from hipgraf.autodiff import (
     maxpool2d,
     mse_loss,
     mul,
-    pad_edge,
     pointwise,
     reduce_mean,
     softmax,
     transpose_conv2d,
+    unfold_neighborhoods,
     using_dtype,
-    window_stack,
 )
 from hipgraf.errors import ContractError
 from hipgraf.nets.model import build_model
@@ -142,15 +141,21 @@ class TestLossOps:
 
 
 class TestWindowOps:
-    def test_pad_edge(self):
-        values = {"x": rnd(1, 2, 3, 3, seed=33)}
-        weights = rnd(1, 2, 7, 7, seed=34)
-        assert_grads_match(lambda t: (pad_edge(t["x"], 2) * Tensor(weights, dtype=t["x"].dtype)).sum(), values)
-
     def test_window_stack(self):
         values = {"x": rnd(1, 2, 5, 5, seed=35)}
-        weights = rnd(1, 9, 2, 3, 3, seed=36)
-        assert_grads_match(lambda t: (window_stack(t["x"], 3) * Tensor(weights, dtype=t["x"].dtype)).sum(), values)
+        weights = rnd(1, 9, 2, 5, 5, seed=36)
+        assert_grads_match(lambda t: (unfold_neighborhoods(t["x"], 3) * Tensor(weights, dtype=t["x"].dtype)).sum(), values)
+
+    def test_window_stack_folds_a_two_pixel_border(self):
+        # a 5-wide window pads 2 pixels on each side of a 3x3 map, so strips and corners fold back
+        values = {"x": rnd(1, 2, 3, 3, seed=33)}
+        weights = rnd(1, 25, 2, 3, 3, seed=34)
+        assert_grads_match(lambda t: (unfold_neighborhoods(t["x"], 5) * Tensor(weights, dtype=t["x"].dtype)).sum(), values)
+
+    def test_window_stack_of_one_pixel(self):
+        values = {"x": rnd(1, 2, 3, 4, seed=37)}
+        weights = rnd(1, 1, 2, 3, 4, seed=38)
+        assert_grads_match(lambda t: (unfold_neighborhoods(t["x"], 1) * Tensor(weights, dtype=t["x"].dtype)).sum(), values)
 
 
 class TestComposedGraphs:

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -181,6 +182,37 @@ class TestRenderPhantom:
         with pytest.raises(DataError, match=r"\(6, 2\) array of finite numbers"):
             render_phantom(landmarks, speckle_gamma=0.0)
 
+
+    @pytest.mark.parametrize("far", [1e308, 1e160, phantom.COORD_LIMIT * 1.01])
+    def test_a_baseline_whose_length_overflows_is_refused(self, far):
+        # at 1e308 the difference p1 - p0 overflows, at 1e160 its square does; either way pixels came out NaN
+        landmarks = sample_geometry("any", rng=np.random.default_rng(12)).landmarks
+        landmarks[0], landmarks[1] = (-far, 64.0), (far, 64.0)
+        with pytest.raises(DataError, match=r"\(6, 2\) array of finite numbers within"):
+            render_phantom(landmarks, speckle_gamma=0.0)
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.floats(-40.0, 100.0),
+                st.floats(-phantom.COORD_LIMIT, phantom.COORD_LIMIT),
+                st.floats(allow_nan=False, allow_infinity=False),
+            ),
+            min_size=12,
+            max_size=12,
+        )
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_any_finite_landmarks_render_finite_pixels_or_are_refused(self, coords):
+        landmarks = np.reshape(coords, (6, 2))
+        if np.abs(landmarks).max() > phantom.COORD_LIMIT:
+            with pytest.raises(DataError):
+                render_phantom(landmarks, size=60, speckle_gamma=0.0)
+            return
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no overflow or invalid-value warning on the way
+            img = render_phantom(landmarks, size=60, speckle_gamma=0.0)
+        assert np.isfinite(img).all()
 
 class TestGenerateDataset:
     def test_balance_and_manifest_rows(self, tmp_path):

@@ -20,7 +20,6 @@ from hipgraf.autodiff import (
     mse_loss,
     mul,
     no_grad,
-    pad_edge,
     pointwise,
     reduce_mean,
     relu,
@@ -29,7 +28,7 @@ from hipgraf.autodiff import (
     softmax,
     transpose,
     transpose_conv2d,
-    window_stack,
+    unfold_neighborhoods,
 )
 from hipgraf.errors import ConfigError, ContractError, DimensionError
 from hipgraf.nets.graph import build_node_features
@@ -125,10 +124,11 @@ def maxpool2d_reference(x, kernel, g):
     return out, gx
 
 
-def window_stack_reference(xp, window):
-    """Nested-loop neighborhood stack: slot u*window+v holds pixel (i+u, j+v)."""
-    n, c, hp, wp = xp.shape
-    h, w = hp - window + 1, wp - window + 1
+def window_stack_reference(x, window):
+    """Nested-loop neighborhood stack of the edge-padded map: slot u*window+v holds pixel (i+u, j+v)."""
+    pad = window // 2
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)), mode="edge")
+    n, c, h, w = x.shape
     out = np.zeros((n, window * window, c, h, w))
     for u in range(window):
         for v in range(window):
@@ -136,6 +136,22 @@ def window_stack_reference(xp, window):
                 for j in range(w):
                     out[:, u * window + v, :, i, j] = xp[:, :, i + u, j + v]
     return out
+
+
+def window_stack_grad_reference(g, window):
+    """Nested-loop input gradient of the stack: each slot's gradient lands on the pixel it copied."""
+    pad = window // 2
+    n, _, c, h, w = g.shape
+    gx = np.zeros((n, c, h, w))
+    for u in range(window):
+        for v in range(window):
+            for i in range(h):
+                for j in range(w):
+                    # the padded pixel (i+u, j+v) replicates the input pixel nearest to it
+                    src_i = min(max(i + u - pad, 0), h - 1)
+                    src_j = min(max(j + v - pad, 0), w - 1)
+                    gx[:, :, src_i, src_j] += g[:, u * window + v, :, i, j]
+    return gx
 
 
 class TestMatmul:
@@ -188,8 +204,9 @@ class TestMatmul:
         (lambda x: transpose_conv2d(x, Tensor(rnd(2, 3, 2, 2)), stride=2), (2, 3, 3)),
         (lambda x: maxpool2d(x, 2), (2, 4, 4)),
         (build_node_features, (6, 4, 4)),
+        (lambda x: unfold_neighborhoods(x, 3), (2, 5, 5)),
     ],
-    ids=["conv2d", "transpose_conv2d", "maxpool2d", "build_node_features"],
+    ids=["conv2d", "transpose_conv2d", "maxpool2d", "build_node_features", "unfold_neighborhoods"],
 )
 def test_unbatched_input_is_rejected(op, shape):
     # below the model's entry point every spatial tensor is (n, c, h, w)
@@ -683,21 +700,34 @@ class TestShapeOps:
         out.sum().backward()
         np.testing.assert_allclose(x.grad, np.ones_like(x.data))
 
-    def test_pad_edge_replicates_border(self):
+    def test_window_stack_replicates_border(self):
         x = np.arange(4, dtype=np.float32).reshape(1, 1, 2, 2)
-        out = pad_edge(Tensor(x), 1).data
-        assert out.shape == (1, 1, 4, 4)
-        assert out[0, 0, 0, 0] == 0.0 and out[0, 0, 3, 3] == 3.0
+        out = unfold_neighborhoods(Tensor(x), 3).data
+        assert out.shape == (1, 9, 1, 2, 2)
+        # slot 0 looks up-left, slot 8 down-right: the corners see their own pixel past the border
+        assert out[0, 0, 0, 0, 0] == 0.0 and out[0, 8, 0, 1, 1] == 3.0
 
     def test_window_stack_center_slot_is_input(self):
         x = Tensor(rnd(1, 2, 6, 6, seed=18))
-        padded = pad_edge(x, 1)
-        stacked = window_stack(padded, 3)
-        assert stacked.shape == (1, 9, 2, 4 + 2, 4 + 2)
-        np.testing.assert_allclose(stacked.data[:, 4], x.data)
+        stacked = unfold_neighborhoods(x, 3)
+        assert stacked.shape == (1, 9, 2, 6, 6)
+        np.testing.assert_array_equal(stacked.data[:, 4], x.data)
 
     @pytest.mark.parametrize("window", [1, 3, 5])
     def test_window_stack_matches_loop_reference(self, window):
-        xp = rnd(2, 3, 7, 8, seed=30, dtype=np.float64)
-        stacked = window_stack(Tensor(xp), window)
-        np.testing.assert_array_equal(stacked.data, window_stack_reference(xp, window))
+        x = rnd(2, 3, 7, 8, seed=30, dtype=np.float64)
+        stacked = unfold_neighborhoods(Tensor(x), window)
+        np.testing.assert_array_equal(stacked.data, window_stack_reference(x, window))
+
+    @pytest.mark.parametrize("window", [1, 3, 5])
+    def test_window_stack_gradient_matches_loop_reference(self, window):
+        # small integer gradients keep every sum exact, so any order of adding them agrees
+        x = Tensor(rnd(2, 3, 4, 5, seed=31, dtype=np.float64), requires_grad=True)
+        g = np.random.default_rng(32).integers(-8, 9, size=(2, window * window, 3, 4, 5)).astype(np.float64)
+        (unfold_neighborhoods(x, window) * Tensor(g)).sum().backward()
+        np.testing.assert_array_equal(x.grad, window_stack_grad_reference(g, window))
+
+    @pytest.mark.parametrize("window", [0, 2, -1])
+    def test_window_stack_needs_an_odd_positive_window(self, window):
+        with pytest.raises(ConfigError, match="odd and positive"):
+            unfold_neighborhoods(Tensor(rnd(1, 1, 3, 3)), window)
