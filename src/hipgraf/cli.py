@@ -34,7 +34,7 @@ from .config import (
     run_config_to_items,
     train_config_from,
 )
-from .dataset import load_image, read_manifest
+from .dataset import check_image_size, load_image, read_manifest
 from .errors import ConfigError, DataError, FormatError, HipgrafError, NumericError
 from .experiments import ablation_csv, ablation_run, detect, score_detections
 from .metrics import MetricsReport, metrics_csv, write_overlay
@@ -59,11 +59,7 @@ def _add_config_options(parser: argparse.ArgumentParser, *classes) -> None:
 
 def _collect_config(args: argparse.Namespace) -> dict:
     file_values = parse_config_file(args.config) if args.config else {}
-    overrides = {}
-    for key in KEY_SPECS:
-        value = getattr(args, key.replace("-", "_"), None)
-        if value is not None:
-            overrides[key] = value
+    overrides = {key: getattr(args, key) for key in KEY_SPECS if getattr(args, key, None) is not None}
     return merge_run_config(file_values, overrides)
 
 
@@ -129,6 +125,8 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_eval(args: argparse.Namespace) -> int:
     model = ckpt.restore_model(ckpt.load_checkpoint(args.checkpoint))
     samples = read_manifest(args.data)
+    for s in samples:
+        check_image_size(s.image, model.config.backbone.input_size, f"sample {s.name}")
     coords, probs = detect(model, [s.image for s in samples])
     report = MetricsReport(variant=model.config.variant, aggregate=score_detections(samples, coords, probs))
     text = metrics_csv([report])
@@ -148,10 +146,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_infer(args: argparse.Namespace) -> int:
     model = ckpt.restore_model(ckpt.load_checkpoint(args.checkpoint))
-    image = load_image(args.image)
-    size = model.config.backbone.input_size
-    if image.shape != (size, size):
-        raise DataError(f"{args.image}: image shape {image.shape} does not match model input {size}x{size}")
+    image = check_image_size(load_image(args.image), model.config.backbone.input_size, args.image)
     (coords,), probs = detect(model, [image])
     prob = "" if probs is None else f"{probs[0]:.4f}"
     print(",".join(f"{v:.2f}" for v in coords.reshape(-1)) + f",{prob}")

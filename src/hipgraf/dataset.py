@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import os
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -106,9 +107,16 @@ def check_finite(images: np.ndarray, what: str) -> np.ndarray:
     return images
 
 
+def check_image_size(image: np.ndarray, size: int, what: str) -> np.ndarray:
+    """image, unless it is not ``size`` x ``size`` pixels: then a DataError naming ``what``."""
+    if image.shape != (size, size):
+        raise DataError(f"{what}: image shape {image.shape} does not match the model's input_size {size}x{size}")
+    return image
+
+
 def load_image(path: str | Path) -> np.ndarray:
     path = Path(path)
-    if not path.is_file():
+    if not os.path.isfile(path):  # unlike Path.is_file, False for a name too long for the file system
         raise DataError(f"image file not found: {path}")
     if path.suffix == ".pgm":
         return read_pgm(path)
@@ -127,7 +135,7 @@ def write_manifest(path: str | Path, rows: list[dict]) -> None:
 
 def read_manifest(path: str | Path, load_images: bool = True) -> list[ImageSample]:
     path = Path(path)
-    if not path.is_file():
+    if not os.path.isfile(path):
         raise DataError(f"manifest not found: {path}")
     base = path.parent
     samples: list[ImageSample] = []
@@ -142,9 +150,7 @@ def read_manifest(path: str | Path, load_images: bool = True) -> list[ImageSampl
         raise FormatError(f"{path}: manifest missing columns {missing}")
     for lineno, row in rows:
         try:
-            landmarks = np.array(
-                [[float(row[f"x{i}"]), float(row[f"y{i}"])] for i in range(1, 7)], dtype=np.float32
-            )
+            coords = np.array([[float(row[f"x{i}"]), float(row[f"y{i}"])] for i in range(1, 7)])
             label = int(row["label"])
             spacing = float(row["spacing_mm_px"])
             alpha = float(row["alpha_deg"])
@@ -154,7 +160,12 @@ def read_manifest(path: str | Path, load_images: bool = True) -> list[ImageSampl
             raise FormatError(f"{path}:{lineno}: malformed manifest row: {exc}") from exc
         if row["file"] is None:
             raise FormatError(f"{path}:{lineno}: malformed manifest row: it ends before the file column")
-        check_finite(landmarks, f"{path}:{lineno}: the landmark row")
+        check_finite(coords, f"{path}:{lineno}: the landmark row")
+        with np.errstate(over="ignore"):
+            landmarks = coords.astype(np.float32)
+        if not np.isfinite(landmarks).all():
+            bad = float(coords[~np.isfinite(landmarks)][0])
+            raise DataError(f"{path}:{lineno}: landmark coordinate {bad!r} is out of range (beyond float32's largest value)")
         if not math.isfinite(spacing):
             raise DataError(f"{path}:{lineno}: spacing_mm_px is non-finite ({spacing})")
         if spacing <= 0:

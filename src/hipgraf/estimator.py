@@ -17,7 +17,7 @@ import inspect
 
 import numpy as np
 
-from .config import default_run_config, model_config_from, train_config_from
+from .config import GeneratorConfig, default_run_config, model_config_from, train_config_from
 from .errors import ConfigError, ContractError
 from .experiments import detect
 from .metrics import mre
@@ -102,8 +102,8 @@ class HipLandmarkDetector:
 
     def _run_config(self) -> dict:
         values = default_run_config()
-        for name in self._param_names():
-            values[PARAM_ALIASES.get(name, name)] = getattr(self, name)
+        for name, value in self.get_params().items():  # a numpy scalar, as searches pass, enters as the number it holds
+            values[PARAM_ALIASES.get(name, name)] = value.item() if isinstance(value, np.generic) else value
         return values
 
     # -- estimator API -----------------------------------------------------------
@@ -112,6 +112,7 @@ class HipLandmarkDetector:
         values = self._run_config()
         model_cfg = model_config_from(values)
         train_cfg = train_config_from(values)
+        GeneratorConfig(spacing=self.spacing).validate()  # spacing is a generator key: its domain is declared there
         images = check_image_batch(X, input_size=self.input_size)
         landmarks, labels = check_fit_targets(y, images.shape[0], self.input_size, require_labels=model_cfg.uses_tgcn)
         samples = build_samples(images, landmarks, labels, self.spacing)
@@ -143,6 +144,7 @@ class HipLandmarkDetector:
     def score(self, X, y) -> float:
         """Negative mean radial error in millimetres (higher is better)."""
         self._check_fitted()
+        GeneratorConfig(spacing=self.spacing).validate()
         images = check_image_batch(X, input_size=self.input_size)
         landmarks, _ = check_fit_targets(y, images.shape[0], self.input_size, require_labels=False)
         pred = self.predict(images).reshape(len(images), 6, 2)

@@ -20,7 +20,7 @@ from .autodiff.ops import _sigmoid
 from .config import EvalConfig, ModelConfig, TrainConfig
 from .dataset import ImageSample
 from .errors import ConfigError
-from .metrics import FoldMetrics, MetricsReport, decode_landmarks, metrics_csv, mre, radial_errors_mm, sdr
+from .metrics import FoldMetrics, MetricsReport, decode_landmarks, metrics_csv, radial_errors_mm, sdr
 from .nets.model import LandmarkNet, build_model
 from .training import train
 
@@ -83,14 +83,14 @@ def detect(model: LandmarkNet, images: Sequence[np.ndarray], batch_size: int = 8
 
 def score_detections(samples: list[ImageSample], coords: list[np.ndarray], probs: list[float] | None, fold: str = "all") -> FoldMetrics:
     """MRE, SDR and (when ``probs`` is given) accuracy of ``detect``'s results."""
-    mres = np.asarray([mre(c, s.landmarks, s.spacing) for c, s in zip(coords, samples)])
-    distances = [d for c, s in zip(coords, samples) for d in radial_errors_mm(c, s.landmarks, s.spacing).tolist()]
+    errors = [radial_errors_mm(c, s.landmarks, s.spacing) for c, s in zip(coords, samples)]
+    mres = np.asarray([float(e.mean()) for e in errors])
     acc = None if probs is None else float(np.mean([(p >= 0.5) == bool(s.label) for p, s in zip(probs, samples)]))
     return FoldMetrics(
         fold=fold,
         mre_mm=float(mres.mean()),
         mre_sd=float(mres.std()),
-        sdr=tuple(sdr(distances)),
+        sdr=tuple(sdr(errors)),
         acc=acc,
         n=len(samples),
     )

@@ -24,7 +24,8 @@ import numpy as np
 from ..autodiff import Module, Tensor, concat, conv2d, glorot_uniform, unfold_neighborhoods
 from ..autodiff.ops import softmax_array, softmax_backward
 from ..autodiff.tensor import _accumulate, make_op
-from ..errors import ConfigError, DimensionError
+from ..config import FusionConfig
+from ..errors import DimensionError
 
 
 def _weights(neighbors: np.ndarray, guide: np.ndarray) -> np.ndarray:
@@ -67,10 +68,7 @@ class MutualModulationFusion(Module):
     """The two modulation routes plus the channel combine and 1x1 projection."""
 
     def __init__(self, rng: np.random.Generator, channels: int, window: int = 3, mode: str = "concat"):
-        if window % 2 == 0 or window < 1:
-            raise ConfigError(f"fusion window must be odd and positive, got {window}")
-        if mode not in ("concat", "add"):
-            raise ConfigError(f"unknown fusion mode {mode!r}")
+        FusionConfig(window=window, mode=mode).validate()
         self.window = window
         self.mode = mode
         in_channels = 2 * channels if mode == "concat" else channels

@@ -19,7 +19,7 @@ import numpy as np
 
 from .autodiff import Tensor, bce_loss, mse_loss
 from .config import TrainConfig
-from .dataset import ImageSample
+from .dataset import ImageSample, check_image_size
 from .errors import ConfigError, DataError, NumericError
 from .nets.model import LandmarkNet, ModelOutput
 
@@ -196,10 +196,8 @@ def train(samples: list[ImageSample], model: LandmarkNet, cfg: TrainConfig, log_
     cfg.validate()
     if not samples:
         raise ConfigError("training needs a non-empty dataset")
-    size = model.config.backbone.input_size
     for s in samples:
-        if s.image.shape != (size, size):
-            raise DataError(f"sample {s.name}: image shape {s.image.shape} does not match input_size {size}")
+        check_image_size(s.image, model.config.backbone.input_size, f"sample {s.name}")
     optimizer = Adam(model.parameters(), lr=cfg.lr)
     result = TrainResult(model=model, optimizer=optimizer)
     log_fh = open(log_path, "w") if log_path is not None else None

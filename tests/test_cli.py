@@ -520,6 +520,44 @@ class TestNonFiniteManifestRow:
         assert not out.exists() and not (tmp_path / "model.ckpt.losses.csv").exists()
 
 
+class TestImageOfTheWrongSize:
+    """An image whose size is not the model's input_size is refused by every command: exit 3 naming it."""
+
+    def run(self, argv, named, capsys):
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "error: data:" in err and named in err and "does not match the model's input_size 32x32" in err
+        assert "Traceback" not in err
+
+    @pytest.fixture
+    def one_large_image(self, workspace, tmp_path):
+        data = tmp_path / "data"
+        shutil.copytree(workspace / "data", data)
+        (data / "sample_0001.tgt").write_bytes(dumps({"image": np.full((64, 64), 0.5, dtype=np.float32)}))
+        return data
+
+    def test_eval_on_a_dataset_of_another_size(self, workspace, tmp_path, capsys):
+        data = tmp_path / "data64"
+        assert main(["generate", "--out", str(data), "--n_samples", "2", "--seed", "5", "--input_size", "64"]) == 0
+        argv = ["eval", "--checkpoint", str(workspace / "model.ckpt"), "--data", str(data / "manifest.csv")]
+        self.run(argv, "sample sample_0000.tgt: image shape (64, 64)", capsys)
+
+    def test_eval(self, workspace, one_large_image, capsys):
+        argv = ["eval", "--checkpoint", str(workspace / "model.ckpt"), "--data", str(one_large_image / "manifest.csv")]
+        self.run(argv, "sample sample_0001.tgt: image shape (64, 64)", capsys)
+
+    def test_train(self, one_large_image, tmp_path, capsys):
+        out = tmp_path / "model.ckpt"
+        argv = ["train", "--data", str(one_large_image / "manifest.csv"), "--out", str(out), "--seed", "5", *TOY_ARGS]
+        self.run(argv, "sample sample_0001.tgt: image shape (64, 64)", capsys)
+        assert not out.exists()
+
+    def test_infer(self, workspace, one_large_image, capsys):
+        image = one_large_image / "sample_0001.tgt"
+        self.run(["infer", "--checkpoint", str(workspace / "model.ckpt"), "--image", str(image)], f"{image}: image shape (64, 64)", capsys)
+
+
 class TestRunConfigValidation:
     """A value no run can use is refused before any work: exit 2 naming the key, never a traceback."""
 

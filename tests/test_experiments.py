@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from hipgraf import experiments, metrics
 from hipgraf.autodiff import no_grad
 from hipgraf.config import EvalConfig, ModelConfig, TrainConfig
 from hipgraf.errors import ConfigError
@@ -128,6 +129,16 @@ class TestEvaluateModel:
             n=len(samples),
         )
         assert evaluate_model(model, samples, fold="x", batch_size=3) == expected
+
+    def test_one_radial_error_pass_per_sample(self, monkeypatch):
+        samples = make_samples(5, size=32, seed=27)
+        model = build_model(tiny_cfgs(variant="full")[0], seed=3)
+        calls = []
+        counted = lambda *args: calls.append(args) or radial_errors_mm(*args)  # noqa: E731
+        monkeypatch.setattr(experiments, "radial_errors_mm", counted)
+        monkeypatch.setattr(metrics, "radial_errors_mm", counted)  # what mre calls
+        evaluate_model(model, samples)
+        assert len(calls) == len(samples)
 
 
 # detect() of the default model (seed 0) on the 8 phantoms of TestDetectReference,

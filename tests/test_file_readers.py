@@ -8,7 +8,9 @@ one-line message. Anything else (``ValueError``, ``OSError``,
 ``UnicodeDecodeError``, ...) fails the test.
 """
 
+import re
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -174,6 +176,11 @@ def test_a_row_naming_a_directory_is_refused(manifest_dir):
         read_manifest(write_rows(manifest_dir, MANIFEST_COLUMNS, ["", *GOOD_ROW[1:]]))
 
 
+def test_a_row_naming_a_file_too_long_for_the_file_system_is_refused(manifest_dir):
+    with pytest.raises(DataError, match="image file not found"):
+        read_manifest(write_rows(manifest_dir, MANIFEST_COLUMNS, ["9" * 5000, *GOOD_ROW[1:]]))
+
+
 def test_a_row_ending_before_the_file_column_is_refused(manifest_dir):
     # file moved to the last column, and the row stops one cell short of it
     with pytest.raises(FormatError, match=":2: .*ends before the file column"):
@@ -184,6 +191,30 @@ def test_a_bad_row_is_named_by_its_line_in_the_file(manifest_dir):
     path = write_rows(manifest_dir, MANIFEST_COLUMNS, GOOD_ROW, [], [], [*GOOD_ROW[:-1], "-1"])
     with pytest.raises(DataError, match=r"manifest\.csv:5: spacing_mm_px must be positive"):
         read_manifest(path)
+
+
+@pytest.mark.parametrize("value", ["1e39", "-3.5e38", "1e308"])
+def test_a_coordinate_beyond_float32_is_refused_as_out_of_range(manifest_dir, value):
+    row = list(GOOD_ROW)
+    row[MANIFEST_COLUMNS.index("y4")] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError, match=rf"manifest\.csv:2: landmark coordinate {re.escape(repr(float(value)))} is out of range"):
+            read_manifest(write_rows(manifest_dir, MANIFEST_COLUMNS, row))
+
+
+FLOAT32_MAX = float(np.finfo(np.float32).max)
+
+
+@given(coords=st.lists(st.floats(-FLOAT32_MAX, FLOAT32_MAX), min_size=12, max_size=12))
+@settings(max_examples=100, deadline=None)
+def test_landmarks_are_the_float32_values_of_the_cells(manifest_dir, coords):
+    row = [repr(v) for v in coords] + GOOD_ROW[13:]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        (sample,) = read_manifest(write_rows(manifest_dir, MANIFEST_COLUMNS, ["sample.tgt", *row]))
+    assert sample.landmarks.dtype == np.float32
+    assert sample.landmarks.tobytes() == np.array(coords, dtype=np.float32).reshape(6, 2).tobytes()
 
 
 # -- checkpoints ------------------------------------------------------------------
