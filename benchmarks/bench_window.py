@@ -13,7 +13,10 @@ weight: the TGCN's (n,6,1024) @ (1024,1024) and a transformer MLP's
 with a fixed upstream gradient, so tape bookkeeping outside the op is not
 included. Every forward is also timed tape-free (inside ``no_grad``) at
 batch 8, the batch ``evaluate_model`` runs; there conv2d reuses one patch
-buffer for every sample.
+tile buffer for every sample. Each conv case also runs once under
+``tracemalloc`` before it is timed and records the peak traced memory of
+that call, output and gradients included, as ``peak_mb`` in the case's
+``extra_info`` (``--benchmark-json`` writes it out).
 
 Run from the repository root (pytest-benchmark prints min/median/max per
 case; pin BLAS to one thread for numbers comparable with ``perfbench``):
@@ -23,6 +26,8 @@ case; pin BLAS to one thread for numbers comparable with ``perfbench``):
 
 The file lives outside ``tests/``, so the tier-1 run never collects it.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -142,6 +147,23 @@ def _run_backward(op, *inputs):
     return backward
 
 
+def _peak_mb(fn):
+    """MB of the peak traced memory above the start of one call of fn."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn()
+        return (tracemalloc.get_traced_memory()[1] - before) / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+def _timed_with_peak(benchmark, fn):
+    benchmark.extra_info["peak_mb"] = _peak_mb(fn)
+    benchmark(fn)
+
+
 def _id(shape):
     return "x".join(str(v) for v in shape)
 
@@ -149,19 +171,19 @@ def _id(shape):
 @pytest.mark.parametrize("shape", CONV_SHAPES, ids=_id)
 def test_conv2d_forward(benchmark, shape):
     _, _, op = _conv(shape)
-    benchmark(op)
+    _timed_with_peak(benchmark, op)
 
 
 @pytest.mark.parametrize("shape", CONV_SHAPES, ids=_id)
 def test_conv2d_forward_no_grad_batch8(benchmark, shape):
     _, _, op = _conv(shape, batch=EVAL_BATCH)
-    benchmark(_no_grad(op))
+    _timed_with_peak(benchmark, _no_grad(op))
 
 
 @pytest.mark.parametrize("shape", CONV_SHAPES, ids=_id)
 def test_conv2d_backward(benchmark, shape):
     x, w, op = _conv(shape)
-    benchmark(_run_backward(op, x, w))
+    _timed_with_peak(benchmark, _run_backward(op, x, w))
 
 
 @pytest.mark.parametrize("shape", TCONV_SHAPES, ids=_id)

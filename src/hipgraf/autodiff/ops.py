@@ -1,27 +1,32 @@
 """Differentiable network operations built on the tensor tape.
 
-Spatial tensors are (batch, channels, height, width) throughout. Every
-sliding-window op (conv2d, transpose_conv2d, maxpool2d and the fusion
-module's neighborhood stack) moves data through one helper, ``_windows``,
-which yields the kh*kw strided (n, c, oh, ow) views of an array, one per
-kernel offset. Convolutions keep their patch matrix channel-major,
-(n, c*kh*kw, oh*ow), so both passes are plain BLAS products: ``W @ cols`` is
-already (n, c_out, oh*ow) and reshapes to the output with no transpose copy.
-conv2d's forward (``_correlate``) gathers (``_gather``) and multiplies one
-sample at a time into a preallocated output, through one reused
-(1, c, kh, kw, oh, ow) slot whether or not it records a tape, so the working
-set does not grow with the batch. It keeps no patch matrix for backward,
-which gathers each sample's patches again from the input into one slot for
-the weight gradient (recompute instead of store, as in Chen et al. 2016,
-"Training Deep Nets with Sublinear Memory Cost"). Its input gradient runs
-through the same ``_correlate``: it is the correlation of the upstream
-gradient, dilated by the stride and padded by the kernel size less one, with
-the flipped, channel-swapped kernels (Dumoulin & Visin 2016, "A guide to
-convolution arithmetic for deep learning"), so no read-modify-write scatter
-is needed. maxpool2d folds its window views with ``np.maximum`` and its
-backward compares the same views with the output, keeping nothing the tape
-does not already hold, and unfold_neighborhoods keeps no edge-padded copy:
-its backward scatters into a zeroed padded buffer and folds the border back.
+Spatial tensors are (batch, channels, height, width) throughout. The
+sliding-window ops (transpose_conv2d, maxpool2d and the fusion module's
+neighborhood stack) move data through ``_windows``, which yields the kh*kw
+strided (n, c, oh, ow) views of an array, one per kernel offset; conv2d's
+patches come from ``_gather``, which copies the same views' in-bounds parts
+and writes the zero border in place of a padded copy of the input.
+Convolutions keep their patch matrix channel-major, (c*kh*kw, pixels), so
+both passes are plain BLAS products: ``W @ cols`` is already (c_out, pixels)
+and lands in the output with no transpose copy. conv2d never builds a whole
+sample's patch matrix (9.4 MB for a 16-channel 128 px map, beyond a 2 MiB
+L2): ``_tiles`` gathers one sample's patches for a band of output rows at a
+time into one reused buffer of about ``TILE_BYTES`` (half the L2), and
+each pass consumes a tile before the next is drawn, whether or not it
+records a tape, so the working set grows with neither the batch nor the
+image. The forward (``_correlate``) multiplies each tile into its columns of
+a preallocated output. It keeps no patch matrix for backward, which gathers
+the tiles again from the input for the weight gradient and sums their
+products (recompute instead of store, as in Chen et al. 2016, "Training Deep
+Nets with Sublinear Memory Cost"). Its input gradient runs through the same
+``_correlate``: it is the correlation of the upstream gradient, dilated by
+the stride and padded by the kernel size less one, with the flipped,
+channel-swapped kernels (Dumoulin & Visin 2016, "A guide to convolution
+arithmetic for deep learning"), so no read-modify-write scatter is needed.
+maxpool2d folds its window views with ``np.maximum`` and its backward
+compares the same views with the output, keeping nothing the tape does not
+already hold, and unfold_neighborhoods keeps no edge-padded copy: its
+backward scatters into a zeroed padded buffer and folds the border back.
 conv2d and transpose_conv2d add their bias in place on the output they
 allocated, so a biased conv is one tape node.
 
@@ -63,65 +68,120 @@ def _windows(x: np.ndarray, kh: int, kw: int, stride: int, oh: int, ow: int):
             yield u, v, x[:, :, u : u + stride * oh : stride, v : v + stride * ow : stride]
 
 
-def _gather(x: np.ndarray, slots: np.ndarray, stride: int) -> np.ndarray:
-    """Copy every window view of x into ``slots[:, :, u, v]``; slots is (n,c,kh,kw,oh,ow)."""
-    _, _, kh, kw, oh, ow = slots.shape
-    for u, v, view in _windows(x, kh, kw, stride, oh, ow):
-        slots[:, :, u, v] = view
+def _span(tap: int, stride: int, padding: int, size: int, start: int, count: int) -> tuple[int, int, slice]:
+    """Where kernel offset tap reads an axis of length size, zero-padded by padding, for positions start .. start+count.
+
+    Returns [lo, hi), counted from start, of the positions that read inside
+    the unpadded axis, and the slice of the axis they read.
+    """
+    lo = min(max(-((tap - padding) // stride) - start, 0), count)  # ceil((padding - tap) / stride)
+    hi = max(min((size - 1 + padding - tap) // stride + 1 - start, count), lo)
+    first = (start + lo) * stride + tap - padding
+    return lo, hi, slice(first, first + stride * (hi - lo), stride)
+
+
+def _gather(x: np.ndarray, slots: np.ndarray, stride: int, padding: int = 0, r0: int = 0) -> np.ndarray:
+    """Fill ``slots[:, :, u, v]`` with the (u,v) window view of x zero-padded by padding, for output rows r0 on.
+
+    slots is (n,c,kh,kw,r,ow). Only the in-bounds part of each view is copied
+    from x; the rows and columns the view would read from the padding are
+    written as zeros, so no padded copy of x is made.
+    """
+    _, _, kh, kw, r, ow = slots.shape
+    h, w = x.shape[2:]
+    for u in range(kh):
+        top, bottom, rows = _span(u, stride, padding, h, r0, r)
+        for v in range(kw):
+            left, right, cols = _span(v, stride, padding, w, 0, ow)
+            slot = slots[:, :, u, v]
+            if top:
+                slot[:, :, :top] = 0
+            if bottom < r:
+                slot[:, :, bottom:] = 0
+            if left:
+                slot[:, :, top:bottom, :left] = 0
+            if right < ow:
+                slot[:, :, top:bottom, right:] = 0
+            if top < bottom and left < right:
+                slot[:, :, top:bottom, left:right] = x[:, :, rows, cols]
     return slots
 
 
 def _scatter(slots: np.ndarray, out: np.ndarray, stride: int) -> np.ndarray:
-    """Adjoint of _gather: add ``slots[:, :, u, v]`` onto every window view of out."""
+    """Adjoint of _gather with no padding: add ``slots[:, :, u, v]`` onto every window view of out."""
     _, _, kh, kw, oh, ow = slots.shape
     for u, v, view in _windows(out, kh, kw, stride, oh, ow):
         view += slots[:, :, u, v]
     return out
 
 
-def _batched_outer(a: np.ndarray, bs) -> np.ndarray:
-    """Sum over the batch of a[i] @ b[i].T for (n,p,L) a and the n (q,L) matrices b[i] of bs.
+def _outer_sum(pairs) -> np.ndarray:
+    """Sum of a @ b.T over an iterator of (a, b) pairs, for (p,L) a and (q,L) b with any L.
 
-    Each b[i] is used before the next is drawn, so bs may be a generator that
-    refills one buffer. Computed as the transpose of the sum of b[i] @ a[i].T:
-    with a long L and the wider patch operand b on the left, OpenBLAS runs up
-    to twice as fast.
+    Each b is used before the next pair is drawn, so pairs may come from a
+    generator that refills one buffer; the loop runs it to its end, so that
+    buffer is freed before this returns. Computed as the transpose of the sum
+    of b @ a.T: with a long L and the wider patch operand b on the left,
+    OpenBLAS runs up to twice as fast.
     """
-    pairs = zip(a, bs)
-    ai, bi = next(pairs)
-    out = bi @ ai.T
-    for ai, bi in pairs:
-        out += bi @ ai.T
+    a, b = next(pairs)
+    out = b @ a.T
+    for a, b in pairs:
+        out += b @ a.T
     return out.T
 
 
-def _pad(x: np.ndarray, padding: int) -> np.ndarray:
-    return np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding))) if padding else x
+# Bytes of one conv patch tile: half the 2 MiB L2, so the tile and the GEMM's
+# packed operands stay in cache between the gather and the product
+TILE_BYTES = 1 << 20
 
 
-def _patches(xp: np.ndarray, kh: int, kw: int, stride: int, oh: int, ow: int):
-    """Each sample's (c*kh*kw, oh*ow) patch matrix of xp in turn, gathered into one reused slot."""
-    n, c = xp.shape[:2]
-    slot = np.empty((1, c, kh, kw, oh, ow), dtype=xp.dtype)
-    for i in range(n):
-        yield _gather(xp[i : i + 1], slot, stride).reshape(c * kh * kw, oh * ow)
+def _tiles(x: np.ndarray, kh: int, kw: int, stride: int, padding: int, oh: int, ow: int):
+    """Yield (i, r0, r, cols): sample i's (c*kh*kw, r*ow) patches of x, zero-padded by padding,
+    for output rows r0 .. r0+r, gathered into one reused buffer.
 
-
-def _correlate(xp: np.ndarray, w_mat: np.ndarray, kh: int, kw: int, stride: int, oh: int, ow: int) -> np.ndarray:
-    """(n, rows, oh, ow) product of w_mat, (rows, c*kh*kw), with every sample's patches of xp.
-
-    A 1x1 stride-1 window over every pixel is the input itself, so that case
-    is one batched product; otherwise each sample is gathered and multiplied
-    into the preallocated output in turn.
+    A tile holds at most R = TILE_BYTES // (c*kh*kw*ow*itemsize) output
+    rows, and at least one, so a small map is one tile per sample and the
+    buffer exceeds TILE_BYTES only when a single output row's patches do.
+    The ceil(oh / R) tiles of a sample are as equal in height as they can
+    be, so no thin last tile runs a narrow product.
     """
-    n, c = xp.shape[:2]
+    n, c = x.shape[:2]
+    k = c * kh * kw
+    count = -(-oh // max(1, TILE_BYTES // (k * ow * x.itemsize)))
+    rows = -(-oh // count)
+    buffer = np.empty(k * rows * ow, dtype=x.dtype)
+    for i in range(n):
+        for r0 in range(0, oh, rows):
+            r = min(rows, oh - r0)
+            slots = buffer[: k * r * ow].reshape(1, c, kh, kw, r, ow)
+            yield i, r0, r, _gather(x[i : i + 1], slots, stride, padding, r0).reshape(k, r * ow)
+
+
+def _correlate(x: np.ndarray, w_mat: np.ndarray, kh: int, kw: int, stride: int, padding: int, oh: int, ow: int) -> np.ndarray:
+    """(n, rows, oh, ow) product of w_mat, (rows, c*kh*kw), with every sample's patches of x zero-padded by padding.
+
+    A 1x1 stride-1 unpadded window over every pixel is the input itself, so
+    that case is one batched product. Otherwise each row tile of ``_tiles`` is
+    multiplied into its columns of the preallocated output in turn: the patch
+    working set is one L2-sized buffer rather than a whole sample's patch
+    matrix (9.4 MB for a 16-channel 128 px map), as in the output-row
+    blocking of Georganas et al. 2018, "Anatomy of High-Performance Deep
+    Learning Convolutions on SIMD Architectures", and the partial im2col of
+    Anderson et al. 2017, "Low-memory GEMM-based convolution algorithms for
+    deep neural networks". Each output element is still one dot product over
+    the same c*kh*kw terms: the model's float32 convs keep their untiled
+    bits, though BLAS may pick another kernel, and so another summation
+    order, for a narrower product (float64 does on small maps).
+    """
+    n, c = x.shape[:2]
     rows, pixels = w_mat.shape[0], oh * ow
-    if kh == kw == stride == 1:
-        return (w_mat @ xp.reshape(n, c, pixels)).reshape(n, rows, oh, ow)
-    out = np.empty((n, rows, oh, ow), dtype=np.result_type(w_mat, xp))
+    if kh == kw == stride == 1 and not padding:
+        return (w_mat @ x.reshape(n, c, pixels)).reshape(n, rows, oh, ow)
+    out = np.empty((n, rows, oh, ow), dtype=np.result_type(w_mat, x))
     flat = out.reshape(n, rows, pixels)
-    for i, cols in enumerate(_patches(xp, kh, kw, stride, oh, ow)):
-        np.matmul(w_mat, cols, out=flat[i])
+    for i, r0, r, cols in _tiles(x, kh, kw, stride, padding, oh, ow):
+        np.matmul(w_mat, cols, out=flat[i, :, r0 * ow : (r0 + r) * ow])
     return out
 
 
@@ -138,13 +198,16 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, stride: int = 
         raise DimensionError(f"conv2d kernel {weight.shape} larger than padded input ({n},{c},{hp},{wp})")
     oh = (hp - kh) // stride + 1
     ow = (wp - kw) // stride + 1
-    data = _add_bias(_correlate(_pad(x.data, padding), weight.data.reshape(co, ci * kh * kw), kh, kw, stride, oh, ow), bias)
+    data = _add_bias(_correlate(x.data, weight.data.reshape(co, ci * kh * kw), kh, kw, stride, padding, oh, ow), bias)
 
     def backward(g: np.ndarray) -> None:
         if weight.requires_grad:
-            xp = _pad(x.data, padding)
-            cols = xp.reshape(n, ci, oh * ow) if kh == kw == stride == 1 else _patches(xp, kh, kw, stride, oh, ow)
-            _accumulate(weight, _batched_outer(g.reshape(n, co, oh * ow), cols).reshape(weight.shape))
+            gf = g.reshape(n, co, oh * ow)
+            if kh == kw == stride == 1 and not padding:
+                pairs = zip(gf, x.data.reshape(n, ci, oh * ow))
+            else:
+                pairs = ((gf[i, :, r0 * ow : (r0 + r) * ow], cols) for i, r0, r, cols in _tiles(x.data, kh, kw, stride, padding, oh, ow))
+            _accumulate(weight, _outer_sum(pairs).reshape(weight.shape))
         if x.requires_grad:
             # correlate g, dilated by the stride and padded by the kernel less
             # one, with the flipped, channel-swapped kernels; only the rows and
@@ -153,7 +216,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, stride: int = 
             gd[:, :, kh - 1 :: stride, kw - 1 :: stride][:, :, :oh, :ow] = g
             gd = gd[:, :, padding : padding + h + kh - 1, padding : padding + w + kw - 1]
             w_flip = weight.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(ci, co * kh * kw)
-            _accumulate(x, _correlate(gd, w_flip, kh, kw, 1, h, w))
+            _accumulate(x, _correlate(gd, w_flip, kh, kw, 1, 0, h, w))
         _bias_grad(bias, g)
 
     return make_op(data, _parents(x, weight, bias), backward)
@@ -182,7 +245,7 @@ def transpose_conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, stri
     def backward(g: np.ndarray) -> None:
         g_cols = _gather(g, np.empty((n, co, kh, kw, h, w), dtype=g.dtype), stride).reshape(n, co * kh * kw, h * w)
         if weight.requires_grad:
-            _accumulate(weight, _batched_outer(x_mat, g_cols).reshape(weight.shape))
+            _accumulate(weight, _outer_sum(zip(x_mat, g_cols)).reshape(weight.shape))
         if x.requires_grad:
             _accumulate(x, (w_mat @ g_cols).reshape(n, ci, h, w))
         _bias_grad(bias, g)

@@ -130,7 +130,7 @@ class BackboneConfig(_Domains):
 
     @property
     def upscale(self) -> int:
-        return self.input_size // self.feature_size
+        return int(self.input_size) // int(self.feature_size)
 
 
 @dataclass

@@ -83,18 +83,20 @@ class LandmarkNet(Module):
         bb = config.backbone
         self.unet = UNetBranch(bb, rng)
         self.transformer = TransformerBranch(bb, rng)
+        # Python ints, which cannot wrap as numpy ints can
+        channels, feature, window = int(bb.channels), int(bb.feature_size), int(config.fusion.window)
         if config.uses_mmf:
-            self.fusion = MutualModulationFusion(rng, bb.channels, window=config.fusion.window, mode=config.fusion.mode)
+            self.fusion = MutualModulationFusion(rng, channels, window=window, mode=config.fusion.mode)
         else:
-            self.fusion = ConcatFusion(rng, bb.channels)
-        self.head = HeatmapHead(rng, bb.channels)
+            self.fusion = ConcatFusion(rng, channels)
+        self.head = HeatmapHead(rng, channels)
         self.refiner = None
         if config.uses_tgcn:
             self.refiner = TopologicalRefiner(
                 rng,
-                feature_hw=(bb.feature_size, bb.feature_size),
-                layers=config.graph.layers,
-                hidden=config.graph.hidden,
+                feature_hw=(feature, feature),
+                layers=int(config.graph.layers),
+                hidden=int(config.graph.hidden),
             )
 
     @property

@@ -136,9 +136,8 @@ class TransformerBranch(Module):
     def __init__(self, config: BackboneConfig, rng: np.random.Generator):
         config.validate()
         self.config = config
-        p = config.patch_size
-        dim = config.token_dim
-        grid = config.input_size // p
+        p, dim, channels, f = map(int, (config.patch_size, config.token_dim, config.channels, config.feature_size))  # Python ints, which cannot wrap
+        grid = int(config.input_size) // p
         self.grid = grid
         self.embed_w = glorot_uniform(rng, (p * p, dim), p * p, dim)
         self.embed_b = zeros_param((dim,))
@@ -147,29 +146,28 @@ class TransformerBranch(Module):
         # vanish under the attention layer norms
         self.pos_embedding = zeros_param((grid * grid, dim))
         self.pos_embedding.data += (POS_EMBEDDING_GAIN * sincos_position_grid(grid, dim)).astype(self.pos_embedding.data.dtype)
-        self.layers = [EncoderLayer(rng, dim, config.heads) for _ in range(config.transformer_layers)]
+        self.layers = [EncoderLayer(rng, dim, int(config.heads)) for _ in range(int(config.transformer_layers))]
         ups = []
         size = grid
         current = dim
-        while size < config.feature_size:
-            target = config.channels if size * 2 == config.feature_size else dim
+        while size < f:
+            target = channels if size * 2 == f else dim
             ups.append(Upsample2x(rng, current, target))
             current = target
             size *= 2
         self.ups = ups
         self.project = None
-        if grid == config.feature_size:
-            self.project = _Project1x1(rng, dim, config.channels)
+        if grid == f:
+            self.project = _Project1x1(rng, dim, channels)
         # learnable positional bias on the branch output, sin/cos initialized
         # at feature resolution: downstream 1x1 readouts can synthesize
         # location-specific responses without relying on what survives of the
         # token-level codes through attention and upsampling. Kept an order
         # of magnitude below the content scale so it biases rather than
         # dominates the fused features.
-        f = config.feature_size
         # the parameter before its table, so restore_model's shape check runs before any allocation
-        self.output_pos = zeros_param((config.channels, f, f))
-        table = sincos_position_grid(f, config.channels).T.reshape(config.channels, f, f)
+        self.output_pos = zeros_param((channels, f, f))
+        table = sincos_position_grid(f, channels).T.reshape(channels, f, f)
         self.output_pos.data += (OUTPUT_POS_GAIN * table).astype(self.output_pos.data.dtype)
 
     def embed(self, image: Tensor) -> Tensor:

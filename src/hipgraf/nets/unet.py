@@ -55,16 +55,15 @@ class UNetBranch(Module):
     def __init__(self, config: BackboneConfig, rng: np.random.Generator):
         config.validate()
         self.config = config
-        depth = config.unet_depth
+        depth, out_channels = int(config.unet_depth), int(config.channels)  # Python ints, which cannot wrap
         n_up = depth - (config.upscale.bit_length() - 1)
-        base = (config.channels >> (depth - n_up)) * WIDTH_MULT
+        base = (out_channels >> (depth - n_up)) * WIDTH_MULT
         self.n_up = n_up
         enc_channels = [base << i for i in range(depth)]
         self.encoders = [
             ConvBlock(rng, 1 if i == 0 else enc_channels[i - 1], enc_channels[i]) for i in range(depth)
         ]
         bottleneck_channels = base << depth
-        out_channels = config.channels
         if n_up == 0:
             bottleneck_channels = out_channels
         self.bottleneck = ConvBlock(rng, enc_channels[-1], bottleneck_channels)

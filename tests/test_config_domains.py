@@ -26,6 +26,7 @@ from hipgraf.config import (
 )
 from hipgraf.errors import ConfigError
 from hipgraf.estimator import PARAM_ALIASES, HipLandmarkDetector
+from hipgraf.nets.model import build_model
 
 from test_estimator import dataset_arrays, toy_params
 
@@ -143,6 +144,23 @@ def test_a_dataclass_validates_its_own_fields():
         TrainConfig(lr="0.1").validate()
     with pytest.raises(ConfigError, match="^mmf_window must be an integer >= 1, got 3.0$"):
         ModelConfig(fusion=FusionConfig(window=3.0)).validate()
+
+
+TOY_SIZES = dict(input_size=32, feature_size=8, channels=8, unet_depth=2, patch_size=8, token_dim=8, transformer_layers=1, heads=2,
+                 gcn_layers=1, gcn_hidden=8, mmf_window=3)
+
+
+@pytest.mark.parametrize("kind", [np.int64, np.int32, np.uint8])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_numpy_int_sizes_build_the_parameters_of_python_ints(kind, variant):
+    # the nets read every size as a Python int once, so neither .bit_length() nor a
+    # wrapping uint8 product (the TGCN's 32 * 32 feature pixels) can tell the two apart
+    python = dict(build_model(model_config_from({**default_run_config(), **TOY_SIZES, "variant": variant})).named_parameters())
+    sizes = {key: kind(value) for key, value in TOY_SIZES.items()}
+    numpy = dict(build_model(model_config_from({**default_run_config(), **sizes, "variant": variant})).named_parameters())
+    assert numpy.keys() == python.keys()
+    for name, param in python.items():
+        assert numpy[name].shape == param.shape and numpy[name].data.tobytes() == param.data.tobytes(), name
 
 
 # -- the estimator ------------------------------------------------------------------

@@ -30,6 +30,7 @@ from hipgraf.autodiff import (
     transpose_conv2d,
     unfold_neighborhoods,
 )
+from hipgraf.autodiff import ops
 from hipgraf.errors import ConfigError, ContractError, DimensionError
 from hipgraf.nets.graph import build_node_features
 from hipgraf.nets.model import build_model
@@ -336,6 +337,61 @@ class TestConv2d:
         assert all(a.size != patch_bytes // x.data.itemsize for a in held)
         owners = {id(x.data), id(w.data), id(out.data)}
         assert all(id(a if a.base is None else a.base) in owners for a in held)
+
+    @pytest.mark.parametrize("rows", [1, 2, 4])
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    @pytest.mark.parametrize("padding", [0, 1, 2])
+    def test_row_tiles_match_one_tile(self, monkeypatch, rows, stride, padding):
+        # the default tile holds these maps whole; a smaller one cuts them into
+        # bands of at most `rows` output rows, the last one shorter when their
+        # count does not divide oh
+        n, ci, co, kh, kw, h, wd = 2, 3, 4, 3, 2, 17, 11
+        oh, ow = (h + 2 * padding - kh) // stride + 1, (wd + 2 * padding - kw) // stride + 1
+        rng = np.random.default_rng(rows * 100 + stride * 10 + padding)
+        x, w = rng.standard_normal((n, ci, h, wd)), rng.standard_normal((co, ci, kh, kw))
+        x32, w32 = Tensor(x.astype(np.float32)), Tensor(w.astype(np.float32))
+        whole = conv2d(x32, w32, stride=stride, padding=padding).data
+        monkeypatch.setattr(ops, "TILE_BYTES", rows * ci * kh * kw * ow * 8)
+        tiles = [(i, r0, r) for i, r0, r, _ in ops._tiles(x, kh, kw, stride, padding, oh, ow)]
+        count, height = -(-oh // rows), max(r for _, _, r in tiles)
+        assert height <= rows and tiles == [(i, r0, min(height, oh - r0)) for i in range(n) for r0 in range(0, oh, height)]
+        assert len(tiles) == n * count
+        # the model's float32 forward keeps its bits; float64 BLAS may pick another
+        # kernel for a narrower product, so it is held to the reference instead
+        assert conv2d(x32, w32, stride=stride, padding=padding).data.tobytes() == whole.tobytes()
+        xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
+        out = conv2d(xt, wt, stride=stride, padding=padding)
+        np.testing.assert_allclose(out.data, conv2d_reference(x, w, stride, padding), rtol=1e-10, atol=1e-10)
+        g = rng.standard_normal(out.shape)
+        (out * Tensor(g)).sum().backward()
+        gw, gx = conv2d_grad_reference(x, w, g, stride, padding)
+        np.testing.assert_allclose(wt.grad, gw, rtol=1e-10, atol=1e-10)
+        np.testing.assert_allclose(xt.grad, gx, rtol=1e-10, atol=1e-10)
+
+    def test_working_set_is_one_tile_not_a_patch_matrix(self):
+        # 16 -> 16 channels at 128 px, batch 2: one sample's patch matrix would be 9.4 MB
+        x = Tensor(rnd(2, 16, 128, 128, seed=47), requires_grad=True)
+        w = Tensor(rnd(16, 16, 3, 3, seed=48), requires_grad=True)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            with no_grad():
+                out = conv2d(x, w, padding=1)
+            forward = tracemalloc.get_traced_memory()[1] - before - out.data.nbytes
+            recorded, g = conv2d(x, w, padding=1), rnd(*out.shape, seed=49)
+            x.grad, w.grad = np.zeros_like(x.data), np.zeros_like(w.data)  # accumulate in place, as a pass does
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            recorded._backward(g)
+            backward = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        # one tile buffer beyond the output, and a tile is far smaller than the
+        # sample's patch matrix; the backward adds the input gradient and the
+        # dilated upstream gradient it correlates, each about x's size here
+        assert forward < 2 * ops.TILE_BYTES < 16 * 3 * 3 * 128 * 128 * x.data.itemsize // 4
+        assert backward < 2 * x.data.nbytes + 2 * ops.TILE_BYTES
 
     def test_gradients_unchanged_when_a_later_op_reads_the_input(self):
         # backward re-reads the input's data, so an op that reads it after the
