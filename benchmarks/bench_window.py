@@ -13,10 +13,10 @@ weight: the TGCN's (n,6,1024) @ (1024,1024) and a transformer MLP's
 with a fixed upstream gradient, so tape bookkeeping outside the op is not
 included. Every forward is also timed tape-free (inside ``no_grad``) at
 batch 8, the batch ``evaluate_model`` runs; there conv2d reuses one patch
-tile buffer for every sample. Each conv case also runs once under
-``tracemalloc`` before it is timed and records the peak traced memory of
-that call, output and gradients included, as ``peak_mb`` in the case's
-``extra_info`` (``--benchmark-json`` writes it out).
+tile buffer for every sample. Each conv and transposed-conv case also runs
+once under ``tracemalloc`` before it is timed and records the peak traced
+memory of that call, output and gradients included, as ``peak_mb`` in the
+case's ``extra_info`` (``--benchmark-json`` writes it out).
 
 Run from the repository root (pytest-benchmark prints min/median/max per
 case; pin BLAS to one thread for numbers comparable with ``perfbench``):
@@ -189,13 +189,13 @@ def test_conv2d_backward(benchmark, shape):
 @pytest.mark.parametrize("shape", TCONV_SHAPES, ids=_id)
 def test_transpose_conv2d_forward(benchmark, shape):
     _, _, op = _tconv(shape)
-    benchmark(op)
+    _timed_with_peak(benchmark, op)
 
 
 @pytest.mark.parametrize("shape", TCONV_SHAPES, ids=_id)
 def test_transpose_conv2d_backward(benchmark, shape):
     x, w, op = _tconv(shape)
-    benchmark(_run_backward(op, x, w))
+    _timed_with_peak(benchmark, _run_backward(op, x, w))
 
 
 @pytest.mark.parametrize("shape", POOL_SHAPES, ids=_id)

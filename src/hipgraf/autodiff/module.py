@@ -10,13 +10,14 @@ calling thread's dtype: float32, or float64 inside ``using_dtype``.
 from __future__ import annotations
 
 import contextlib
+import math
 import threading
 from collections import Counter
 from typing import Iterable, Iterator
 
 import numpy as np
 
-from ..errors import IncompleteCheckpointError
+from ..errors import ConfigError, IncompleteCheckpointError
 from .tensor import Tensor, default_dtype
 
 
@@ -92,6 +93,8 @@ def _claim(shape: tuple[int, ...]) -> None:
         if not left[shape]:
             raise IncompleteCheckpointError(f"checkpoint does not match model: it holds no tensor for a parameter of shape {shape}")
         left[shape] -= 1
+    if math.prod(shape) * np.dtype(default_dtype()).itemsize > np.iinfo(np.intp).max:
+        raise ConfigError(f"a parameter of shape {shape} is larger than numpy can address; reduce the widths that set it")
 
 
 def glorot_uniform(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int, fan_out: int) -> Tensor:

@@ -1,34 +1,36 @@
 """Differentiable network operations built on the tensor tape.
 
-Spatial tensors are (batch, channels, height, width) throughout. The
-sliding-window ops (transpose_conv2d, maxpool2d and the fusion module's
-neighborhood stack) move data through ``_windows``, which yields the kh*kw
-strided (n, c, oh, ow) views of an array, one per kernel offset; conv2d's
-patches come from ``_gather``, which copies the same views' in-bounds parts
-and writes the zero border in place of a padded copy of the input.
-Convolutions keep their patch matrix channel-major, (c*kh*kw, pixels), so
-both passes are plain BLAS products: ``W @ cols`` is already (c_out, pixels)
-and lands in the output with no transpose copy. conv2d never builds a whole
-sample's patch matrix (9.4 MB for a 16-channel 128 px map, beyond a 2 MiB
-L2): ``_tiles`` gathers one sample's patches for a band of output rows at a
-time into one reused buffer of about ``TILE_BYTES`` (half the L2), and
-each pass consumes a tile before the next is drawn, whether or not it
-records a tape, so the working set grows with neither the batch nor the
-image. The forward (``_correlate``) multiplies each tile into its columns of
-a preallocated output. It keeps no patch matrix for backward, which gathers
-the tiles again from the input for the weight gradient and sums their
+Spatial tensors are (batch, channels, height, width) throughout. Every
+sliding-window op reads its windows through one primitive, ``_windows``,
+which yields the kh*kw strided (n, c, oh, ow) views of an array, one per
+kernel offset: maxpool2d folds them, the fusion module's neighborhood stack
+copies them, the transposed conv's forward (``_scatter``) adds onto them,
+and conv2d's patches are copied from them. Convolutions keep their patch
+matrix channel-major, (c*kh*kw, pixels), so both passes are plain BLAS
+products: ``W @ cols`` is already (c_out, pixels) and lands in the output
+with no transpose copy. conv2d never builds a whole sample's patch matrix
+(9.4 MB for a 16-channel 128 px map, beyond a 2 MiB L2): ``_tiles`` copies
+the input rows of a band of output rows into one reused zero-bordered band,
+in place of a padded copy of the input, and gathers that band's window views
+into one reused buffer of about ``TILE_BYTES`` (half the L2). Each pass
+consumes a tile before the next is drawn, whether or not it records a tape,
+so the working set grows with neither the batch nor the image. The forward
+(``_correlate``) multiplies each tile into its columns of a preallocated
+output. It keeps no patch matrix for backward, which gathers the tiles again
+from the input for the weight gradient (``_weight_grad``) and sums their
 products (recompute instead of store, as in Chen et al. 2016, "Training Deep
 Nets with Sublinear Memory Cost"). Its input gradient runs through the same
 ``_correlate``: it is the correlation of the upstream gradient, dilated by
 the stride and padded by the kernel size less one, with the flipped,
 channel-swapped kernels (Dumoulin & Visin 2016, "A guide to convolution
 arithmetic for deep learning"), so no read-modify-write scatter is needed.
-maxpool2d folds its window views with ``np.maximum`` and its backward
-compares the same views with the output, keeping nothing the tape does not
-already hold, and unfold_neighborhoods keeps no edge-padded copy: its
-backward scatters into a zeroed padded buffer and folds the border back.
-conv2d and transpose_conv2d add their bias in place on the output they
-allocated, so a biased conv is one tape node.
+The transposed conv is conv2d's adjoint, so its backward is conv2d's forward
+and weight gradient with the roles of input and output swapped, on the same
+tiles. maxpool2d's backward compares the window views with the output,
+keeping nothing the tape does not already hold, and unfold_neighborhoods
+keeps no edge-padded copy: its backward scatters into a zeroed padded buffer
+and folds the border back. conv2d and transpose_conv2d add their bias in
+place on the output they allocated, so a biased conv is one tape node.
 
 That recompute rests on the tape's contract (see ``make_op``): a recorded
 op may read its inputs' ``.data`` again when backward runs, so no op may
@@ -68,67 +70,12 @@ def _windows(x: np.ndarray, kh: int, kw: int, stride: int, oh: int, ow: int):
             yield u, v, x[:, :, u : u + stride * oh : stride, v : v + stride * ow : stride]
 
 
-def _span(tap: int, stride: int, padding: int, size: int, start: int, count: int) -> tuple[int, int, slice]:
-    """Where kernel offset tap reads an axis of length size, zero-padded by padding, for positions start .. start+count.
-
-    Returns [lo, hi), counted from start, of the positions that read inside
-    the unpadded axis, and the slice of the axis they read.
-    """
-    lo = min(max(-((tap - padding) // stride) - start, 0), count)  # ceil((padding - tap) / stride)
-    hi = max(min((size - 1 + padding - tap) // stride + 1 - start, count), lo)
-    first = (start + lo) * stride + tap - padding
-    return lo, hi, slice(first, first + stride * (hi - lo), stride)
-
-
-def _gather(x: np.ndarray, slots: np.ndarray, stride: int, padding: int = 0, r0: int = 0) -> np.ndarray:
-    """Fill ``slots[:, :, u, v]`` with the (u,v) window view of x zero-padded by padding, for output rows r0 on.
-
-    slots is (n,c,kh,kw,r,ow). Only the in-bounds part of each view is copied
-    from x; the rows and columns the view would read from the padding are
-    written as zeros, so no padded copy of x is made.
-    """
-    _, _, kh, kw, r, ow = slots.shape
-    h, w = x.shape[2:]
-    for u in range(kh):
-        top, bottom, rows = _span(u, stride, padding, h, r0, r)
-        for v in range(kw):
-            left, right, cols = _span(v, stride, padding, w, 0, ow)
-            slot = slots[:, :, u, v]
-            if top:
-                slot[:, :, :top] = 0
-            if bottom < r:
-                slot[:, :, bottom:] = 0
-            if left:
-                slot[:, :, top:bottom, :left] = 0
-            if right < ow:
-                slot[:, :, top:bottom, right:] = 0
-            if top < bottom and left < right:
-                slot[:, :, top:bottom, left:right] = x[:, :, rows, cols]
-    return slots
-
-
 def _scatter(slots: np.ndarray, out: np.ndarray, stride: int) -> np.ndarray:
-    """Adjoint of _gather with no padding: add ``slots[:, :, u, v]`` onto every window view of out."""
+    """Add ``slots[:, :, u, v]``, (n,c,kh,kw,oh,ow), onto the (u,v) window view of out: the transposed conv's forward."""
     _, _, kh, kw, oh, ow = slots.shape
     for u, v, view in _windows(out, kh, kw, stride, oh, ow):
         view += slots[:, :, u, v]
     return out
-
-
-def _outer_sum(pairs) -> np.ndarray:
-    """Sum of a @ b.T over an iterator of (a, b) pairs, for (p,L) a and (q,L) b with any L.
-
-    Each b is used before the next pair is drawn, so pairs may come from a
-    generator that refills one buffer; the loop runs it to its end, so that
-    buffer is freed before this returns. Computed as the transpose of the sum
-    of b @ a.T: with a long L and the wider patch operand b on the left,
-    OpenBLAS runs up to twice as fast.
-    """
-    a, b = next(pairs)
-    out = b @ a.T
-    for a, b in pairs:
-        out += b @ a.T
-    return out.T
 
 
 # Bytes of one conv patch tile: half the 2 MiB L2, so the tile and the GEMM's
@@ -138,51 +85,85 @@ TILE_BYTES = 1 << 20
 
 def _tiles(x: np.ndarray, kh: int, kw: int, stride: int, padding: int, oh: int, ow: int):
     """Yield (i, r0, r, cols): sample i's (c*kh*kw, r*ow) patches of x, zero-padded by padding,
-    for output rows r0 .. r0+r, gathered into one reused buffer.
+    for output rows r0 .. r0+r.
 
-    A tile holds at most R = TILE_BYTES // (c*kh*kw*ow*itemsize) output
-    rows, and at least one, so a small map is one tile per sample and the
-    buffer exceeds TILE_BYTES only when a single output row's patches do.
-    The ceil(oh / R) tiles of a sample are as equal in height as they can
-    be, so no thin last tile runs a narrow product.
+    A 1x1 stride-1 unpadded window over every pixel is the input itself, so
+    that case yields each sample's (c, pixels) view and copies nothing.
+    Otherwise the input rows a tile reads are copied into one reused band,
+    zero-bordered as the padded input would be, and the patches are copied
+    from its ``_windows`` views into one reused buffer. A tile holds at most
+    R = TILE_BYTES // (c*kh*kw*ow*itemsize) output rows, and at least one,
+    so a small map is one tile per sample and the buffer exceeds TILE_BYTES
+    only when a single output row's patches do. The ceil(oh / R) tiles of a
+    sample are as equal in height as they can be, so no thin last tile runs
+    a narrow product.
     """
-    n, c = x.shape[:2]
+    n, c, h, w = x.shape
+    if kh == kw == stride == 1 and not padding:
+        for i in range(n):
+            yield i, 0, oh, x[i].reshape(c, oh * ow)
+        return
     k = c * kh * kw
     count = -(-oh // max(1, TILE_BYTES // (k * ow * x.itemsize)))
     rows = -(-oh // count)
+    # the band's side columns are zeroed here and never written again
+    band = np.zeros((1, c, (rows - 1) * stride + kh, w + 2 * padding), dtype=x.dtype)
     buffer = np.empty(k * rows * ow, dtype=x.dtype)
     for i in range(n):
         for r0 in range(0, oh, rows):
             r = min(rows, oh - r0)
+            # band rows [top, bottom) hold input rows first+top .. first+bottom; the rest are padding
+            first, span = r0 * stride - padding, (r - 1) * stride + kh
+            top = min(max(-first, 0), span)
+            bottom = max(min(h - first, span), top)
+            band[:, :, :top] = 0
+            band[:, :, bottom:] = 0
+            band[0, :, top:bottom, padding : padding + w] = x[i, :, first + top : first + bottom]
             slots = buffer[: k * r * ow].reshape(1, c, kh, kw, r, ow)
-            yield i, r0, r, _gather(x[i : i + 1], slots, stride, padding, r0).reshape(k, r * ow)
+            for u, v, view in _windows(band, kh, kw, stride, r, ow):
+                slots[:, :, u, v] = view
+            yield i, r0, r, slots.reshape(k, r * ow)
 
 
 def _correlate(x: np.ndarray, w_mat: np.ndarray, kh: int, kw: int, stride: int, padding: int, oh: int, ow: int) -> np.ndarray:
     """(n, rows, oh, ow) product of w_mat, (rows, c*kh*kw), with every sample's patches of x zero-padded by padding.
 
-    A 1x1 stride-1 unpadded window over every pixel is the input itself, so
-    that case is one batched product. Otherwise each row tile of ``_tiles`` is
-    multiplied into its columns of the preallocated output in turn: the patch
-    working set is one L2-sized buffer rather than a whole sample's patch
-    matrix (9.4 MB for a 16-channel 128 px map), as in the output-row
-    blocking of Georganas et al. 2018, "Anatomy of High-Performance Deep
-    Learning Convolutions on SIMD Architectures", and the partial im2col of
-    Anderson et al. 2017, "Low-memory GEMM-based convolution algorithms for
-    deep neural networks". Each output element is still one dot product over
-    the same c*kh*kw terms: the model's float32 convs keep their untiled
-    bits, though BLAS may pick another kernel, and so another summation
-    order, for a narrower product (float64 does on small maps).
+    Each row tile of ``_tiles`` is multiplied into its columns of the
+    preallocated output in turn: the patch working set is one L2-sized
+    buffer rather than a whole sample's patch matrix (9.4 MB for a
+    16-channel 128 px map), as in the output-row blocking of Georganas et
+    al. 2018, "Anatomy of High-Performance Deep Learning Convolutions on SIMD
+    Architectures", and the partial im2col of Anderson et al. 2017,
+    "Low-memory GEMM-based convolution algorithms for deep neural networks".
+    Each output element is still one dot product over the same c*kh*kw
+    terms: the model's float32 convs keep their untiled bits, though BLAS may
+    pick another kernel, and so another summation order, for a narrower
+    product (float64 does on small maps).
     """
-    n, c = x.shape[:2]
-    rows, pixels = w_mat.shape[0], oh * ow
-    if kh == kw == stride == 1 and not padding:
-        return (w_mat @ x.reshape(n, c, pixels)).reshape(n, rows, oh, ow)
+    n, rows = x.shape[0], w_mat.shape[0]
     out = np.empty((n, rows, oh, ow), dtype=np.result_type(w_mat, x))
-    flat = out.reshape(n, rows, pixels)
+    flat = out.reshape(n, rows, oh * ow)
     for i, r0, r, cols in _tiles(x, kh, kw, stride, padding, oh, ow):
         np.matmul(w_mat, cols, out=flat[i, :, r0 * ow : (r0 + r) * ow])
     return out
+
+
+def _weight_grad(x: np.ndarray, g: np.ndarray, kh: int, kw: int, stride: int, padding: int) -> np.ndarray:
+    """(p, c*kh*kw) sum over samples and row tiles of g's (p, pixels) rows times the patches of x.
+
+    g is (n, p, oh, ow), and x's patches are zero-padded by padding. Each
+    tile is used before the next is gathered, and the tile loop runs to its
+    end, so its buffers are freed before this returns. Computed as the
+    transpose of the sum of cols @ g.T: with a long pixel axis and the wider
+    patch operand on the left, OpenBLAS runs up to twice as fast.
+    """
+    n, p, oh, ow = g.shape
+    gf = g.reshape(n, p, oh * ow)
+    products = (cols @ gf[i, :, r0 * ow : (r0 + r) * ow].T for i, r0, r, cols in _tiles(x, kh, kw, stride, padding, oh, ow))
+    out = next(products)
+    for part in products:
+        out += part
+    return out.T
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, stride: int = 1, padding: int = 0) -> Tensor:
@@ -202,12 +183,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, stride: int = 
 
     def backward(g: np.ndarray) -> None:
         if weight.requires_grad:
-            gf = g.reshape(n, co, oh * ow)
-            if kh == kw == stride == 1 and not padding:
-                pairs = zip(gf, x.data.reshape(n, ci, oh * ow))
-            else:
-                pairs = ((gf[i, :, r0 * ow : (r0 + r) * ow], cols) for i, r0, r, cols in _tiles(x.data, kh, kw, stride, padding, oh, ow))
-            _accumulate(weight, _outer_sum(pairs).reshape(weight.shape))
+            _accumulate(weight, _weight_grad(x.data, g, kh, kw, stride, padding).reshape(weight.shape))
         if x.requires_grad:
             # correlate g, dilated by the stride and padded by the kernel less
             # one, with the flipped, channel-swapped kernels; only the rows and
@@ -238,16 +214,15 @@ def transpose_conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, stri
     oh = (h - 1) * stride + kh
     ow = (w - 1) * stride + kw
     w_mat = weight.data.reshape(ci, co * kh * kw)
-    x_mat = x.data.reshape(n, ci, h * w)
-    cols = (w_mat.T @ x_mat).reshape(n, co, kh, kw, h, w)
+    cols = (w_mat.T @ x.data.reshape(n, ci, h * w)).reshape(n, co, kh, kw, h, w)
     data = _add_bias(_scatter(cols, np.zeros((n, co, oh, ow), dtype=cols.dtype), stride), bias)
 
+    # conv2d's passes with the roles swapped: g is read as the conv input, x as its output gradient
     def backward(g: np.ndarray) -> None:
-        g_cols = _gather(g, np.empty((n, co, kh, kw, h, w), dtype=g.dtype), stride).reshape(n, co * kh * kw, h * w)
         if weight.requires_grad:
-            _accumulate(weight, _outer_sum(zip(x_mat, g_cols)).reshape(weight.shape))
+            _accumulate(weight, _weight_grad(g, x.data, kh, kw, stride, 0).reshape(weight.shape))
         if x.requires_grad:
-            _accumulate(x, (w_mat @ g_cols).reshape(n, ci, h, w))
+            _accumulate(x, _correlate(g, w_mat, kh, kw, stride, 0, h, w))
         _bias_grad(bias, g)
 
     return make_op(data, _parents(x, weight, bias), backward)

@@ -589,6 +589,17 @@ class TestRunConfigValidation:
         assert "error: config:" in err and flag in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag", ["channels", "gcn_hidden"])
+    def test_width_no_array_can_hold(self, workspace, tmp_path, capsys, flag):
+        # refused when the first parameter it sizes is claimed, before numpy is asked for it
+        out = tmp_path / "out"
+        argv = ["train", "--data", str(workspace / "data" / "manifest.csv"), "--out", str(out), *TOY_ARGS]
+        code = main([*argv, f"--{flag}", "100000000000000000000"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "error: config:" in err and "parameter of shape (" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_config_file_that_is_not_utf8(self, tmp_path, capsys):
         config = tmp_path / "run.cfg"
         config.write_bytes(b"n_samples = 4\nseed = \xff\n")

@@ -36,6 +36,8 @@ from hipgraf.nets.graph import build_node_features
 from hipgraf.nets.model import build_model
 from hipgraf.training import total_loss
 
+from gradcheck import check_gradients
+
 
 def rnd(*shape, seed=0, dtype=np.float32):
     return np.random.default_rng(seed).standard_normal(shape).astype(dtype)
@@ -368,6 +370,15 @@ class TestConv2d:
         np.testing.assert_allclose(wt.grad, gw, rtol=1e-10, atol=1e-10)
         np.testing.assert_allclose(xt.grad, gx, rtol=1e-10, atol=1e-10)
 
+    def test_one_by_one_tiles_are_views_of_the_input(self):
+        # a 1x1 stride-1 unpadded window over every pixel is the input itself: nothing is gathered
+        x = rnd(3, 4, 5, 6, seed=50)
+        tiles = list(ops._tiles(x, 1, 1, 1, 0, 5, 6))
+        assert [(i, r0, r) for i, r0, r, _ in tiles] == [(0, 0, 5), (1, 0, 5), (2, 0, 5)]
+        for i, _, _, cols in tiles:
+            assert cols.shape == (4, 30) and np.shares_memory(cols, x[i])
+            assert cols.tobytes() == x[i].tobytes()
+
     def test_working_set_is_one_tile_not_a_patch_matrix(self):
         # 16 -> 16 channels at 128 px, batch 2: one sample's patch matrix would be 9.4 MB
         x = Tensor(rnd(2, 16, 128, 128, seed=47), requires_grad=True)
@@ -443,6 +454,19 @@ class TestTransposeConv2d:
         x, w = rnd(2, 3, 4, 5, seed=28, dtype=np.float64), rnd(3, 2, 2, 3, seed=29, dtype=np.float64)
         out = transpose_conv2d(Tensor(x), Tensor(w), stride=stride)
         np.testing.assert_allclose(out.data, transpose_conv2d_reference(x, w, stride), rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("stride", [1, 2, 3], ids=["overlapping", "tiling", "gapped"])
+    def test_gradients_through_row_tiles(self, monkeypatch, stride):
+        # backward reads the upstream gradient through conv2d's row tiles; a
+        # budget of one row's patches cuts it into one tile per input row
+        x, w = rnd(2, 3, 4, 5, seed=28, dtype=np.float64), rnd(3, 2, 2, 3, seed=29, dtype=np.float64)
+        (n, _, h, wd), (_, co, kh, kw) = x.shape, w.shape
+        m = rnd(n, co, (h - 1) * stride + kh, (wd - 1) * stride + kw, seed=30, dtype=np.float64)
+        monkeypatch.setattr(ops, "TILE_BYTES", co * kh * kw * wd * m.itemsize)
+        assert [r for _, _, r, _ in ops._tiles(m, kh, kw, stride, 0, h, wd)] == [1] * (n * h)
+        xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
+        errors = check_gradients(lambda: (transpose_conv2d(xt, wt, stride=stride) * Tensor(m)).sum(), {"x": xt, "w": wt})
+        assert max(errors.values()) < 1e-6, errors
 
 
 class TestSoftmax:
