@@ -26,8 +26,9 @@ import numpy as np
 
 from hipgraf import training
 from hipgraf.config import default_run_config, model_config_from, train_config_from
+from hipgraf.dataset import ImageSample
 from hipgraf.nets.model import build_model
-from hipgraf.phantom import geometry_to_sample, render_phantom, sample_geometry
+from hipgraf.phantom import render_phantom, sample_geometry
 
 STEPS = 3
 BATCH = 2
@@ -39,7 +40,8 @@ def _samples(n=6, size=128):
         rng = np.random.default_rng(np.random.SeedSequence([5, i]))
         geometry = sample_geometry("normal" if i % 2 == 0 else "abnormal", rng=rng, size=size)
         image = render_phantom(geometry.landmarks, rng=rng, size=size)
-        samples.append(geometry_to_sample(geometry, image, name=f"bench_{i}", spacing=0.1))
+        landmarks, angles = geometry.landmarks.astype(np.float32), geometry.angles
+        samples.append(ImageSample(f"bench_{i}", image, landmarks, geometry.label, 0.1, angles.alpha, angles.beta))
     return samples
 
 

@@ -10,9 +10,10 @@ matrix channel-major, (c*kh*kw, pixels), so both passes are plain BLAS
 products: ``W @ cols`` is already (c_out, pixels) and lands in the output
 with no transpose copy. conv2d never builds a whole sample's patch matrix
 (9.4 MB for a 16-channel 128 px map, beyond a 2 MiB L2): ``_tiles`` copies
-the input rows of a band of output rows into one reused zero-bordered band,
-in place of a padded copy of the input, and gathers that band's window views
-into one reused buffer of about ``TILE_BYTES`` (half the L2). Each pass
+the source rows of a band of output rows into one reused band, which writes
+the padding (a negative one crops) and any dilation gaps, so no padded or
+dilated copy of any conv operand is made, and gathers that band's window
+views into one reused buffer of about ``TILE_BYTES`` (half the L2). Each pass
 consumes a tile before the next is drawn, whether or not it records a tape,
 so the working set grows with neither the batch nor the image. The forward
 (``_correlate``) multiplies each tile into its columns of a preallocated
@@ -20,17 +21,18 @@ output. It keeps no patch matrix for backward, which gathers the tiles again
 from the input for the weight gradient (``_weight_grad``) and sums their
 products (recompute instead of store, as in Chen et al. 2016, "Training Deep
 Nets with Sublinear Memory Cost"). Its input gradient runs through the same
-``_correlate``: it is the correlation of the upstream gradient, dilated by
-the stride and padded by the kernel size less one, with the flipped,
-channel-swapped kernels (Dumoulin & Visin 2016, "A guide to convolution
-arithmetic for deep learning"), so no read-modify-write scatter is needed.
-The transposed conv is conv2d's adjoint, so its backward is conv2d's forward
-and weight gradient with the roles of input and output swapped, on the same
-tiles. maxpool2d's backward compares the window views with the output,
-keeping nothing the tape does not already hold, and unfold_neighborhoods
-keeps no edge-padded copy: its backward scatters into a zeroed padded buffer
-and folds the border back. conv2d and transpose_conv2d add their bias in
-place on the output they allocated, so a biased conv is one tape node.
+``_correlate``: it is the correlation of the upstream gradient, which
+``_tiles`` reads dilated by the stride and offset by the kernel size less one
+less the padding, with the flipped, channel-swapped kernels (Dumoulin &
+Visin 2016, "A guide to convolution arithmetic for deep learning"), so no
+read-modify-write scatter is needed. The transposed conv is conv2d's
+adjoint, so its backward is conv2d's forward and weight gradient with the
+roles of input and output swapped, on the same tiles. maxpool2d's backward
+compares the window views with the output, keeping nothing the tape does
+not already hold, and unfold_neighborhoods keeps no edge-padded copy: its
+backward scatters into a zeroed padded buffer and folds the border back.
+conv2d and transpose_conv2d add their bias in place on the output they
+allocated, so a biased conv is one tape node.
 
 That recompute rests on the tape's contract (see ``make_op``): a recorded
 op may read its inputs' ``.data`` again when backward runs, so no op may
@@ -83,15 +85,25 @@ def _scatter(slots: np.ndarray, out: np.ndarray, stride: int) -> np.ndarray:
 TILE_BYTES = 1 << 20
 
 
-def _tiles(x: np.ndarray, kh: int, kw: int, stride: int, padding: int, oh: int, ow: int):
-    """Yield (i, r0, r, cols): sample i's (c*kh*kw, r*ow) patches of x, zero-padded by padding,
-    for output rows r0 .. r0+r.
+def _landing(size: int, dilation: int, offset: int, extent: int) -> tuple[slice, slice]:
+    """(source, band) slices of one axis: source index j lands at offset + j*dilation when that is in [0, extent)."""
+    lo = max(0, -(offset // dilation))
+    hi = max(lo, min(size, -((offset - extent) // dilation)))
+    return slice(lo, hi), slice(offset + lo * dilation, offset + hi * dilation, dilation)
 
-    A 1x1 stride-1 unpadded window over every pixel is the input itself, so
-    that case yields each sample's (c, pixels) view and copies nothing.
-    Otherwise the input rows a tile reads are copied into one reused band,
-    zero-bordered as the padded input would be, and the patches are copied
-    from its ``_windows`` views into one reused buffer. A tile holds at most
+
+def _tiles(x: np.ndarray, kh: int, kw: int, stride: int, padding: tuple[int, int], oh: int, ow: int, dilation: int = 1):
+    """Yield (i, r0, r, cols): sample i's (c*kh*kw, r*ow) patches of x for output rows r0 .. r0+r.
+
+    The patches read x dilated (dilation - 1 zeros between its pixels) and
+    offset by padding, a (rows, columns) pair, with zeros beyond it on every
+    side; a negative offset crops that many pixels of x. A 1x1 stride-1
+    window over x itself yields each sample's (c, pixels) view and copies
+    nothing. Otherwise the pixels a tile reads are copied to their dilated,
+    offset places in one reused band, which writes every zero, so no padded
+    or dilated copy of x is made, and the patches are copied from the band's
+    ``_windows`` views into one reused buffer. The band's other columns are
+    zeroed once, the rows the copy skips per tile. A tile holds at most
     R = TILE_BYTES // (c*kh*kw*ow*itemsize) output rows, and at least one,
     so a small map is one tile per sample and the buffer exceeds TILE_BYTES
     only when a single output row's patches do. The ceil(oh / R) tiles of a
@@ -99,36 +111,40 @@ def _tiles(x: np.ndarray, kh: int, kw: int, stride: int, padding: int, oh: int, 
     a narrow product.
     """
     n, c, h, w = x.shape
-    if kh == kw == stride == 1 and not padding:
+    if kh == kw == stride == dilation == 1 and padding == (0, 0):
         for i in range(n):
             yield i, 0, oh, x[i].reshape(c, oh * ow)
         return
     k = c * kh * kw
     count = -(-oh // max(1, TILE_BYTES // (k * ow * x.itemsize)))
     rows = -(-oh // count)
-    # the band's side columns are zeroed here and never written again
-    band = np.zeros((1, c, (rows - 1) * stride + kh, w + 2 * padding), dtype=x.dtype)
+    band = np.zeros((1, c, (rows - 1) * stride + kh, (ow - 1) * stride + kw), dtype=x.dtype)
+    x_cols, band_cols = _landing(w, dilation, padding[1], band.shape[3])
     buffer = np.empty(k * rows * ow, dtype=x.dtype)
     for i in range(n):
         for r0 in range(0, oh, rows):
             r = min(rows, oh - r0)
-            # band rows [top, bottom) hold input rows first+top .. first+bottom; the rest are padding
-            first, span = r0 * stride - padding, (r - 1) * stride + kh
-            top = min(max(-first, 0), span)
-            bottom = max(min(h - first, span), top)
-            band[:, :, :top] = 0
-            band[:, :, bottom:] = 0
-            band[0, :, top:bottom, padding : padding + w] = x[i, :, first + top : first + bottom]
+            x_rows, band_rows = _landing(h, dilation, padding[0] - r0 * stride, (r - 1) * stride + kh)
+            if dilation > 1:  # the skipped rows between copied ones move from tile to tile
+                band[:] = 0
+            else:
+                band[:, :, : band_rows.start] = 0
+                band[:, :, band_rows.stop :] = 0
+            band[0, :, band_rows, band_cols] = x[i, :, x_rows, x_cols]
             slots = buffer[: k * r * ow].reshape(1, c, kh, kw, r, ow)
             for u, v, view in _windows(band, kh, kw, stride, r, ow):
                 slots[:, :, u, v] = view
             yield i, r0, r, slots.reshape(k, r * ow)
 
 
-def _correlate(x: np.ndarray, w_mat: np.ndarray, kh: int, kw: int, stride: int, padding: int, oh: int, ow: int) -> np.ndarray:
-    """(n, rows, oh, ow) product of w_mat, (rows, c*kh*kw), with every sample's patches of x zero-padded by padding.
+def _correlate(
+    x: np.ndarray, w_mat: np.ndarray, kh: int, kw: int, stride: int, padding: tuple[int, int], oh: int, ow: int, dilation: int = 1
+) -> np.ndarray:
+    """(n, rows, oh, ow) product of w_mat, (rows, c*kh*kw), with every sample's patches of x as ``_tiles`` reads them.
 
-    Each row tile of ``_tiles`` is multiplied into its columns of the
+    x is read dilated and offset by the padding pair, a negative offset
+    cropping it, through the band ``_tiles`` fills, so no padded or dilated
+    copy of x is made. Each row tile is multiplied into its columns of the
     preallocated output in turn: the patch working set is one L2-sized
     buffer rather than a whole sample's patch matrix (9.4 MB for a
     16-channel 128 px map), as in the output-row blocking of Georganas et
@@ -143,19 +159,19 @@ def _correlate(x: np.ndarray, w_mat: np.ndarray, kh: int, kw: int, stride: int, 
     n, rows = x.shape[0], w_mat.shape[0]
     out = np.empty((n, rows, oh, ow), dtype=np.result_type(w_mat, x))
     flat = out.reshape(n, rows, oh * ow)
-    for i, r0, r, cols in _tiles(x, kh, kw, stride, padding, oh, ow):
+    for i, r0, r, cols in _tiles(x, kh, kw, stride, padding, oh, ow, dilation):
         np.matmul(w_mat, cols, out=flat[i, :, r0 * ow : (r0 + r) * ow])
     return out
 
 
-def _weight_grad(x: np.ndarray, g: np.ndarray, kh: int, kw: int, stride: int, padding: int) -> np.ndarray:
+def _weight_grad(x: np.ndarray, g: np.ndarray, kh: int, kw: int, stride: int, padding: tuple[int, int]) -> np.ndarray:
     """(p, c*kh*kw) sum over samples and row tiles of g's (p, pixels) rows times the patches of x.
 
-    g is (n, p, oh, ow), and x's patches are zero-padded by padding. Each
-    tile is used before the next is gathered, and the tile loop runs to its
-    end, so its buffers are freed before this returns. Computed as the
-    transpose of the sum of cols @ g.T: with a long pixel axis and the wider
-    patch operand on the left, OpenBLAS runs up to twice as fast.
+    g is (n, p, oh, ow), and x's patches are zero-padded by the padding
+    pair. Each tile is used before the next is gathered, and the tile loop
+    runs to its end, so its buffers are freed before this returns. Computed
+    as the transpose of the sum of cols @ g.T: with a long pixel axis and the
+    wider patch operand on the left, OpenBLAS runs up to twice as fast.
     """
     n, p, oh, ow = g.shape
     gf = g.reshape(n, p, oh * ow)
@@ -179,20 +195,18 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, stride: int = 
         raise DimensionError(f"conv2d kernel {weight.shape} larger than padded input ({n},{c},{hp},{wp})")
     oh = (hp - kh) // stride + 1
     ow = (wp - kw) // stride + 1
-    data = _add_bias(_correlate(x.data, weight.data.reshape(co, ci * kh * kw), kh, kw, stride, padding, oh, ow), bias)
+    pad = (padding, padding)
+    data = _add_bias(_correlate(x.data, weight.data.reshape(co, ci * kh * kw), kh, kw, stride, pad, oh, ow), bias)
 
     def backward(g: np.ndarray) -> None:
         if weight.requires_grad:
-            _accumulate(weight, _weight_grad(x.data, g, kh, kw, stride, padding).reshape(weight.shape))
+            _accumulate(weight, _weight_grad(x.data, g, kh, kw, stride, pad).reshape(weight.shape))
         if x.requires_grad:
-            # correlate g, dilated by the stride and padded by the kernel less
-            # one, with the flipped, channel-swapped kernels; only the rows and
-            # columns that land inside the unpadded input are computed
-            gd = np.zeros((n, co, hp + kh - 1, wp + kw - 1), dtype=g.dtype)
-            gd[:, :, kh - 1 :: stride, kw - 1 :: stride][:, :, :oh, :ow] = g
-            gd = gd[:, :, padding : padding + h + kh - 1, padding : padding + w + kw - 1]
+            # correlate g, dilated by the stride and offset by the kernel less
+            # one less the padding, with the flipped, channel-swapped kernels;
+            # only the rows and columns of the unpadded input are computed
             w_flip = weight.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(ci, co * kh * kw)
-            _accumulate(x, _correlate(gd, w_flip, kh, kw, 1, 0, h, w))
+            _accumulate(x, _correlate(g, w_flip, kh, kw, 1, (kh - 1 - padding, kw - 1 - padding), h, w, dilation=stride))
         _bias_grad(bias, g)
 
     return make_op(data, _parents(x, weight, bias), backward)
@@ -220,9 +234,9 @@ def transpose_conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, stri
     # conv2d's passes with the roles swapped: g is read as the conv input, x as its output gradient
     def backward(g: np.ndarray) -> None:
         if weight.requires_grad:
-            _accumulate(weight, _weight_grad(g, x.data, kh, kw, stride, 0).reshape(weight.shape))
+            _accumulate(weight, _weight_grad(g, x.data, kh, kw, stride, (0, 0)).reshape(weight.shape))
         if x.requires_grad:
-            _accumulate(x, _correlate(g, w_mat, kh, kw, stride, 0, h, w))
+            _accumulate(x, _correlate(g, w_mat, kh, kw, stride, (0, 0), h, w))
         _bias_grad(bias, g)
 
     return make_op(data, _parents(x, weight, bias), backward)

@@ -119,7 +119,7 @@ class TopologicalRefiner(Module):
         self.w_mid = glorot_uniform(rng, (d, hidden), d, hidden)
         self.w_out = glorot_uniform(rng, (hidden, 1), hidden, 1)
 
-    def forward(self, heatmaps: Tensor, skip_logits: Tensor | None = None) -> tuple[Tensor, Tensor]:
+    def forward(self, heatmaps: Tensor, skip_logits: Tensor) -> tuple[Tensor, Tensor]:
         """Refined stack plus class logit.
 
         Two structural constraints shape this read-out. The activation sits
@@ -130,20 +130,14 @@ class TopologicalRefiner(Module):
         exactly, so the graph path assigns both nodes of a pair identical
         features and on its own would decode both landmarks of a pair to the
         same point. The skip keeps per-node identity; the graph path learns
-        the topology-consistent correction. ``skip_logits`` should be the
-        pre-sigmoid heatmap logits when available (full dynamic range);
-        otherwise the node features themselves are used.
+        the topology-consistent correction. ``skip_logits`` are the
+        pre-sigmoid heatmap logits, for their full dynamic range.
         """
-        base = build_node_features(heatmaps)
-        features = base
+        features = build_node_features(heatmaps)
         for weight in self.weights[:-1]:
             features = gcn_layer(features, self.adjacency_norm, weight)
         features = gcn_mix(features, self.adjacency_norm, self.weights[-1])
         h, w = self.feature_hw
-        if skip_logits is not None:
-            skip = build_node_features(skip_logits)
-        else:
-            skip = base
-        refined = refine_heatmaps(add(skip, features), h, w)
+        refined = refine_heatmaps(add(build_node_features(skip_logits), features), h, w)
         logit = classify_nodes(features, self.w_mid, self.w_out)
         return refined, logit

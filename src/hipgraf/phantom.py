@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import GeneratorConfig
-from .dataset import GROUP_COLUMN, MANIFEST_NAME, ImageSample, write_image_tensor, write_manifest, write_pgm
+from .dataset import GROUP_COLUMN, MANIFEST_NAME, write_image_tensor, write_manifest, write_pgm
 from .errors import DataError, GenerationError
 from .metrics import GrafAngles, LABEL_ABNORMAL, LABEL_NORMAL, classify_graf
 
@@ -273,15 +273,3 @@ def generate_dataset(out_dir: str | Path, config: GeneratorConfig) -> Path:
     manifest = out / MANIFEST_NAME
     write_manifest(manifest, rows)
     return manifest
-
-
-def geometry_to_sample(geometry: GeometrySample, image: np.ndarray, name: str, spacing: float) -> ImageSample:
-    return ImageSample(
-        name=name,
-        image=image,
-        landmarks=geometry.landmarks.astype(np.float32),
-        label=geometry.label,
-        spacing=spacing,
-        alpha=geometry.angles.alpha,
-        beta=geometry.angles.beta,
-    )

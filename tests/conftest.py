@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from hipgraf.config import BackboneConfig, ModelConfig, TrainConfig
-from hipgraf.phantom import render_phantom, sample_geometry, geometry_to_sample
+from hipgraf.dataset import ImageSample
+from hipgraf.phantom import render_phantom, sample_geometry
 
 
 def toy_backbone(size: int = 16) -> BackboneConfig:
@@ -36,7 +37,8 @@ def make_samples(n: int, size: int = 32, seed: int = 7, spacing: float = 0.4):
         request = "normal" if i % 2 == 0 else "abnormal"
         geometry = sample_geometry(request, rng=rng, size=size)
         image = render_phantom(geometry.landmarks, rng=rng, size=size, speckle_gamma=0.2)
-        samples.append(geometry_to_sample(geometry, image, name=f"mem_{i:03d}", spacing=spacing))
+        landmarks, angles = geometry.landmarks.astype(np.float32), geometry.angles
+        samples.append(ImageSample(f"mem_{i:03d}", image, landmarks, geometry.label, spacing, angles.alpha, angles.beta))
     return samples
 
 

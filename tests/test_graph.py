@@ -178,7 +178,7 @@ class TestRefinerEndToEnd:
         for w in refiner.weights:
             w.data = np.eye(16, dtype=np.float32)
         stack = rnd(1, 6, 4, 4, seed=41)
-        refined, _ = refiner.forward(Tensor(stack))
+        refined, _ = refiner.forward(Tensor(stack), Tensor(stack))
         expected = 1.0 / (1.0 + np.exp(-(stack + np.maximum(stack, 0.0))))
         np.testing.assert_allclose(refined.data, expected, atol=1e-6)
 
@@ -189,12 +189,13 @@ class TestRefinerEndToEnd:
         base = build_node_features(stack)
         mixed = gcn_layer(base, refiner.adjacency_norm, Tensor(np.eye(16, dtype=np.float32)))
         np.testing.assert_allclose(mixed.data[0, 0], mixed.data[0, 1], atol=1e-7)
-        refined, _ = refiner.forward(stack)
+        refined, _ = refiner.forward(stack, stack)
         assert np.abs(refined.data[0, 0] - refined.data[0, 1]).max() > 1e-4
 
     def test_forward_shapes(self):
         refiner = TopologicalRefiner(np.random.default_rng(14), feature_hw=(4, 4), layers=2, hidden=8)
-        refined, logit = refiner.forward(Tensor(rnd(2, 6, 4, 4, seed=15)))
+        stack = Tensor(rnd(2, 6, 4, 4, seed=15))
+        refined, logit = refiner.forward(stack, stack)
         assert refined.shape == (2, 6, 4, 4)
         assert logit.shape == (2,)
 
@@ -203,13 +204,14 @@ class TestRefinerEndToEnd:
         source = Tensor(np.abs(rnd(1, 6, 4, 4, seed=17)), requires_grad=True)
         stack = sigmoid(source)
 
-        refined, logit = refiner.forward(stack)
+        refined, logit = refiner.forward(stack, stack)
         mse_loss(refined, rnd(1, 6, 4, 4, seed=18)).backward()
         from_mse = source.grad.copy()
         assert np.isfinite(from_mse).all() and np.abs(from_mse).max() > 0
 
         source.grad = None
-        refined, logit = refiner.forward(sigmoid(source))
+        stack = sigmoid(source)
+        refined, logit = refiner.forward(stack, stack)
         logit.sum().backward()
         from_cls = source.grad.copy()
         assert np.isfinite(from_cls).all() and np.abs(from_cls).max() > 0

@@ -351,16 +351,26 @@ class TestConv2d:
         oh, ow = (h + 2 * padding - kh) // stride + 1, (wd + 2 * padding - kw) // stride + 1
         rng = np.random.default_rng(rows * 100 + stride * 10 + padding)
         x, w = rng.standard_normal((n, ci, h, wd)), rng.standard_normal((co, ci, kh, kw))
-        x32, w32 = Tensor(x.astype(np.float32)), Tensor(w.astype(np.float32))
-        whole = conv2d(x32, w32, stride=stride, padding=padding).data
+        x32, w32 = Tensor(x.astype(np.float32), requires_grad=True), Tensor(w.astype(np.float32))
+        g32 = rng.standard_normal((n, co, oh, ow)).astype(np.float32)
+
+        def forward_and_input_grad():
+            x32.grad = None
+            out = conv2d(x32, w32, stride=stride, padding=padding)
+            (out * Tensor(g32)).sum().backward()
+            return out.data.tobytes(), x32.grad.tobytes()
+
+        whole = forward_and_input_grad()
         monkeypatch.setattr(ops, "TILE_BYTES", rows * ci * kh * kw * ow * 8)
-        tiles = [(i, r0, r) for i, r0, r, _ in ops._tiles(x, kh, kw, stride, padding, oh, ow)]
+        tiles = [(i, r0, r) for i, r0, r, _ in ops._tiles(x, kh, kw, stride, (padding, padding), oh, ow)]
         count, height = -(-oh // rows), max(r for _, _, r in tiles)
         assert height <= rows and tiles == [(i, r0, min(height, oh - r0)) for i in range(n) for r0 in range(0, oh, height)]
         assert len(tiles) == n * count
-        # the model's float32 forward keeps its bits; float64 BLAS may pick another
-        # kernel for a narrower product, so it is held to the reference instead
-        assert conv2d(x32, w32, stride=stride, padding=padding).data.tobytes() == whole.tobytes()
+        # the model's float32 forward and input gradient keep their bits, the
+        # gradient read dilated across the band's tile boundaries; float64 BLAS
+        # may pick another kernel for a narrower product, so it is held to the
+        # reference instead
+        assert forward_and_input_grad() == whole
         xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
         out = conv2d(xt, wt, stride=stride, padding=padding)
         np.testing.assert_allclose(out.data, conv2d_reference(x, w, stride, padding), rtol=1e-10, atol=1e-10)
@@ -373,7 +383,7 @@ class TestConv2d:
     def test_one_by_one_tiles_are_views_of_the_input(self):
         # a 1x1 stride-1 unpadded window over every pixel is the input itself: nothing is gathered
         x = rnd(3, 4, 5, 6, seed=50)
-        tiles = list(ops._tiles(x, 1, 1, 1, 0, 5, 6))
+        tiles = list(ops._tiles(x, 1, 1, 1, (0, 0), 5, 6))
         assert [(i, r0, r) for i, r0, r, _ in tiles] == [(0, 0, 5), (1, 0, 5), (2, 0, 5)]
         for i, _, _, cols in tiles:
             assert cols.shape == (4, 30) and np.shares_memory(cols, x[i])
@@ -399,10 +409,27 @@ class TestConv2d:
         finally:
             tracemalloc.stop()
         # one tile buffer beyond the output, and a tile is far smaller than the
-        # sample's patch matrix; the backward adds the input gradient and the
-        # dilated upstream gradient it correlates, each about x's size here
+        # sample's patch matrix; the backward adds only the input gradient, x's
+        # size, since its tiles read the upstream gradient padded in the band
         assert forward < 2 * ops.TILE_BYTES < 16 * 3 * 3 * 128 * 128 * x.data.itemsize // 4
-        assert backward < 2 * x.data.nbytes + 2 * ops.TILE_BYTES
+        assert backward < x.data.nbytes + 2 * ops.TILE_BYTES
+
+    def test_one_by_one_input_gradient_allocates_only_its_result(self):
+        # 64 -> 64 channels at 32 px, batch 8: each sample's tile is a view of
+        # the upstream gradient, so nothing of g's size is copied
+        x = Tensor(rnd(8, 64, 32, 32, seed=51), requires_grad=True)
+        w = Tensor(rnd(64, 64, 1, 1, seed=52))
+        out, g = conv2d(x, w), rnd(8, 64, 32, 32, seed=53)
+        x.grad = np.zeros_like(x.data)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            out._backward(g)
+            backward = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert x.data.nbytes <= backward < x.data.nbytes + 4 * w.data.nbytes
 
     def test_gradients_unchanged_when_a_later_op_reads_the_input(self):
         # backward re-reads the input's data, so an op that reads it after the
@@ -463,7 +490,7 @@ class TestTransposeConv2d:
         (n, _, h, wd), (_, co, kh, kw) = x.shape, w.shape
         m = rnd(n, co, (h - 1) * stride + kh, (wd - 1) * stride + kw, seed=30, dtype=np.float64)
         monkeypatch.setattr(ops, "TILE_BYTES", co * kh * kw * wd * m.itemsize)
-        assert [r for _, _, r, _ in ops._tiles(m, kh, kw, stride, 0, h, wd)] == [1] * (n * h)
+        assert [r for _, _, r, _ in ops._tiles(m, kh, kw, stride, (0, 0), h, wd)] == [1] * (n * h)
         xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
         errors = check_gradients(lambda: (transpose_conv2d(xt, wt, stride=stride) * Tensor(m)).sum(), {"x": xt, "w": wt})
         assert max(errors.values()) < 1e-6, errors
