@@ -18,6 +18,13 @@ once under ``tracemalloc`` before it is timed and records the peak traced
 memory of that call, output and gradients included, as ``peak_mb`` in the
 case's ``extra_info`` (``--benchmark-json`` writes it out).
 
+The UNet's ten 3x3 convs run as ``conv2d_relu``, one tape node that clamps
+conv2d's output in place, so each of their shapes also has a recorded-forward
+and a backward ``conv2d_relu`` case. Next to the plain conv2d case's
+``peak_mb``, the forward's shows that the clamp allocates no second
+output-sized map, where ``relu(conv2d(...))`` keeps one on the tape; the
+backward's adds the masked gradient, which relu's own node allocated.
+
 Run from the repository root (pytest-benchmark prints min/median/max per
 case; pin BLAS to one thread for numbers comparable with ``perfbench``):
 
@@ -32,7 +39,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hipgraf.autodiff import Tensor, conv2d, matmul, maxpool2d, no_grad, softmax, transpose_conv2d
+from hipgraf.autodiff import Tensor, conv2d, conv2d_relu, matmul, maxpool2d, no_grad, softmax, transpose_conv2d
 from hipgraf.nets.fusion import modulated_fuse
 
 BATCH = 2
@@ -54,6 +61,9 @@ CONV_SHAPES = [
     (64, 32, 32, 1, 0),
     (32, 32, 6, 1, 0),
 ]
+
+# the UNet's convs, each a conv2d_relu block
+UNET_SHAPES = [shape for shape in CONV_SHAPES if shape[3] == 3]
 
 # (c_in, h, c_out): UNet up-sampler, transformer up-sampler; 2x2 kernels, stride 2
 TCONV_SHAPES = [
@@ -90,11 +100,11 @@ def _tensors(x_shape, w_shape, seed=0, x_grad=True):
     return x, w
 
 
-def _conv(shape, batch=BATCH):
+def _conv(shape, batch=BATCH, op=conv2d):
     ci, h, co, k, pad = shape
     # the image, the only single-channel input, needs no gradient
     x, w = _tensors((batch, ci, h, h), (co, ci, k, k), x_grad=ci > 1)
-    return x, w, lambda: conv2d(x, w, padding=pad)
+    return x, w, lambda: op(x, w, padding=pad)
 
 
 def _tconv(shape):
@@ -183,6 +193,18 @@ def test_conv2d_forward_no_grad_batch8(benchmark, shape):
 @pytest.mark.parametrize("shape", CONV_SHAPES, ids=_id)
 def test_conv2d_backward(benchmark, shape):
     x, w, op = _conv(shape)
+    _timed_with_peak(benchmark, _run_backward(op, x, w))
+
+
+@pytest.mark.parametrize("shape", UNET_SHAPES, ids=_id)
+def test_conv2d_relu_forward(benchmark, shape):
+    _, _, op = _conv(shape, op=conv2d_relu)
+    _timed_with_peak(benchmark, op)
+
+
+@pytest.mark.parametrize("shape", UNET_SHAPES, ids=_id)
+def test_conv2d_relu_backward(benchmark, shape):
+    x, w, op = _conv(shape, op=conv2d_relu)
     _timed_with_peak(benchmark, _run_backward(op, x, w))
 
 

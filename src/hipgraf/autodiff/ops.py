@@ -27,12 +27,19 @@ less the padding, with the flipped, channel-swapped kernels (Dumoulin &
 Visin 2016, "A guide to convolution arithmetic for deep learning"), so no
 read-modify-write scatter is needed. The transposed conv is conv2d's
 adjoint, so its backward is conv2d's forward and weight gradient with the
-roles of input and output swapped, on the same tiles. maxpool2d's backward
-compares the window views with the output, keeping nothing the tape does
-not already hold, and unfold_neighborhoods keeps no edge-padded copy: its
-backward scatters into a zeroed padded buffer and folds the border back.
-conv2d and transpose_conv2d add their bias in place on the output they
-allocated, so a biased conv is one tape node.
+roles of input and output swapped, both products running on each tile of
+one gather (``_products``). maxpool2d's backward compares the window views
+with the output, keeping nothing the tape does not already hold, and
+unfold_neighborhoods keeps no edge-padded copy: its backward scatters into
+a zeroed padded buffer and folds the border back. conv2d and
+transpose_conv2d add their bias in place on the output they allocated, so
+a biased conv is one tape node. conv2d_relu clamps that same fresh output
+in place and masks the upstream gradient by the clamped values (``y > 0``
+exactly where ``x > 0``, NaN and -0.0 included), so a conv + relu block is
+one node too and keeps no pre-activation map, as the in-place activations
+of Rota Bulò et al. 2018, "In-Place Activated BatchNorm for
+Memory-Optimized Training of DNNs". The clamp is safe under the contract
+below because no op has read that array yet.
 
 That recompute rests on the tape's contract (see ``make_op``): a recorded
 op may read its inputs' ``.data`` again when backward runs, so no op may
@@ -41,6 +48,8 @@ backward has run.
 """
 
 from __future__ import annotations
+
+from collections import deque
 
 import numpy as np
 
@@ -137,6 +146,15 @@ def _tiles(x: np.ndarray, kh: int, kw: int, stride: int, padding: tuple[int, int
             yield i, r0, r, slots.reshape(k, r * ow)
 
 
+def _products(tiles, w_mat: np.ndarray, out: np.ndarray):
+    """Yield each tile of ``tiles`` after multiplying w_mat with it into its columns of out, (n, rows, oh, ow)."""
+    n, rows, oh, ow = out.shape
+    flat = out.reshape(n, rows, oh * ow)
+    for i, r0, r, cols in tiles:
+        np.matmul(w_mat, cols, out=flat[i, :, r0 * ow : (r0 + r) * ow])
+        yield i, r0, r, cols
+
+
 def _correlate(
     x: np.ndarray, w_mat: np.ndarray, kh: int, kw: int, stride: int, padding: tuple[int, int], oh: int, ow: int, dilation: int = 1
 ) -> np.ndarray:
@@ -156,26 +174,23 @@ def _correlate(
     pick another kernel, and so another summation order, for a narrower
     product (float64 does on small maps).
     """
-    n, rows = x.shape[0], w_mat.shape[0]
-    out = np.empty((n, rows, oh, ow), dtype=np.result_type(w_mat, x))
-    flat = out.reshape(n, rows, oh * ow)
-    for i, r0, r, cols in _tiles(x, kh, kw, stride, padding, oh, ow, dilation):
-        np.matmul(w_mat, cols, out=flat[i, :, r0 * ow : (r0 + r) * ow])
+    out = np.empty((x.shape[0], w_mat.shape[0], oh, ow), dtype=np.result_type(w_mat, x))
+    deque(_products(_tiles(x, kh, kw, stride, padding, oh, ow, dilation), w_mat, out), maxlen=0)
     return out
 
 
-def _weight_grad(x: np.ndarray, g: np.ndarray, kh: int, kw: int, stride: int, padding: tuple[int, int]) -> np.ndarray:
-    """(p, c*kh*kw) sum over samples and row tiles of g's (p, pixels) rows times the patches of x.
+def _weight_grad(tiles, g: np.ndarray) -> np.ndarray:
+    """(p, c*kh*kw) sum over samples and row tiles of g's (p, pixels) rows times the patch tiles of the conv input.
 
-    g is (n, p, oh, ow), and x's patches are zero-padded by the padding
-    pair. Each tile is used before the next is gathered, and the tile loop
-    runs to its end, so its buffers are freed before this returns. Computed
-    as the transpose of the sum of cols @ g.T: with a long pixel axis and the
-    wider patch operand on the left, OpenBLAS runs up to twice as fast.
+    g is (n, p, oh, ow), and tiles are ``_tiles`` of the input over (oh, ow).
+    Each tile is used before the next is gathered, and the tile loop runs to
+    its end, so its buffers are freed before this returns. Computed as the
+    transpose of the sum of cols @ g.T: with a long pixel axis and the wider
+    patch operand on the left, OpenBLAS runs up to twice as fast.
     """
     n, p, oh, ow = g.shape
     gf = g.reshape(n, p, oh * ow)
-    products = (cols @ gf[i, :, r0 * ow : (r0 + r) * ow].T for i, r0, r, cols in _tiles(x, kh, kw, stride, padding, oh, ow))
+    products = (cols @ gf[i, :, r0 * ow : (r0 + r) * ow].T for i, r0, r, cols in tiles)
     out = next(products)
     for part in products:
         out += part
@@ -200,7 +215,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, stride: int = 
 
     def backward(g: np.ndarray) -> None:
         if weight.requires_grad:
-            _accumulate(weight, _weight_grad(x.data, g, kh, kw, stride, pad).reshape(weight.shape))
+            _accumulate(weight, _weight_grad(_tiles(x.data, kh, kw, stride, pad, oh, ow), g).reshape(weight.shape))
         if x.requires_grad:
             # correlate g, dilated by the stride and offset by the kernel less
             # one less the padding, with the flipped, channel-swapped kernels;
@@ -231,15 +246,41 @@ def transpose_conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, stri
     cols = (w_mat.T @ x.data.reshape(n, ci, h * w)).reshape(n, co, kh, kw, h, w)
     data = _add_bias(_scatter(cols, np.zeros((n, co, oh, ow), dtype=cols.dtype), stride), bias)
 
-    # conv2d's passes with the roles swapped: g is read as the conv input, x as its output gradient
+    # conv2d's passes with the roles swapped (g is the conv input, x its output gradient), on one gather of g
     def backward(g: np.ndarray) -> None:
-        if weight.requires_grad:
-            _accumulate(weight, _weight_grad(g, x.data, kh, kw, stride, (0, 0)).reshape(weight.shape))
+        tiles = _tiles(g, kh, kw, stride, (0, 0), h, w)
         if x.requires_grad:
-            _accumulate(x, _correlate(g, w_mat, kh, kw, stride, (0, 0), h, w))
+            gx = np.empty((n, ci, h, w), dtype=np.result_type(w_mat, g))
+            tiles = _products(tiles, w_mat, gx)
+        if weight.requires_grad:
+            _accumulate(weight, _weight_grad(tiles, x.data).reshape(weight.shape))
+        if x.requires_grad:
+            deque(tiles, maxlen=0)  # drains the tiles when no weight gradient consumed them
+            _accumulate(x, gx)
         _bias_grad(bias, g)
 
     return make_op(data, _parents(x, weight, bias), backward)
+
+
+def conv2d_relu(x: Tensor, weight: Tensor, bias: Tensor | None = None, stride: int = 1, padding: int = 0) -> Tensor:
+    """``relu(conv2d(...))`` as one tape node that keeps no pre-activation map.
+
+    The clamp runs in place on the array conv2d just allocated, which no op
+    has read yet. The recorded closure masks g by that clamped array, which
+    it captures rather than the output tensor, and passes the product to
+    conv2d's own closure. conv2d is looked up in this module when called, so
+    a wrapper installed there sees every conv.
+    """
+    out = conv2d(x, weight, bias, stride=stride, padding=padding)
+    data = np.maximum(out.data, 0, out=out.data)
+    conv_backward = out._backward
+    if conv_backward is not None:
+
+        def backward(g: np.ndarray) -> None:
+            conv_backward(g * (data > 0))
+
+        out._backward = backward
+    return out
 
 
 def maxpool2d(x: Tensor, kernel: int = 2) -> Tensor:

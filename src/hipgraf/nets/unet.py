@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..autodiff import Module, Tensor, concat, conv2d, glorot_uniform, maxpool2d, relu, transpose_conv2d, zeros_param
+from ..autodiff import Module, Tensor, concat, conv2d_relu, glorot_uniform, maxpool2d, transpose_conv2d, zeros_param
 from ..config import BackboneConfig
 from ..errors import DimensionError
 
@@ -21,7 +21,7 @@ class Conv3x3(Module):
         self.bias = zeros_param((c_out,))
 
     def forward(self, x: Tensor) -> Tensor:
-        return relu(conv2d(x, self.weight, self.bias, stride=1, padding=1))
+        return conv2d_relu(x, self.weight, self.bias, stride=1, padding=1)
 
 
 class ConvBlock(Module):

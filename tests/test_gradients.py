@@ -19,6 +19,7 @@ from hipgraf.autodiff import (
     bce_loss,
     concat,
     conv2d,
+    conv2d_relu,
     default_dtype,
     layer_norm,
     linear,
@@ -90,6 +91,14 @@ class TestConvOps:
         values = {"x": rnd(2, 3, 4, 4, seed=53), "w": rnd(2, 3, 1, 1, seed=54), "b": rnd(2, seed=55)}
         weights = rnd(2, 2, 4, 4, seed=56)
         assert_grads_match(lambda t: (conv2d(t["x"], t["w"], t["b"]) * Tensor(weights, dtype=t["x"].dtype)).sum(), values)
+
+    def test_conv2d_relu(self):
+        # half the pre-activations negative, every one clear of the relu kink, as in TestPointwiseOps
+        values = {"x": rnd(1, 2, 5, 5, seed=60), "w": rnd(3, 2, 3, 3, seed=61), "b": rnd(3, seed=62)}
+        pre = conv2d(Tensor(values["x"]), Tensor(values["w"]), Tensor(values["b"]), padding=1).data
+        assert np.abs(pre).min() > 0.05 and 0.25 < (pre < 0).mean() < 0.75
+        weights = rnd(1, 3, 5, 5, seed=63)
+        assert_grads_match(lambda t: (conv2d_relu(t["x"], t["w"], t["b"], padding=1) * Tensor(weights, dtype=t["x"].dtype)).sum(), values)
 
     def test_transpose_conv2d(self):
         values = {"x": rnd(1, 2, 3, 3, seed=18), "w": rnd(2, 3, 2, 2, seed=19), "b": rnd(3, seed=20)}

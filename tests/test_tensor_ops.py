@@ -14,6 +14,7 @@ from hipgraf.autodiff import (
     bce_loss,
     concat,
     conv2d,
+    conv2d_relu,
     layer_norm,
     matmul,
     maxpool2d,
@@ -494,6 +495,98 @@ class TestTransposeConv2d:
         xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
         errors = check_gradients(lambda: (transpose_conv2d(xt, wt, stride=stride) * Tensor(m)).sum(), {"x": xt, "w": wt})
         assert max(errors.values()) < 1e-6, errors
+
+    @pytest.mark.parametrize("needs", ["x", "w"])
+    def test_either_gradient_alone_matches_both(self, needs):
+        # both gradients read one gather of g's tiles; each must also come out right without the other
+        x, w, m = rnd(2, 3, 4, 5, seed=28), rnd(3, 2, 2, 3, seed=29), rnd(2, 2, 8, 11, seed=30)
+        both = [Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)]
+        (transpose_conv2d(*both, stride=2) * Tensor(m)).sum().backward()
+        alone = [Tensor(x, requires_grad=needs == "x"), Tensor(w, requires_grad=needs == "w")]
+        (transpose_conv2d(*alone, stride=2) * Tensor(m)).sum().backward()
+        i = "xw".index(needs)
+        assert alone[i].grad.tobytes() == both[i].grad.tobytes() and alone[1 - i].grad is None
+
+
+def conv_relu_case(dtype, special):
+    """x, w, b and an output multiplier for a 3x3, padding-1 conv with exact zero pre-activations.
+
+    x's last three rows are zeros, some of them -0.0, so the last two output
+    rows are the bias alone, and the bias holds 0.0 and -0.0. With
+    ``special`` x also holds NaN and +-inf.
+    """
+    x, w, b = rnd(2, 3, 7, 6, seed=60, dtype=dtype), rnd(4, 3, 3, 3, seed=61, dtype=dtype), rnd(4, seed=62, dtype=dtype)
+    x[:, :, 4:] = 0.0
+    x[:, 1:, 5] = -0.0
+    b[1], b[2] = 0.0, -0.0
+    if special:
+        x[0, 0, 1, 1], x[0, 1, 2, 3], x[1, 2, 1, 4] = np.nan, np.inf, -np.inf
+    m = rnd(2, 4, 7, 6, seed=63, dtype=dtype)
+    return x, w, b, m
+
+
+class TestConv2dRelu:
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("special", [False, True], ids=["finite", "nan_inf"])
+    def test_bytes_match_relu_of_conv2d(self, dtype, special):
+        x, w, b, m = conv_relu_case(dtype, special)
+        results = []
+        for fused in (True, False):
+            xt, wt, bt = (Tensor(a.copy(), requires_grad=True) for a in (x, w, b))
+            out = conv2d_relu(xt, wt, bt, padding=1) if fused else relu(conv2d(xt, wt, bt, padding=1))
+            (out * Tensor(m)).sum().backward()
+            results.append([a.tobytes() for a in (out.data, xt.grad, wt.grad, bt.grad)])
+        assert results[0] == results[1]
+        assert (out.data == 0).any() and (out.data > 0).any()
+        if special:
+            assert np.isnan(out.data).any() and np.isposinf(out.data).any()
+
+    def test_one_node_that_keeps_no_pre_activation(self):
+        x, w, b, _ = conv_relu_case(np.float32, False)
+        xt, wt, bt = (Tensor(a, requires_grad=True) for a in (x, w, b))
+        out = conv2d_relu(xt, wt, bt, padding=1)
+        assert len(out._parents) == 3 and all(p is q for p, q in zip(out._parents, (xt, wt, bt)))
+        # the closure holds the clamped array, not its own tensor, so no reference cycle delays freeing it
+        assert not any(cell.cell_contents is out for cell in out._backward.__closure__)
+        # relu(conv2d(...)) holds a second output-sized array: the pre-activation map
+        for t, extra in ((out, 0), (relu(conv2d(xt, wt, bt, padding=1)), 1)):
+            held = {id(a) for a in arrays_held(t) if a.shape == t.shape and not np.shares_memory(a, t.data)}
+            assert len(held) == extra
+
+    def test_no_grad_records_nothing_and_returns_conv2ds_array(self, monkeypatch):
+        x, w, b, _ = conv_relu_case(np.float32, False)
+        made, conv = [], ops.conv2d
+
+        def spy(*args, **kwargs):
+            t = conv(*args, **kwargs)
+            made.append((t, t.data))
+            return t
+
+        monkeypatch.setattr(ops, "conv2d", spy)
+        with no_grad():
+            out = conv2d_relu(*(Tensor(a, requires_grad=True) for a in (x, w, b)), padding=1)
+        assert len(made) == 1 and made[0][0] is out and made[0][1] is out.data
+        assert not out.requires_grad and out._parents == () and out._backward is None
+        np.testing.assert_array_equal(out.data, np.maximum(conv(Tensor(x), Tensor(w), Tensor(b), padding=1).data, 0))
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_closure_leaves_its_gradient_unwritten(self):
+        x, w, b, m = conv_relu_case(np.float32, True)
+        out = conv2d_relu(*(Tensor(a, requires_grad=True) for a in (x, w, b)), padding=1)
+        m.flags.writeable = False  # an in-place write raises
+        out._backward(m)
+        assert m.tobytes() == conv_relu_case(np.float32, True)[3].tobytes()
+
+    def test_second_backward_doubles_the_leaf_gradients(self):
+        x, w, b, m = conv_relu_case(np.float64, False)
+        leaves = [Tensor(a, requires_grad=True) for a in (x, w, b)]
+        loss = (conv2d_relu(*leaves, padding=1) * Tensor(m)).sum()
+        loss.backward()
+        first = [t.grad.copy() for t in leaves]
+        loss.backward()
+        for t, g in zip(leaves, first):
+            np.testing.assert_array_equal(t.grad, 2 * g)
 
 
 class TestSoftmax:
