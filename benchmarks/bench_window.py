@@ -25,6 +25,14 @@ and a backward ``conv2d_relu`` case. Next to the plain conv2d case's
 output-sized map, where ``relu(conv2d(...))`` keeps one on the tape; the
 backward's adds the masked gradient, which relu's own node allocated.
 
+Three layers of the default model are also timed whole, each with a recorded
+batch-2 forward, a tape-free batch-8 forward and the backward of
+``(out * g).sum()`` over its recorded outputs (``Tensor.backward``, tape
+bookkeeping included), all with ``peak_mb``: ``TransformerBranch.forward`` on
+the recentered image, ``HeatmapHead.logits`` on the (n,32,32,32) fused maps,
+and ``TopologicalRefiner.forward`` on the (n,6,32,32) heatmaps and their
+logits.
+
 Run from the repository root (pytest-benchmark prints min/median/max per
 case; pin BLAS to one thread for numbers comparable with ``perfbench``):
 
@@ -34,13 +42,16 @@ case; pin BLAS to one thread for numbers comparable with ``perfbench``):
 The file lives outside ``tests/``, so the tier-1 run never collects it.
 """
 
+import functools
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from hipgraf.autodiff import Tensor, conv2d, conv2d_relu, matmul, maxpool2d, no_grad, softmax, transpose_conv2d
+from hipgraf.config import ModelConfig
 from hipgraf.nets.fusion import modulated_fuse
+from hipgraf.nets.model import INPUT_GAIN, N_LANDMARKS, build_model
 
 BATCH = 2
 EVAL_BATCH = 8
@@ -137,6 +148,40 @@ def _attention(batch=BATCH):
     return scores, lambda: softmax(scores, axis=-1, scale=1.0 / np.sqrt(head_dim))
 
 
+@functools.cache
+def _default_model():
+    return build_model(ModelConfig())
+
+
+def _transformer_case(model, batch, rng):
+    size = model.config.backbone.input_size
+    image = Tensor(((rng.random((batch, 1, size, size)) - 0.5) * INPUT_GAIN).astype(np.float32))
+    return [], lambda: [model.transformer.forward(image)]
+
+
+def _head_case(model, batch, rng):
+    bb = model.config.backbone
+    fused = Tensor(rng.standard_normal((batch, bb.channels, bb.feature_size, bb.feature_size)).astype(np.float32), requires_grad=True)
+    return [fused], lambda: [model.head.logits(fused)]
+
+
+def _refiner_case(model, batch, rng):
+    f = model.config.backbone.feature_size
+    logits = rng.standard_normal((batch, N_LANDMARKS, f, f)).astype(np.float32)
+    heatmaps, skip = Tensor(1.0 / (1.0 + np.exp(-logits)), requires_grad=True), Tensor(logits, requires_grad=True)
+    return [heatmaps, skip], lambda: list(model.refiner.forward(heatmaps, skip))
+
+
+# layer -> (inputs that need gradients, a call returning the layer's outputs)
+LAYER_CASES = {"transformer": _transformer_case, "head_logits": _head_case, "refiner": _refiner_case}
+
+
+def _layer(name, batch=BATCH):
+    model = _default_model()
+    inputs, op = LAYER_CASES[name](model, batch, np.random.default_rng(0))
+    return model, inputs, op
+
+
 def _no_grad(op):
     def forward():
         with no_grad():
@@ -153,6 +198,21 @@ def _run_backward(op, *inputs):
         for t in inputs:
             t.grad = None
         out._backward(g)
+
+    return backward
+
+
+def _run_loss_backward(model, inputs, op):
+    """Backward of (out * g).sum() summed over the layer's outputs, g fixed and random."""
+    rng = np.random.default_rng(1)
+    terms = [(out * Tensor(rng.standard_normal(out.shape).astype(out.dtype))).sum() for out in op()]
+    loss = sum(terms[1:], terms[0])
+    leaves = inputs + list(model.parameters().values())
+
+    def backward():
+        for t in leaves:
+            t.grad = None
+        loss.backward()
 
     return backward
 
@@ -268,3 +328,20 @@ def test_attention_softmax_forward_no_grad_batch8(benchmark):
 def test_attention_softmax_backward(benchmark):
     scores, op = _attention()
     benchmark(_run_backward(op, scores))
+
+
+@pytest.mark.parametrize("layer", LAYER_CASES)
+def test_layer_forward(benchmark, layer):
+    _, _, op = _layer(layer)
+    _timed_with_peak(benchmark, op)
+
+
+@pytest.mark.parametrize("layer", LAYER_CASES)
+def test_layer_forward_no_grad_batch8(benchmark, layer):
+    _, _, op = _layer(layer, batch=EVAL_BATCH)
+    _timed_with_peak(benchmark, _no_grad(op))
+
+
+@pytest.mark.parametrize("layer", LAYER_CASES)
+def test_layer_backward(benchmark, layer):
+    _timed_with_peak(benchmark, _run_loss_backward(*_layer(layer)))

@@ -318,33 +318,25 @@ def maxpool2d(x: Tensor, kernel: int = 2) -> Tensor:
     return make_op(data, (x,), backward)
 
 
-# -- pointwise activations ------------------------------------------------------
-
-def pointwise(x: Tensor, kind: str) -> Tensor:
-    """Elementwise nonlinearity; kind is relu or sigmoid."""
-    if kind == "relu":
-        data = np.maximum(x.data, 0)
-
-        def backward(g: np.ndarray) -> None:
-            _accumulate(x, g * (x.data > 0))
-
-    elif kind == "sigmoid":
-        data = _sigmoid(x.data)
-
-        def backward(g: np.ndarray) -> None:
-            _accumulate(x, g * data * (1 - data))
-
-    else:
-        raise ConfigError(f"unknown pointwise kind {kind!r}; expected relu or sigmoid")
-    return make_op(data, (x,), backward)
+# -- activations ----------------------------------------------------------------
 
 
 def relu(x: Tensor) -> Tensor:
-    return pointwise(x, "relu")
+    data = np.maximum(x.data, 0)
+
+    def backward(g: np.ndarray) -> None:
+        _accumulate(x, g * (x.data > 0))
+
+    return make_op(data, (x,), backward)
 
 
 def sigmoid(x: Tensor) -> Tensor:
-    return pointwise(x, "sigmoid")
+    data = _sigmoid(x.data)
+
+    def backward(g: np.ndarray) -> None:
+        _accumulate(x, g * data * (1 - data))
+
+    return make_op(data, (x,), backward)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:

@@ -120,9 +120,6 @@ class Tensor:
             raise ContractError(f"item() needs a single-element tensor, got shape {self.shape}")
         return float(self.data.reshape(()))
 
-    def __float__(self) -> float:
-        return self.item()
-
     def __repr__(self) -> str:
         grad = ", grad" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}{grad})"
@@ -348,46 +345,34 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 # -- arithmetic ---------------------------------------------------------------
 
 
-def add(a, b) -> Tensor:
+def _elementwise(a, b, forward, grad_a, grad_b) -> Tensor:
+    """``forward(a, b)`` over broadcast operands; a plain operand takes the other's dtype.
+
+    Backward sums each operand's gradient term, ``grad_a(g, b)`` or
+    ``grad_b(g, a)``, over the axes that operand was broadcast along.
+    """
     a = as_tensor(a, like=b if isinstance(b, Tensor) else None)
     b = as_tensor(b, like=a)
-    data = a.data + b.data
 
     def backward(g: np.ndarray) -> None:
         if a.requires_grad:
-            _accumulate(a, _unbroadcast(g, a.data.shape))
+            _accumulate(a, _unbroadcast(grad_a(g, b.data), a.data.shape))
         if b.requires_grad:
-            _accumulate(b, _unbroadcast(g, b.data.shape))
+            _accumulate(b, _unbroadcast(grad_b(g, a.data), b.data.shape))
 
-    return make_op(data, (a, b), backward)
+    return make_op(forward(a.data, b.data), (a, b), backward)
+
+
+def add(a, b) -> Tensor:
+    return _elementwise(a, b, np.add, lambda g, other: g, lambda g, other: g)
 
 
 def sub(a, b) -> Tensor:
-    a = as_tensor(a, like=b if isinstance(b, Tensor) else None)
-    b = as_tensor(b, like=a)
-    data = a.data - b.data
-
-    def backward(g: np.ndarray) -> None:
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(-g, b.data.shape))
-
-    return make_op(data, (a, b), backward)
+    return _elementwise(a, b, np.subtract, lambda g, other: g, lambda g, other: -g)
 
 
 def mul(a, b) -> Tensor:
-    a = as_tensor(a, like=b if isinstance(b, Tensor) else None)
-    b = as_tensor(b, like=a)
-    data = a.data * b.data
-
-    def backward(g: np.ndarray) -> None:
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g * b.data, a.data.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(g * a.data, b.data.shape))
-
-    return make_op(data, (a, b), backward)
+    return _elementwise(a, b, np.multiply, np.multiply, np.multiply)
 
 
 def neg(a: Tensor) -> Tensor:
@@ -445,29 +430,24 @@ def _rows(x: np.ndarray) -> np.ndarray:
 
 
 def reduce_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    data = a.data.sum(axis=axis, keepdims=keepdims)
-
-    def backward(g: np.ndarray) -> None:
-        grad = g
-        if axis is not None and not keepdims:
-            grad = np.expand_dims(grad, axis)
-        _accumulate(a, np.broadcast_to(grad, a.data.shape))
-
-    return make_op(data, (a,), backward)
+    return _reduction(a, a.data.sum(axis=axis, keepdims=keepdims), axis, keepdims, None)
 
 
 def reduce_mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    data = a.data.mean(axis=axis, keepdims=keepdims)
-    if axis is None:
-        count = a.data.size
-    else:
-        axes = axis if isinstance(axis, tuple) else (axis,)
-        count = 1
-        for ax in axes:
-            count *= a.data.shape[ax]
+    axes = range(a.ndim) if axis is None else axis if isinstance(axis, tuple) else (axis,)
+    count = math.prod(a.data.shape[ax] for ax in axes)
+    return _reduction(a, a.data.mean(axis=axis, keepdims=keepdims), axis, keepdims, count)
+
+
+def _reduction(a: Tensor, data, axis, keepdims: bool, count: int | None) -> Tensor:
+    """Record ``data``, a sum (``count`` None) or a mean of a over ``axis``.
+
+    Backward divides g by ``count`` for a mean, expands its reduced axes and
+    broadcasts it back to a's shape.
+    """
 
     def backward(g: np.ndarray) -> None:
-        grad = g / count
+        grad = g if count is None else g / count
         if axis is not None and not keepdims:
             grad = np.expand_dims(grad, axis)
         _accumulate(a, np.broadcast_to(grad, a.data.shape))

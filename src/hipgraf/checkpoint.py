@@ -36,7 +36,6 @@ VERSION = 1
 
 @dataclass
 class Checkpoint:
-    version: int
     epoch: int
     step: int
     adam_t: int
@@ -122,9 +121,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         except ValueError as exc:
             raise FormatError(f"{path}: checkpoint header: {exc}") from exc
         arrays = tensorfile.read_tensors(fh)
-    return Checkpoint(
-        version=version, epoch=epoch, step=step, adam_t=adam_t, config=config, model_config=model_config, arrays=arrays
-    )
+    return Checkpoint(epoch=epoch, step=step, adam_t=adam_t, config=config, model_config=model_config, arrays=arrays)
 
 
 def restore_model(checkpoint: Checkpoint) -> LandmarkNet:

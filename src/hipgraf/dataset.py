@@ -15,7 +15,7 @@ import csv
 import io
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -41,9 +41,6 @@ class ImageSample:
     alpha: float | None = None
     beta: float | None = None
     group: int | None = None
-
-    def copy_with(self, **changes) -> "ImageSample":
-        return replace(self, **changes)
 
 
 def write_pgm(path: str | Path, image: np.ndarray) -> None:

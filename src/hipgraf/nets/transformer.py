@@ -65,15 +65,15 @@ def sincos_position_grid(grid: int, dim: int) -> np.ndarray:
     return table[:, :dim]
 
 
-class LayerScale(Module):
-    """Learned gain and shift applied after a normalization."""
+class LayerNorm(Module):
+    """Layer normalization over the last axis, then a learned gain and shift."""
 
     def __init__(self, dim: int):
         self.gain = ones_param((dim,))
         self.shift = zeros_param((dim,))
 
     def forward(self, x: Tensor) -> Tensor:
-        return add(mul(x, self.gain), self.shift)
+        return add(mul(layer_norm(x, axis=-1), self.gain), self.shift)
 
 
 class SelfAttention(Module):
@@ -95,39 +95,35 @@ class SelfAttention(Module):
         b, n, _ = t.shape
         return transpose(reshape(t, (b, n, self.heads, self.head_dim)), (0, 2, 1, 3))
 
-    def weights(self, x: Tensor) -> Tensor:
-        """Row-stochastic (b, heads, n, n) attention of the tokens x over each other."""
+    def forward(self, x: Tensor) -> tuple[Tensor, Tensor]:
+        """The attended tokens, and the row-stochastic (b, heads, n, n) attention of x over itself."""
+        b, n, d = x.shape
         q = self._split(linear(x, self.wq, self.bq))
         k = self._split(linear(x, self.wk))
-        return softmax(matmul(q, transpose(k, (0, 1, 3, 2))), axis=-1, scale=1.0 / math.sqrt(self.head_dim))
-
-    def forward(self, x: Tensor) -> Tensor:
-        b, n, d = x.shape
-        mixed = matmul(self.weights(x), self._split(linear(x, self.wv, self.bv)))
+        attention = softmax(matmul(q, transpose(k, (0, 1, 3, 2))), axis=-1, scale=1.0 / math.sqrt(self.head_dim))
+        mixed = matmul(attention, self._split(linear(x, self.wv, self.bv)))
         merged = reshape(transpose(mixed, (0, 2, 1, 3)), (b, n, d))
-        return linear(merged, self.wo, self.bo)
+        return linear(merged, self.wo, self.bo), attention
 
 
 class EncoderLayer(Module):
-    """Pre-norm block: x + attn(norm(x)), then x + mlp(norm(x))."""
+    """Pre-norm block: x + attn(norm(x)), then x + mlp(norm(x)); forward also returns the attention."""
 
     def __init__(self, rng: np.random.Generator, dim: int, heads: int):
-        self.norm1 = LayerScale(dim)
+        self.norm1 = LayerNorm(dim)
         self.attention = SelfAttention(rng, dim, heads)
-        self.norm2 = LayerScale(dim)
+        self.norm2 = LayerNorm(dim)
         hidden = MLP_RATIO * dim
         self.w1 = glorot_uniform(rng, (dim, hidden), dim, hidden)
         self.b1 = zeros_param((hidden,))
         self.w2 = glorot_uniform(rng, (hidden, dim), hidden, dim)
         self.b2 = zeros_param((dim,))
 
-    def attention_input(self, x: Tensor) -> Tensor:
-        return self.norm1.forward(layer_norm(x, axis=-1))
-
-    def forward(self, x: Tensor) -> Tensor:
-        x = add(x, self.attention.forward(self.attention_input(x)))
-        mlp = linear(relu(linear(self.norm2.forward(layer_norm(x, axis=-1)), self.w1, self.b1)), self.w2, self.b2)
-        return add(x, mlp)
+    def forward(self, x: Tensor) -> tuple[Tensor, Tensor]:
+        attended, attention = self.attention.forward(self.norm1.forward(x))
+        x = add(x, attended)
+        mlp = linear(relu(linear(self.norm2.forward(x), self.w1, self.b1)), self.w2, self.b2)
+        return add(x, mlp), attention
 
 
 class TransformerBranch(Module):
@@ -187,7 +183,7 @@ class TransformerBranch(Module):
         """Patch tokens after the encoder stack, shape (n, grid^2, token_dim)."""
         x = self.embed(image)
         for layer in self.layers:
-            x = layer.forward(x)
+            x = layer.forward(x)[0]  # drops the attention before the next layer computes its own
         return x
 
     def forward(self, image: Tensor) -> Tensor:
@@ -208,14 +204,14 @@ class TransformerBranch(Module):
     def attention_maps(self, image: Tensor) -> list[np.ndarray]:
         """Each encoder layer's (n, heads, grid^2, grid^2) attention for ``image``.
 
-        Computed afresh on no tape; the branch keeps no state between calls.
+        One encoder pass on no tape, one softmax per layer; the branch keeps no state.
         """
         maps = []
         with no_grad():
             x = self.embed(image)
             for layer in self.layers:
-                maps.append(layer.attention.weights(layer.attention_input(x)).data)
-                x = layer.forward(x)
+                x, attention = layer.forward(x)
+                maps.append(attention.data)
         return maps
 
 

@@ -12,7 +12,7 @@ Determinism: the shuffle order of epoch e comes from a generator seeded with
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +32,6 @@ class LossBreakdown:
 
     landmark: Tensor
     classify: Tensor | None
-    lam: float
     total: Tensor
 
 
@@ -69,7 +68,7 @@ def augment_hflip(sample: ImageSample) -> ImageSample:
     flipped = np.ascontiguousarray(sample.image[:, ::-1])
     landmarks = sample.landmarks.copy()
     landmarks[:, 0] = (w - 1) - landmarks[:, 0]
-    return sample.copy_with(image=flipped, landmarks=landmarks)
+    return replace(sample, image=flipped, landmarks=landmarks)
 
 
 def total_loss(
@@ -85,10 +84,10 @@ def total_loss(
     if refined is not None:
         l_landmark = 0.5 * (l_landmark + mse_loss(refined, gt_heatmaps))
     if logit is None:
-        return LossBreakdown(landmark=l_landmark, classify=None, lam=lam, total=l_landmark)
+        return LossBreakdown(landmark=l_landmark, classify=None, total=l_landmark)
     l_classify = bce_loss(logit, labels)
     total = l_landmark + lam * l_classify
-    return LossBreakdown(landmark=l_landmark, classify=l_classify, lam=lam, total=total)
+    return LossBreakdown(landmark=l_landmark, classify=l_classify, total=total)
 
 
 # elements per Adam block: the dozen in-place passes over one block of
@@ -163,7 +162,6 @@ class LogRow:
 
 @dataclass
 class TrainResult:
-    model: LandmarkNet
     optimizer: Adam
     history: list[LogRow] = field(default_factory=list)
     epochs_run: int = 0
@@ -199,7 +197,7 @@ def train(samples: list[ImageSample], model: LandmarkNet, cfg: TrainConfig, log_
     for s in samples:
         check_image_size(s.image, model.config.backbone.input_size, f"sample {s.name}")
     optimizer = Adam(model.parameters(), lr=cfg.lr)
-    result = TrainResult(model=model, optimizer=optimizer)
+    result = TrainResult(optimizer=optimizer)
     log_fh = open(log_path, "w") if log_path is not None else None
     if log_fh:
         log_fh.write(LOSS_LOG_HEADER + "\n")

@@ -19,7 +19,8 @@ from hipgraf.autodiff import (
     matmul,
     maxpool2d,
     mse_loss,
-    pointwise,
+    relu,
+    sigmoid,
     softmax,
     transpose_conv2d,
     unfold_neighborhoods,
@@ -99,13 +100,13 @@ class TestCriterion1Gradients:
                 {"x": rnd(1, 2, 3, 3, seed=6), "w": rnd(2, 3, 2, 2, seed=7)},
             ),
         )
-        for kind in ("relu", "sigmoid"):
+        for activation in (relu, sigmoid):
             pts = np.random.default_rng(9).uniform(-3, 3, 100)
             pts = pts[np.abs(pts) > 0.05]
             worst = max(
                 worst,
                 self._check(
-                    lambda t, k=kind: (pointwise(t["x"], k) * Tensor(rnd(t["x"].size, seed=10), dtype=t["x"].dtype)).sum(),
+                    lambda t, f=activation: (f(t["x"]) * Tensor(rnd(t["x"].size, seed=10), dtype=t["x"].dtype)).sum(),
                     {"x": pts},
                 ),
             )

@@ -6,9 +6,10 @@ import threading
 import numpy as np
 import pytest
 
-from hipgraf.autodiff import Tensor, mse_loss, no_grad
+from hipgraf.autodiff import Tensor, mse_loss, no_grad, softmax
 from hipgraf.config import BackboneConfig
 from hipgraf.errors import ConfigError, DimensionError
+from hipgraf.nets import transformer
 from hipgraf.nets.model import HeatmapHead, build_model
 from hipgraf.nets.transformer import TransformerBranch
 from hipgraf.nets.unet import UNetBranch
@@ -77,6 +78,30 @@ class TestTransformerBranch:
         assert all(np.array_equal(a, b) for a, b in zip(first, second))
         # neither forward nor attention_maps leaves anything behind on the modules
         assert {id(m): dict(vars(m)) for layer in branch.layers for m in (layer, layer.attention)} == state
+
+    def test_attention_maps_run_one_softmax_per_layer(self, monkeypatch):
+        config = BackboneConfig(
+            input_size=16, feature_size=4, channels=8, unet_depth=2, patch_size=4, token_dim=8, transformer_layers=3, heads=2
+        )
+        branch = TransformerBranch(config, rng())
+        x = Tensor(rng(17).random((2, 1, 16, 16), dtype=np.float32))
+        outputs = []
+
+        def spy(*args, **kwargs):
+            out = softmax(*args, **kwargs)
+            outputs.append(out.data)
+            return out
+
+        monkeypatch.setattr(transformer, "softmax", spy)
+        maps = branch.attention_maps(x)
+        assert len(outputs) == len(branch.layers)
+        outputs.clear()
+        with no_grad():
+            branch.forward(x)
+        assert len(outputs) == len(maps) == len(branch.layers)
+        for attention, computed in zip(maps, outputs):
+            assert attention.dtype == computed.dtype and attention.shape == computed.shape
+            assert attention.tobytes() == computed.tobytes()
 
     def test_patch_permutation_equivariance_with_zero_pos_embedding(self):
         # Swapping two input patches must swap the corresponding output tokens.

@@ -27,8 +27,9 @@ from hipgraf.autodiff import (
     maxpool2d,
     mse_loss,
     mul,
-    pointwise,
     reduce_mean,
+    relu,
+    sigmoid,
     softmax,
     transpose_conv2d,
     unfold_neighborhoods,
@@ -114,12 +115,12 @@ class TestConvOps:
 
 
 class TestPointwiseOps:
-    @pytest.mark.parametrize("kind", ["relu", "sigmoid"])
-    def test_kinds_at_100_random_points(self, kind):
+    @pytest.mark.parametrize("activation", [relu, sigmoid], ids=["relu", "sigmoid"])
+    def test_kinds_at_100_random_points(self, activation):
         points = np.random.default_rng(23).uniform(-3, 3, size=100)
         points = points[np.abs(points) > 0.05][:90]  # keep clear of the relu kink
         values = {"x": points}
-        assert_grads_match(lambda t: (pointwise(t["x"], kind) * Tensor(rnd(points.size, seed=24), dtype=t["x"].dtype)).sum(), values)
+        assert_grads_match(lambda t: (activation(t["x"]) * Tensor(rnd(points.size, seed=24), dtype=t["x"].dtype)).sum(), values)
 
     def test_softmax(self):
         values = {"x": rnd(3, 5, seed=25)}
@@ -197,7 +198,7 @@ class TestComposedGraphs:
         x = rnd(5, 4, seed=44)
 
         def build(t):
-            hidden = pointwise(linear(Tensor(x, dtype=t["w1"].dtype), t["w1"], t["b1"]), "sigmoid")
+            hidden = sigmoid(linear(Tensor(x, dtype=t["w1"].dtype), t["w1"], t["b1"]))
             return mse_loss(matmul(hidden, t["w2"]), Tensor(np.zeros((5, 2)), dtype=t["w1"].dtype))
 
         assert_grads_match(build, values)

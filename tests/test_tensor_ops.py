@@ -1,5 +1,6 @@
 """Forward-value contracts of the tensor ops: hand-computable cases, and the gradient ownership contract."""
 
+import itertools
 import math
 import re
 import tracemalloc
@@ -7,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from hipgraf.autodiff import (
     Tensor,
@@ -21,12 +23,13 @@ from hipgraf.autodiff import (
     mse_loss,
     mul,
     no_grad,
-    pointwise,
     reduce_mean,
+    reduce_sum,
     relu,
     reshape,
     sigmoid,
     softmax,
+    sub,
     transpose,
     transpose_conv2d,
     unfold_neighborhoods,
@@ -156,6 +159,81 @@ def window_stack_grad_reference(g, window):
                     src_j = min(max(j + v - pad, 0), w - 1)
                     gx[:, :, src_i, src_j] += g[:, u * window + v, :, i, j]
     return gx
+
+
+# op, numpy forward, and each operand's upstream term from g and the other operand
+BROADCASTING_OPS = {
+    "add": (add, np.add, lambda g, b: g, lambda g, a: g),
+    "sub": (sub, np.subtract, lambda g, b: g, lambda g, a: -g),
+    "mul": (mul, np.multiply, lambda g, b: g * b, lambda g, a: g * a),
+}
+
+
+def sum_over_broadcast_axes(term, shape):
+    """term summed down to an operand of ``shape`` that numpy broadcast up to term.shape."""
+    lead = term.ndim - len(shape)
+    axes = tuple(range(lead)) + tuple(lead + i for i, n in enumerate(shape) if n == 1)
+    return term.sum(axis=axes).reshape(shape)
+
+
+class TestBroadcastingAndReductionProperties:
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_binary_ops_match_numpy(self, data):
+        name = data.draw(st.sampled_from(sorted(BROADCASTING_OPS)), label="op")
+        op, forward, grad_a, grad_b = BROADCASTING_OPS[name]
+        dtype = data.draw(st.sampled_from([np.float64, np.float32]), label="dtype")
+        shapes = data.draw(hnp.mutually_broadcastable_shapes(num_shapes=2, min_dims=0, max_dims=4, max_side=3), label="shapes")
+        kinds = data.draw(
+            st.tuples(*[st.sampled_from(["tensor", "float", "numpy_scalar"])] * 2).filter(lambda k: "tensor" in k), label="kinds"
+        )
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**16), label="seed"))
+        operands, arrays = [], []
+        for kind, shape in zip(kinds, shapes.input_shapes):
+            if kind == "tensor":
+                arr = rng.standard_normal(shape).astype(dtype)
+                operands.append(Tensor(arr, requires_grad=True))
+            else:
+                value = float(rng.standard_normal())
+                operands.append(value if kind == "float" else np.float32(value) if dtype == np.float64 else np.float64(value))
+                arr = np.asarray(operands[-1], dtype=dtype)  # a plain operand takes the tensor's dtype
+            arrays.append(arr)
+        out = op(*operands)
+        expected = forward(*arrays)
+        assert out.dtype == dtype
+        np.testing.assert_array_equal(out.data, expected)
+        g = rng.standard_normal(np.shape(expected)).astype(dtype)
+        g.flags.writeable = False
+        out._backward(g)
+        (a, b), (a_arr, b_arr) = operands, arrays
+        tol = {"rtol": 1e-12, "atol": 1e-12} if dtype == np.float64 else {"rtol": 1e-5, "atol": 1e-5}
+        for operand, term in ((a, grad_a(g, b_arr)), (b, grad_b(g, a_arr))):
+            if isinstance(operand, Tensor):
+                assert operand.grad.dtype == dtype and operand.grad.shape == operand.shape
+                np.testing.assert_allclose(operand.grad, sum_over_broadcast_axes(np.asarray(term), operand.shape), **tol)
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_reductions_match_numpy(self, data):
+        shape = data.draw(hnp.array_shapes(min_dims=1, max_dims=4, max_side=4), label="shape")
+        ndim = len(shape)
+        reduced = data.draw(st.lists(st.integers(0, ndim - 1), unique=True, max_size=ndim), label="axes")
+        written = tuple(ax - ndim if data.draw(st.booleans(), label="negative") else ax for ax in reduced)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**16), label="seed"))
+        x = rng.standard_normal(shape)
+        for axis in [None, written] + ([written[0]] if len(written) == 1 else []):
+            axes = range(ndim) if axis is None else reduced
+            kept = tuple(1 if i in axes else n for i, n in enumerate(shape))
+            count = math.prod(shape[i] for i in axes)
+            for mean, keepdims in itertools.product((False, True), repeat=2):
+                t = Tensor(x, requires_grad=True)
+                out = (reduce_mean if mean else reduce_sum)(t, axis=axis, keepdims=keepdims)
+                np.testing.assert_array_equal(out.data, (x.mean if mean else x.sum)(axis=axis, keepdims=keepdims))
+                g = rng.standard_normal(np.shape(out.data))
+                g.flags.writeable = False
+                out._backward(g)
+                assert t.grad.shape == shape
+                np.testing.assert_array_equal(t.grad, np.broadcast_to(g.reshape(kept) / count if mean else g.reshape(kept), shape))
 
 
 class TestMatmul:
@@ -636,15 +714,11 @@ class TestSoftmax:
 
 class TestPointwise:
     def test_relu_values(self):
-        out = pointwise(Tensor(np.array([-1.0, 2.0])), "relu")
+        out = relu(Tensor(np.array([-1.0, 2.0])))
         np.testing.assert_allclose(out.data, [0.0, 2.0])
 
     def test_sigmoid_at_zero(self):
         assert sigmoid(Tensor(np.array([0.0]))).data[0] == pytest.approx(0.5)
-
-    def test_unknown_kind(self):
-        with pytest.raises(ConfigError, match="unknown pointwise kind"):
-            pointwise(Tensor(np.array([1.0])), "tanh")
 
 
 class TestLayerNorm:
