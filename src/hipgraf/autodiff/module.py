@@ -35,18 +35,11 @@ class Module:
     def load_state(self, arrays: dict[str, np.ndarray], source: str = "checkpoint") -> None:
         """Copy arrays into this module's parameters; all-or-nothing.
 
-        Name or shape mismatches raise before any parameter is touched.
+        Name or shape mismatches raise before any parameter is touched. The
+        parameters own their copies, so training them leaves ``arrays`` as it was.
         """
         params = self.parameters()
-        missing = sorted(set(params) - set(arrays))
-        extra = sorted(set(arrays) - set(params))
-        if missing or extra:
-            raise IncompleteCheckpointError(
-                f"{source} does not match model: missing={missing or 'none'} unexpected={extra or 'none'}"
-            )
-        bad = [n for n in params if tuple(arrays[n].shape) != params[n].shape]
-        if bad:
-            raise IncompleteCheckpointError(f"{source} tensor shapes disagree with model for: {bad}")
+        _check_state(params, arrays, source)
         for name, p in params.items():
             p.data = np.array(arrays[name], dtype=p.data.dtype)
             p.grad = None
@@ -54,6 +47,19 @@ class Module:
     def zero_grad(self) -> None:
         for _, p in self.named_parameters():
             p.grad = None
+
+
+def _check_state(params: dict[str, Tensor], arrays: dict[str, np.ndarray], source: str) -> None:
+    """Raise IncompleteCheckpointError unless ``arrays`` holds exactly one array of the right shape per parameter name."""
+    missing = sorted(set(params) - set(arrays))
+    extra = sorted(set(arrays) - set(params))
+    if missing or extra:
+        raise IncompleteCheckpointError(
+            f"{source} does not match model: missing={missing or 'none'} unexpected={extra or 'none'}"
+        )
+    bad = [n for n in params if tuple(arrays[n].shape) != params[n].shape]
+    if bad:
+        raise IncompleteCheckpointError(f"{source} tensor shapes disagree with model for: {bad}")
 
 
 def _walk(name: str, value) -> Iterator[tuple[str, Tensor]]:
@@ -69,15 +75,21 @@ def _walk(name: str, value) -> Iterator[tuple[str, Tensor]]:
 
 _SHAPES = threading.local()
 
+# glorot_uniform's float64 draws, in elements per slice of the parameter
+_DRAW_SLICE = 1 << 16
+
 
 @contextlib.contextmanager
 def parameter_shapes(shapes: Iterable[tuple[int, ...]]) -> Iterator[None]:
     """Inside the block, each parameter this thread creates takes one of ``shapes``; each serves once.
 
     A parameter whose shape has no unused entry left raises
-    IncompleteCheckpointError before anything is drawn or allocated, so a
-    model built to receive a checkpoint's tensors asks for no more memory
-    than those tensors hold.
+    IncompleteCheckpointError. The others are created as read-only
+    zero-stride placeholders of the thread's dtype: nothing is drawn, no
+    parameter-sized array is allocated, and the caller then sets each
+    parameter's ``data`` to an array of its own (``restore_model`` sets the
+    checkpoint's). A constructor that writes into a placeholder in place
+    raises instead of touching that array.
     """
     previous = getattr(_SHAPES, "left", None)
     _SHAPES.left = Counter(shapes)
@@ -87,7 +99,8 @@ def parameter_shapes(shapes: Iterable[tuple[int, ...]]) -> Iterator[None]:
         _SHAPES.left = previous
 
 
-def _claim(shape: tuple[int, ...]) -> None:
+def _claim(shape: tuple[int, ...]) -> bool:
+    """Check that a parameter of ``shape`` may be created; True inside ``parameter_shapes``."""
     left = getattr(_SHAPES, "left", None)
     if left is not None:
         if not left[shape]:
@@ -95,21 +108,40 @@ def _claim(shape: tuple[int, ...]) -> None:
         left[shape] -= 1
     if math.prod(shape) * np.dtype(default_dtype()).itemsize > np.iinfo(np.intp).max:
         raise ConfigError(f"a parameter of shape {shape} is larger than numpy can address; reduce the widths that set it")
+    return left is not None
+
+
+def _placeholder(shape: tuple[int, ...]) -> Tensor:
+    # one zero seen through zero strides: reads as zeros, refuses writes
+    return Tensor(np.broadcast_to(np.zeros((), default_dtype()), shape), requires_grad=True)
 
 
 def glorot_uniform(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int, fan_out: int) -> Tensor:
-    """Uniform(-a, a) with a = sqrt(6/(fan_in+fan_out))."""
-    _claim(shape)
+    """Uniform(-a, a) with a = sqrt(6/(fan_in+fan_out)), drawn in float64 and rounded to the thread's dtype.
+
+    The draws go straight into the parameter's own array, ``_DRAW_SLICE``
+    elements at a time in C order, which consumes ``rng`` as one draw of the
+    whole shape would: the same bits without a float64 buffer of that size.
+    Inside ``parameter_shapes`` nothing is drawn.
+    """
+    if _claim(shape):
+        return _placeholder(shape)
     a = np.sqrt(6.0 / (fan_in + fan_out))
-    data = rng.uniform(-a, a, size=shape).astype(default_dtype())
+    data = np.empty(shape, dtype=default_dtype())
+    flat = data.reshape(-1)
+    for start in range(0, flat.size, _DRAW_SLICE):
+        part = flat[start : start + _DRAW_SLICE]
+        part[...] = rng.uniform(-a, a, size=part.size)
     return Tensor(data, requires_grad=True)
 
 
 def zeros_param(shape: tuple[int, ...]) -> Tensor:
-    _claim(shape)
+    if _claim(shape):
+        return _placeholder(shape)
     return Tensor(np.zeros(shape, dtype=default_dtype()), requires_grad=True)
 
 
 def ones_param(shape: tuple[int, ...]) -> Tensor:
-    _claim(shape)
+    if _claim(shape):
+        return _placeholder(shape)
     return Tensor(np.ones(shape, dtype=default_dtype()), requires_grad=True)

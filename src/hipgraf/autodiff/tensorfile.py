@@ -83,6 +83,8 @@ def _read(fh: BinaryIO) -> dict[str, np.ndarray]:
             name = raw_name.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise FormatError(f"tensor name is not UTF-8: {raw_name[:32]!r}") from exc
+        if name in tensors:
+            raise FormatError(f"duplicate tensor name {name!r}")
         (ndim,) = struct.unpack("<B", _take(fh, 1, "ndim"))
         shape = tuple(struct.unpack("<I", _take(fh, 4, "dim"))[0] for _ in range(ndim))
         (tag,) = struct.unpack("<B", _take(fh, 1, "dtype tag"))

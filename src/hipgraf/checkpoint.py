@@ -25,6 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import parameter_shapes, tensorfile
+from .autodiff.module import _check_state
 from .config import ModelConfig, merge_run_config, model_config_from, train_config_from
 from .errors import FormatError
 from .nets.model import LandmarkNet, build_model
@@ -117,7 +118,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         try:
             config = merge_run_config(config_items)
             model_config = model_config_from(config)
-            train_config_from(config)  # the training keys too: restore_model seeds from them
+            train_config_from(config)  # the training keys too: a header is refused whichever part of it is damaged
         except ValueError as exc:
             raise FormatError(f"{path}: checkpoint header: {exc}") from exc
         arrays = tensorfile.read_tensors(fh)
@@ -125,15 +126,22 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
 
 
 def restore_model(checkpoint: Checkpoint) -> LandmarkNet:
-    """Build a model from the checkpoint's config snapshot and load weights.
+    """Build a model from the checkpoint's config snapshot whose parameters are the file's tensors.
 
     Each parameter the config asks for must match the shape of a tensor in
-    the file before it is allocated, so a header that declares a larger
-    model than the file holds is rejected without building it.
+    the file before it is created, so a header that declares a larger model
+    than the file holds is rejected without building it. Building draws
+    and allocates no parameter; after the name and shape check each
+    parameter takes its tensor, matched by name, as its ``data``: the array
+    itself in float32, a float64 copy inside ``using_dtype(np.float64)``.
+    A float32 model therefore shares memory with ``checkpoint.arrays``, and
+    training it changes them.
     """
-    params = checkpoint.param_arrays()
-    with parameter_shapes(arr.shape for arr in params.values()):
-        model = build_model(checkpoint.model_config, seed=checkpoint.config["seed"])
-    model.load_state(params, source="checkpoint")
+    arrays = checkpoint.param_arrays()
+    with parameter_shapes(arr.shape for arr in arrays.values()):
+        model = build_model(checkpoint.model_config)
+    params = model.parameters()
+    _check_state(params, arrays, "checkpoint")
+    for name, p in params.items():
+        p.data = np.asarray(arrays[name], dtype=p.data.dtype)
     return model
-

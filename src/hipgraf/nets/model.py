@@ -62,7 +62,7 @@ class HeatmapHead(Module):
 
     def __init__(self, rng: np.random.Generator, channels: int):
         self.weight = glorot_uniform(rng, (N_LANDMARKS, channels, 1, 1), channels, N_LANDMARKS)
-        self.weight.data *= self.weight.data.dtype.type(HEAD_INIT_SCALE)
+        self.weight.data = self.weight.data * self.weight.data.dtype.type(HEAD_INIT_SCALE)
         self.bias = zeros_param((N_LANDMARKS,))
 
     def logits(self, fused: Tensor) -> Tensor:

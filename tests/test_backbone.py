@@ -1,13 +1,16 @@
 """Branch shape contracts, determinism, and the no-dead-branch property."""
 
+import hashlib
+import platform
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from hipgraf.autodiff import Tensor, mse_loss, no_grad, softmax
-from hipgraf.config import BackboneConfig
+from hipgraf.autodiff import Tensor, mse_loss, no_grad, softmax, using_dtype
+from hipgraf.config import BackboneConfig, ModelConfig
 from hipgraf.errors import ConfigError, DimensionError
 from hipgraf.nets import transformer
 from hipgraf.nets.model import HeatmapHead, build_model
@@ -217,3 +220,44 @@ class TestBranchShapeContract:
             assert p.grad is not None and np.isfinite(p.grad).all() and np.abs(p.grad).max() > 0, name
         for name, p in model.head.named_parameters("head."):
             assert p.grad is not None and np.isfinite(p.grad).all() and np.abs(p.grad).max() > 0, name
+
+
+# sha256 over (name, dtype, bytes) of build_model(ModelConfig(variant=v), seed=11).state_arrays(),
+# recorded on x86-64 from one float64 draw of each whole weight, which the sliced draw must reproduce
+INIT_SHA256 = {
+    ("float32", "full"): "e4ddabbe82bf02706afa4ac19582dd6458469eb999e3ecbb79b75e49dedfffdf",
+    ("float32", "no_mmf"): "e4ddabbe82bf02706afa4ac19582dd6458469eb999e3ecbb79b75e49dedfffdf",
+    ("float32", "no_tgcn"): "0720552152a5b7ece6c0d19b616a7d7387290f56c8d9f62275af9255286225eb",
+    ("float32", "concat_baseline"): "0720552152a5b7ece6c0d19b616a7d7387290f56c8d9f62275af9255286225eb",
+    ("float64", "full"): "12b8e2e15093ccf336bae65110af6fe7848a302dd9d01a4dfd11aa70de93c6c3",
+    ("float64", "no_mmf"): "12b8e2e15093ccf336bae65110af6fe7848a302dd9d01a4dfd11aa70de93c6c3",
+    ("float64", "no_tgcn"): "658546ac533e1b5de1e64ad1d1af0211558ab21c752b56d14967145ef6ec038a",
+    ("float64", "concat_baseline"): "658546ac533e1b5de1e64ad1d1af0211558ab21c752b56d14967145ef6ec038a",
+}
+
+
+class TestInitBits:
+    @pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"), reason="digests recorded on x86-64")
+    @pytest.mark.parametrize("dtype, variant", sorted(INIT_SHA256))
+    def test_default_init_is_pinned(self, dtype, variant):
+        with using_dtype(dtype):
+            model = build_model(ModelConfig(variant=variant), seed=11)
+        digest = hashlib.sha256()
+        for name, arr in model.state_arrays().items():
+            digest.update(name.encode())
+            digest.update(str(arr.dtype).encode())
+            digest.update(np.ascontiguousarray(arr).tobytes())
+        assert digest.hexdigest() == INIT_SHA256[dtype, variant]
+
+    def test_build_holds_the_parameters_once(self):
+        build_model(ModelConfig(), seed=11)  # first calls allocate caches of their own
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            model = build_model(ModelConfig(), seed=11)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # a float64 draw of each whole weight, then its cast, traced about 1.8x the parameters
+        assert peak - before <= sum(arr.nbytes for arr in model.state_arrays().values()) + (1 << 20)

@@ -7,7 +7,7 @@ import pytest
 
 from hipgraf.autodiff import tensorfile, using_dtype
 from hipgraf.checkpoint import load_checkpoint, restore_model, save_checkpoint
-from hipgraf.config import default_run_config, merge_run_config, run_config_to_items
+from hipgraf.config import default_run_config, merge_run_config, model_config_from, run_config_to_items
 from hipgraf.errors import FormatError, IncompleteCheckpointError
 from hipgraf.nets.model import build_model
 from hipgraf.training import Adam
@@ -234,3 +234,81 @@ def test_failed_write_leaves_no_file_behind(tmp_path, toy_model_config, monkeypa
         assert path.read_bytes() == b"earlier checkpoint"
     else:
         assert list(tmp_path.iterdir()) == []
+
+
+def traced_peak(fn):
+    """``fn()`` and the bytes its traced allocations peaked at above where they started."""
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        out = fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak - before
+
+
+@pytest.fixture(scope="module")
+def default_checkpoint(tmp_path_factory):
+    """A checkpoint of the default model, whose 2.6M parameters dwarf a build's bookkeeping."""
+    path = tmp_path_factory.mktemp("default") / "model.ckpt"
+    values = default_run_config()
+    save_checkpoint(path, build_model(model_config_from(values), seed=3), run_config_to_items(values))
+    return path
+
+
+def test_restore_allocates_no_parameter(default_checkpoint):
+    loaded = load_checkpoint(default_checkpoint)
+    restore_model(loaded)  # first calls allocate caches of their own
+    restored, peak = traced_peak(lambda: restore_model(loaded))
+    # building the model to throw its init away and copying the file's arrays traces about 1.7x the file
+    assert peak < 0.1 * default_checkpoint.stat().st_size
+    assert restored.head.weight.dtype == np.float32
+
+
+def test_restored_float32_parameters_are_the_files_arrays(tmp_path, toy_model_config):
+    model = build_model(toy_model_config, seed=12)
+    _, items = toy_items(seed=12)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, model, items)
+    loaded = load_checkpoint(path)
+    for name, arr in restore_model(loaded).state_arrays().items():
+        assert np.shares_memory(arr, loaded.arrays[f"param.{name}"]), name
+        assert arr.flags.writeable, name
+    with using_dtype(np.float64):
+        restored64 = restore_model(loaded)
+    for name, arr in restored64.state_arrays().items():
+        assert arr.dtype == np.float64 and not np.shares_memory(arr, loaded.arrays[f"param.{name}"]), name
+
+
+def rewrite_tensors(path, out, edit):
+    """Copy the checkpoint at ``path`` to ``out`` with its tensor blob rebuilt from ``edit(arrays)``."""
+    blob = path.read_bytes()
+    header_end = 12 + int.from_bytes(blob[8:12], "little")
+    out.write_bytes(blob[:header_end] + dumps(edit(load_checkpoint(path).arrays)))
+
+
+def test_restore_matches_tensors_by_name_not_by_file_order(tmp_path, toy_model_config):
+    model = build_model(toy_model_config, seed=13)
+    _, items = toy_items(seed=13)
+    path, swapped = tmp_path / "model.ckpt", tmp_path / "swapped.ckpt"
+    save_checkpoint(path, model, items)
+    rewrite_tensors(path, swapped, lambda arrays: dict(reversed(arrays.items())))
+    saved = model.state_arrays()
+    wq, wk = saved["transformer.layers.0.attention.wq"], saved["transformer.layers.0.attention.wk"]
+    assert wq.shape == wk.shape and not np.array_equal(wq, wk)  # same-shape tensors the file now holds swapped
+    restored = restore_model(load_checkpoint(swapped))
+    for name, arr in restored.state_arrays().items():
+        assert arr.tobytes() == saved[name].tobytes(), name
+
+
+def test_restore_refuses_a_file_whose_shapes_match_but_names_do_not(tmp_path, toy_model_config):
+    model = build_model(toy_model_config, seed=14)
+    _, items = toy_items(seed=14)
+    path, renamed = tmp_path / "model.ckpt", tmp_path / "renamed.ckpt"
+    save_checkpoint(path, model, items)
+    rewrite_tensors(path, renamed, lambda arrays: {k.replace("head.bias", "head.offset"): v for k, v in arrays.items()})
+    loaded = load_checkpoint(renamed)
+    with pytest.raises(IncompleteCheckpointError, match="head.bias"):
+        restore_model(loaded)

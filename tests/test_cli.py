@@ -347,6 +347,20 @@ class TestHostileInput:
         bad.write_bytes(blob.replace(b"image", b"\xff\xfe\xfd\xfc\xfb", 1))
         self.infer(workspace, capsys, image=bad)
 
+    def test_duplicate_tensor_name_in_checkpoint(self, workspace, tmp_path, capsys):
+        blob = (workspace / "model.ckpt").read_bytes()
+        first, second = "param.transformer.layers.0.attention.wq", "param.transformer.layers.0.attention.wk"
+        assert blob.count(second.encode()) == 1
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(blob.replace(second.encode(), first.encode()))
+        assert f"duplicate tensor name {first!r}" in self.infer(workspace, capsys, checkpoint_path=bad)
+
+    def test_duplicate_tensor_name_in_image(self, workspace, tmp_path, capsys):
+        blob = dumps({"image": np.zeros((32, 32), dtype=np.float32), "imagf": np.ones((32, 32), dtype=np.float32)})
+        bad = tmp_path / "bad.tgt"
+        bad.write_bytes(blob.replace(b"imagf", b"image"))
+        assert "duplicate tensor name 'image'" in self.infer(workspace, capsys, image=bad)
+
     def test_non_numeric_pgm_width(self, tmp_path, workspace, capsys):
         bad = tmp_path / "bad.pgm"
         bad.write_bytes(b"P5\nabc 32\n255\n" + bytes(32 * 32))
@@ -359,7 +373,7 @@ class TestHostileInput:
             (b"cfg.lr=0.001", b"cfg.zz=0.001", "zz"),  # a key the run config does not have
             (b"cfg.channels=8", b"cfg.channels=0", "channels"),  # a value the model config rejects
             (b"cfg.sigma=1.0", b"cfg.sigma=nan", "sigma"),  # a value the training config rejects
-            (b"cfg.hflip_prob=0.0\ncfg.seed=5", b"cfg.hflip_prob=0.\ncfg.seed=-1", "seed"),  # restore_model seeds from it
+            (b"cfg.hflip_prob=0.0\ncfg.seed=5", b"cfg.hflip_prob=0.\ncfg.seed=-1", "seed"),  # a key the restore does not read is still validated
         ],
     )
     def test_bad_config_entry_in_checkpoint_header(self, workspace, tmp_path, capsys, entry, damaged, key):

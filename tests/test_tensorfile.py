@@ -67,3 +67,9 @@ def test_little_endian_layout_is_pinned():
     assert blob[17:21] == (1).to_bytes(4, "little")
     assert blob[21] == 0  # f32 tag
     assert np.frombuffer(blob[22:26], dtype="<f4")[0] == 1.0
+
+
+def test_duplicate_name_rejected():
+    blob = dumps({"w1": np.zeros(2, dtype=np.float32), "w2": np.ones(2, dtype=np.float32)})
+    with pytest.raises(FormatError, match="duplicate tensor name 'w1'"):
+        loads(blob.replace(b"w2", b"w1"))
