@@ -13,7 +13,7 @@ import contextlib
 import math
 import threading
 from collections import Counter
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -145,3 +145,13 @@ def ones_param(shape: tuple[int, ...]) -> Tensor:
     if _claim(shape):
         return _placeholder(shape)
     return Tensor(np.ones(shape, dtype=default_dtype()), requires_grad=True)
+
+
+def table_param(shape: tuple[int, ...], table: Callable[[], np.ndarray]) -> Tensor:
+    """A parameter initialised to ``table()`` (any layout of ``shape``'s size), rounded to the thread's dtype, C-contiguous.
+
+    Inside ``parameter_shapes`` the table is not built.
+    """
+    if _claim(shape):
+        return _placeholder(shape)
+    return Tensor(np.array(table(), dtype=default_dtype(), order="C").reshape(shape), requires_grad=True)

@@ -4,7 +4,9 @@
 hyperparameters verbatim, ``fit`` learns state into trailing-underscore
 attributes, ``get_params``/``set_params`` expose the constructor surface) so
 it duck-types with ``sklearn.base.clone``, pipelines and searches without
-this package depending on scikit-learn.
+this package depending on scikit-learn. The parameters and their defaults are
+read from the run-config table (``PARAMS``); the constructor's signature is
+generated from them, so ``inspect.signature`` and ``help`` still list them.
 
 Targets for ``fit``/``score`` are (n, 13) arrays: the 12 landmark
 coordinates x1,y1..x6,y6 in pixels followed by the 0/1 abnormality label
@@ -17,10 +19,9 @@ import inspect
 
 import numpy as np
 
-from .config import GeneratorConfig, default_run_config, model_config_from, train_config_from
+from .config import KEY_SPECS, GeneratorConfig, ModelConfig, TrainConfig, _key_specs, default_run_config, model_config_from, train_config_from
 from .errors import ConfigError, ContractError
-from .experiments import detect
-from .metrics import mre
+from .experiments import detect, score_detections
 from .nets.model import build_model
 from .training import train
 from .validation import build_samples, check_fit_targets, check_image_batch
@@ -28,72 +29,43 @@ from .validation import build_samples, check_fit_targets, check_image_batch
 # estimator parameter -> run-config key, where the two names differ
 PARAM_ALIASES = {"class_loss_weight": "lambda"}
 
+# parameter -> default: the model and training keys of the run-config table, then spacing
+_NAMES = {key: name for name, key in PARAM_ALIASES.items()}
+PARAMS = {_NAMES.get(key, key): spec[1] for key, spec in _key_specs(ModelConfig, TrainConfig).items()}
+PARAMS["spacing"] = KEY_SPECS["spacing"][1]
+
 
 class HipLandmarkDetector:
-    """Six-landmark heatmap detector with optional abnormality scoring."""
+    """Six-landmark heatmap detector with optional abnormality scoring.
 
-    def __init__(
-        self,
-        input_size: int = 128,
-        feature_size: int = 32,
-        channels: int = 32,
-        unet_depth: int = 3,
-        patch_size: int = 8,
-        token_dim: int = 32,
-        transformer_layers: int = 2,
-        heads: int = 4,
-        mmf_window: int = 3,
-        fusion_mode: str = "concat",
-        variant: str = "full",
-        gcn_layers: int = 2,
-        gcn_hidden: int = 64,
-        lr: float = 1e-4,
-        epochs: int = 100,
-        batch_size: int = 2,
-        class_loss_weight: float = 0.1,
-        sigma: float = 2.0,
-        hflip_prob: float = 0.5,
-        max_steps: int = 0,
-        spacing: float = 0.1,
-        seed: int = 0,
-    ):
-        self.input_size = input_size
-        self.feature_size = feature_size
-        self.channels = channels
-        self.unet_depth = unet_depth
-        self.patch_size = patch_size
-        self.token_dim = token_dim
-        self.transformer_layers = transformer_layers
-        self.heads = heads
-        self.mmf_window = mmf_window
-        self.fusion_mode = fusion_mode
-        self.variant = variant
-        self.gcn_layers = gcn_layers
-        self.gcn_hidden = gcn_hidden
-        self.lr = lr
-        self.epochs = epochs
-        self.batch_size = batch_size
-        self.class_loss_weight = class_loss_weight
-        self.sigma = sigma
-        self.hflip_prob = hflip_prob
-        self.max_steps = max_steps
-        self.spacing = spacing
-        self.seed = seed
+    Keyword-only parameters: ``PARAMS``, the run-config keys of the model and
+    of training plus ``spacing``, in table order with the table's defaults.
+    """
+
+    def __init__(self, **params):
+        unknown = sorted(params.keys() - PARAMS.keys())
+        if unknown:
+            raise TypeError(f"HipLandmarkDetector got unexpected keyword arguments {unknown}")
+        for name, default in PARAMS.items():
+            setattr(self, name, params.get(name, default))
+
+    __init__.__signature__ = inspect.Signature(
+        [inspect.Parameter("self", inspect.Parameter.POSITIONAL_OR_KEYWORD)]
+        + [inspect.Parameter(name, inspect.Parameter.KEYWORD_ONLY, default=default) for name, default in PARAMS.items()]
+    )
 
     # -- sklearn plumbing ------------------------------------------------------
 
     @classmethod
     def _param_names(cls) -> list[str]:
-        signature = inspect.signature(cls.__init__)
-        return [name for name in signature.parameters if name != "self"]
+        return list(PARAMS)
 
     def get_params(self, deep: bool = True) -> dict:
-        return {name: getattr(self, name) for name in self._param_names()}
+        return {name: getattr(self, name) for name in PARAMS}
 
     def set_params(self, **params) -> "HipLandmarkDetector":
-        valid = set(self._param_names())
         for name, value in params.items():
-            if name not in valid:
+            if name not in PARAMS:
                 raise ConfigError(f"unknown parameter {name!r} for HipLandmarkDetector")
             setattr(self, name, value)
         return self
@@ -147,6 +119,5 @@ class HipLandmarkDetector:
         GeneratorConfig(spacing=self.spacing).validate()
         images = check_image_batch(X, input_size=self.input_size)
         landmarks, _ = check_fit_targets(y, images.shape[0], self.input_size, require_labels=False)
-        pred = self.predict(images).reshape(len(images), 6, 2)
-        errors = [mre(pred[i], landmarks[i], self.spacing) for i in range(len(images))]
-        return -float(np.mean(errors))
+        coords, _ = detect(self.model_, images)
+        return -score_detections(build_samples(images, landmarks, None, self.spacing), coords, None).mre_mm

@@ -67,7 +67,7 @@ def _check_pair(a: Tensor, b: Tensor) -> None:
 class MutualModulationFusion(Module):
     """The two modulation routes plus the channel combine and 1x1 projection."""
 
-    def __init__(self, rng: np.random.Generator, channels: int, window: int = 3, mode: str = "concat"):
+    def __init__(self, rng: np.random.Generator, channels: int, window: int, mode: str):
         FusionConfig(window=window, mode=mode).validate()
         self.window = window
         self.mode = mode

@@ -104,13 +104,7 @@ def classify_nodes(node_features: Tensor, w_mid: Tensor, w_out: Tensor) -> Tenso
 class TopologicalRefiner(Module):
     """Multi-layer GCN producing the refined stack and the class logit."""
 
-    def __init__(
-        self,
-        rng: np.random.Generator,
-        feature_hw: tuple[int, int],
-        layers: int = 2,
-        hidden: int = 64,
-    ):
+    def __init__(self, rng: np.random.Generator, feature_hw: tuple[int, int], layers: int, hidden: int):
         h, w = feature_hw
         d = h * w
         self.feature_hw = feature_hw

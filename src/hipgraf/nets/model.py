@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..autodiff import Module, Tensor, conv2d, glorot_uniform, layer_norm, reshape, sigmoid, zeros_param
-from ..config import ModelConfig
+from ..config import ModelConfig, TrainConfig
 from ..errors import DimensionError
 from .fusion import ConcatFusion, MutualModulationFusion
 from .graph import TopologicalRefiner
@@ -69,14 +69,14 @@ class HeatmapHead(Module):
         b, c, h, w = fused.shape
         flat = reshape(fused, (b, c, h * w))
         conditioned = reshape(layer_norm(flat, axis=-1), (b, c, h, w)) * HEAD_INPUT_GAIN
-        return conv2d(conditioned, self.weight) + HEAD_BIAS_GAIN * reshape(self.bias, (N_LANDMARKS, 1, 1))
+        return conv2d(conditioned, self.weight, HEAD_BIAS_GAIN * self.bias)
 
     def forward(self, fused: Tensor) -> Tensor:
         return sigmoid(self.logits(fused))
 
 
 class LandmarkNet(Module):
-    def __init__(self, config: ModelConfig, seed: int = 0):
+    def __init__(self, config: ModelConfig, seed: int):
         config.validate()
         self.config = config
         rng = np.random.default_rng(np.random.SeedSequence([seed, INIT_STREAM]))
@@ -132,5 +132,5 @@ class LandmarkNet(Module):
         return ModelOutput(heatmaps=heatmaps, refined=refined, logit=logit)
 
 
-def build_model(config: ModelConfig, seed: int = 0) -> LandmarkNet:
+def build_model(config: ModelConfig, seed: int = TrainConfig.seed) -> LandmarkNet:
     return LandmarkNet(config, seed=seed)

@@ -28,6 +28,7 @@ from ..autodiff import (
     relu,
     reshape,
     softmax,
+    table_param,
     transpose,
     zeros_param,
 )
@@ -139,12 +140,8 @@ class TransformerBranch(Module):
         self.embed_b = zeros_param((dim,))
         # learned, but initialized to a sin/cos grid scaled to the magnitude
         # of the amplified patch tokens; a weak positional signal would
-        # vanish under the attention layer norms. Each init below assigns a
-        # new array: a parameter built for restore_model is a read-only
-        # placeholder until it takes the file's array.
-        self.pos_embedding = zeros_param((grid * grid, dim))
-        table = POS_EMBEDDING_GAIN * sincos_position_grid(grid, dim)
-        self.pos_embedding.data = self.pos_embedding.data + table.astype(self.pos_embedding.data.dtype)
+        # vanish under the attention layer norms
+        self.pos_embedding = table_param((grid * grid, dim), lambda: POS_EMBEDDING_GAIN * sincos_position_grid(grid, dim))
         self.layers = [EncoderLayer(rng, dim, int(config.heads)) for _ in range(int(config.transformer_layers))]
         ups = []
         size = grid
@@ -164,10 +161,7 @@ class TransformerBranch(Module):
         # token-level codes through attention and upsampling. Kept an order
         # of magnitude below the content scale so it biases rather than
         # dominates the fused features.
-        # the parameter before its table, so restore_model refuses a shape the file lacks before the table is built
-        self.output_pos = zeros_param((channels, f, f))
-        table = sincos_position_grid(f, channels).T.reshape(channels, f, f)
-        self.output_pos.data = self.output_pos.data + (OUTPUT_POS_GAIN * table).astype(self.output_pos.data.dtype)
+        self.output_pos = table_param((channels, f, f), lambda: OUTPUT_POS_GAIN * sincos_position_grid(f, channels).T)
 
     def embed(self, image: Tensor) -> Tensor:
         """Position-tagged patch embeddings, shape (n, grid^2, token_dim)."""

@@ -129,7 +129,7 @@ def _layout_ok(landmarks: np.ndarray, size: int) -> bool:
     return True
 
 
-def sample_geometry(class_request: str = "any", rng: np.random.Generator | None = None, size: int = 128) -> GeometrySample:
+def sample_geometry(class_request: str = "any", rng: np.random.Generator | None = None, size: int = GeneratorConfig.size) -> GeometrySample:
     """Rejection-sample a layout whose Graf class matches the request."""
     if class_request not in ("normal", "abnormal", "any"):
         raise DataError(f"unknown class request {class_request!r}")
@@ -215,7 +215,12 @@ def _clean_image(landmarks: np.ndarray, size: int) -> np.ndarray:
     return clean
 
 
-def render_phantom(landmarks: np.ndarray, rng: np.random.Generator | None = None, size: int = 128, speckle_gamma: float = 0.3) -> np.ndarray:
+def render_phantom(
+    landmarks: np.ndarray,
+    rng: np.random.Generator | None = None,
+    size: int = GeneratorConfig.size,
+    speckle_gamma: float = GeneratorConfig.speckle_gamma,
+) -> np.ndarray:
     """Render lines and blobs, then multiply in speckle and clamp to [0,1].
 
     With ``speckle_gamma`` zero the output is a deterministic function of the

@@ -104,7 +104,7 @@ class Adam:
     p -= ((lr/c1)*m) / (sqrt(v/c2) + eps), so results are bit-identical to them.
     """
 
-    def __init__(self, params: dict[str, Tensor], lr: float = 1e-4, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: dict[str, Tensor], lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.params = params
         self.lr = lr
         self.beta1 = beta1

@@ -9,11 +9,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hipgraf.autodiff import Tensor, mse_loss, no_grad, softmax, using_dtype
+from hipgraf.autodiff import Tensor, conv2d, layer_norm, mse_loss, no_grad, reshape, softmax, using_dtype
 from hipgraf.config import BackboneConfig, ModelConfig
 from hipgraf.errors import ConfigError, DimensionError
 from hipgraf.nets import transformer
-from hipgraf.nets.model import HeatmapHead, build_model
+from hipgraf.nets.model import HEAD_BIAS_GAIN, HEAD_INPUT_GAIN, HeatmapHead, build_model
 from hipgraf.nets.transformer import TransformerBranch
 from hipgraf.nets.unet import UNetBranch
 
@@ -150,6 +150,26 @@ class TestHeatmapHead:
         out = head.forward(Tensor(rng(10).standard_normal((1, 8, 4, 4)).astype(np.float32)))
         np.testing.assert_allclose(out.data, np.full_like(out.data, 0.5))
 
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_bias_rides_conv2d_with_the_bits_of_a_separate_add(self, dtype):
+        with using_dtype(dtype):
+            head = HeatmapHead(rng(11), 8)
+        head.bias.data = rng(12).standard_normal(6).astype(dtype)
+        fused = Tensor(rng(13).standard_normal((2, 8, 4, 4)).astype(dtype), requires_grad=True)
+        upstream = rng(14).standard_normal((2, 6, 4, 4)).astype(dtype)
+        logits = head.logits(fused)
+        assert logits._parents[1] is head.weight and len(logits._parents) == 3  # one conv2d node carries the bias
+        (logits * Tensor(upstream)).sum().backward()
+        grads = [t.grad.tobytes() for t in (fused, head.weight, head.bias)]
+        for t in (fused, head.weight, head.bias):
+            t.grad = None
+        b, c, h, w = fused.shape
+        conditioned = reshape(layer_norm(reshape(fused, (b, c, h * w)), axis=-1), (b, c, h, w)) * HEAD_INPUT_GAIN
+        separate = conv2d(conditioned, head.weight) + HEAD_BIAS_GAIN * reshape(head.bias, (6, 1, 1))
+        (separate * Tensor(upstream)).sum().backward()
+        assert logits.data.tobytes() == separate.data.tobytes()
+        assert grads == [t.grad.tobytes() for t in (fused, head.weight, head.bias)]
+
 
 class TestBranchShapeContract:
     def test_branches_agree_before_fusion(self, toy_model_config):
@@ -248,6 +268,13 @@ class TestInitBits:
             digest.update(str(arr.dtype).encode())
             digest.update(np.ascontiguousarray(arr).tobytes())
         assert digest.hexdigest() == INIT_SHA256[dtype, variant]
+
+    @pytest.mark.parametrize("dtype, variant", sorted(INIT_SHA256))
+    def test_built_parameters_are_c_contiguous_and_writeable(self, dtype, variant):
+        with using_dtype(dtype):
+            model = build_model(ModelConfig(variant=variant), seed=11)
+        for name, p in model.named_parameters():
+            assert p.data.dtype == dtype and p.data.flags.c_contiguous and p.data.flags.writeable, name
 
     def test_build_holds_the_parameters_once(self):
         build_model(ModelConfig(), seed=11)  # first calls allocate caches of their own

@@ -9,6 +9,7 @@ from hipgraf.autodiff import tensorfile, using_dtype
 from hipgraf.checkpoint import load_checkpoint, restore_model, save_checkpoint
 from hipgraf.config import default_run_config, merge_run_config, model_config_from, run_config_to_items
 from hipgraf.errors import FormatError, IncompleteCheckpointError
+from hipgraf.nets import transformer
 from hipgraf.nets.model import build_model
 from hipgraf.training import Adam
 
@@ -312,3 +313,18 @@ def test_restore_refuses_a_file_whose_shapes_match_but_names_do_not(tmp_path, to
     loaded = load_checkpoint(renamed)
     with pytest.raises(IncompleteCheckpointError, match="head.bias"):
         restore_model(loaded)
+
+
+def test_restore_builds_no_position_table_and_gives_c_contiguous_writeable_parameters(default_checkpoint, monkeypatch):
+    calls = []
+    table = transformer.sincos_position_grid
+    monkeypatch.setattr(transformer, "sincos_position_grid", lambda *args: calls.append(args) or table(*args))
+    loaded = load_checkpoint(default_checkpoint)
+    for dtype in ("float32", "float64"):
+        with using_dtype(dtype):
+            restored = restore_model(loaded)
+        for name, p in restored.named_parameters():
+            assert p.data.dtype == dtype and p.data.flags.c_contiguous and p.data.flags.writeable, name
+    assert calls == []
+    build_model(loaded.model_config)
+    assert len(calls) == 2  # the spy sees a build: the pos_embedding and output_pos tables

@@ -1,13 +1,18 @@
 """Sklearn-convention surface of the estimator facade."""
 
+import inspect
+
 import numpy as np
 import pytest
 
 from hipgraf.autodiff import no_grad
 from hipgraf.errors import ConfigError, ContractError, DataError, DimensionError
-from hipgraf.estimator import HipLandmarkDetector
+from hipgraf.config import ModelConfig, TrainConfig, _key_specs, default_run_config
+from hipgraf.estimator import PARAM_ALIASES, HipLandmarkDetector
+from hipgraf.experiments import evaluate_model
 from hipgraf.metrics import decode_landmarks
 from hipgraf.nets.model import LandmarkNet
+from hipgraf.validation import build_samples
 
 from conftest import make_samples
 
@@ -56,6 +61,34 @@ class TestParamsProtocol:
     def test_set_params_rejects_unknown(self):
         with pytest.raises(ConfigError, match="unknown parameter"):
             HipLandmarkDetector().set_params(learning_rate=0.1)
+
+    def test_clone_protocol_passes_every_parameter_by_identity(self):
+        # sklearn.base.clone builds its copy as type(est)(**est.get_params(deep=False))
+        given = toy_params(lr=[0.1], sigma=np.float32(1.5))
+        est = HipLandmarkDetector(**given)
+        params = est.get_params(deep=False)
+        assert all(params[name] is value for name, value in given.items())
+        copy = type(est)(**params)
+        assert copy is not est
+        assert all(getattr(copy, name) is value for name, value in params.items())
+
+    def test_positional_argument_rejected(self):
+        with pytest.raises(TypeError):
+            HipLandmarkDetector(32)
+
+    def test_unknown_keyword_rejected_by_name(self):
+        with pytest.raises(TypeError, match="learning_rate"):
+            HipLandmarkDetector(lr=0.1, learning_rate=0.1)
+
+    def test_signature_lists_the_table_keys_keyword_only_with_their_defaults(self):
+        params = list(inspect.signature(HipLandmarkDetector).parameters.values())
+        keys = [*_key_specs(ModelConfig, TrainConfig), "spacing"]
+        assert [PARAM_ALIASES.get(p.name, p.name) for p in params] == keys and len(keys) == 22
+        defaults = default_run_config()
+        for p in params:
+            expected = defaults[PARAM_ALIASES.get(p.name, p.name)]
+            assert p.kind is inspect.Parameter.KEYWORD_ONLY and p.default == expected and type(p.default) is type(expected), p.name
+        assert list(HipLandmarkDetector().get_params()) == [p.name for p in params]
 
     def test_sklearn_clone_compatible(self):
         sklearn_base = pytest.importorskip("sklearn.base")
@@ -108,6 +141,12 @@ class TestFitPredict:
         p_abnormal = 1.0 / (1.0 + np.exp(-out.logit.data.astype(np.float64)))
         assert est.predict(X).tobytes() == coords.reshape(10, 12).tobytes()
         assert est.predict_proba(X).tobytes() == np.stack([1.0 - p_abnormal, p_abnormal], axis=1).tobytes()
+
+    def test_score_is_the_negated_mre_of_evaluate_model(self):
+        X, y = dataset_arrays(10)
+        est = HipLandmarkDetector(**toy_params()).fit(X, y)
+        samples = build_samples(X.astype(np.float32), y[:, :12].reshape(10, 6, 2).astype(np.float32), None, est.spacing)
+        assert est.score(X, y) == -evaluate_model(est.model_, samples).mre_mm
 
     def test_predict_before_fit_rejected(self):
         with pytest.raises(ContractError, match="not fitted"):

@@ -184,7 +184,7 @@ class TestFusionBlocks:
 
     def test_even_window_rejected(self):
         with pytest.raises(ConfigError, match="odd"):
-            MutualModulationFusion(np.random.default_rng(26), channels=4, window=4)
+            MutualModulationFusion(np.random.default_rng(26), channels=4, window=4, mode="concat")
 
     def test_concat_fusion_block_shape(self):
         rng = np.random.default_rng(27)
