@@ -135,9 +135,11 @@ class Tensor:
         A leaf is a tensor with no recorded closure: a parameter or an input
         created with ``requires_grad=True``. Intermediate results keep
         ``grad is None``, as in PyTorch's default. Gradients of one pass live
-        in a pass-local map; each node's entry is removed just before its
-        closure runs, so it is freed once consumed, and a second call adds
-        one extra copy of the true gradient to each leaf.
+        in a pass-local map, no two sharing memory; each node's entry is
+        removed just before its closure runs, so it is freed once consumed.
+        A leaf keeps its entry as ``grad``, or a copy when the entry is a
+        view, so a leaf never pins a larger array. A second call adds one
+        extra copy of the true gradient to each leaf.
         """
         if self.data.size != 1:
             raise ContractError(f"backward() needs a scalar loss, got shape {self.shape}")
@@ -167,7 +169,7 @@ class Tensor:
                     node._backward(g)
                 elif node.requires_grad:
                     if node.grad is None:
-                        node.grad = grads.own(node, g)
+                        node.grad = g if g.base is None else g.copy()
                     else:
                         node.grad += g
         finally:
@@ -223,47 +225,42 @@ class _ThreadState(threading.local):
 class _Pass:
     """Gradient entries of one backward pass, keyed by tensor id.
 
-    A contribution is stored as it is when it is C-contiguous and writeable,
-    so the fresh array a closure returns is not copied again; otherwise it is
-    copied, so every closure sees a contiguous gradient. Such a borrowed
-    entry may be shared (``add`` hands one array to both operands), so a
-    second contribution replaces it with ``stored + g``; only entries the
-    pass allocated itself are updated in place.
+    No two entries share memory: ``held`` has the id of the array that owns
+    each entry's memory (the entry itself, or its ``.base`` for a view). A
+    first contribution is stored as it is when it is C-contiguous, writeable
+    and not held by another entry, so the fresh array a closure returns or
+    the gradient it hands on is not copied again; otherwise it is copied, so
+    every closure sees a contiguous gradient. A second contribution is then
+    added in place. ``take`` releases the entry's memory to the caller.
     """
 
-    __slots__ = ("entries", "owned", "given")
+    __slots__ = ("entries", "held")
 
     def __init__(self, loss: Tensor):
-        self.entries: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-        self.owned: set[int] = {id(loss)}  # keys whose entry the pass allocated
-        self.given: set[int] = set()  # ids of borrowed arrays already on a leaf's grad
+        self.entries: dict[int, np.ndarray] = {}
+        self.held: set[int] = set()
+        self.add(loss, np.ones_like(loss.data))
 
     def add(self, t: Tensor, g: np.ndarray) -> None:
-        key = id(t)
-        stored = self.entries.get(key)
-        if stored is None:
-            if g.flags.c_contiguous and g.flags.writeable:
-                self.entries[key] = g
-            else:
-                self.entries[key] = g.copy()
-                self.owned.add(key)
-        elif key in self.owned:
+        stored = self.entries.get(id(t))
+        if stored is not None:
             stored += g
-        else:
-            self.entries[key] = np.add(stored, g, order="C")
-            self.owned.add(key)
+            return
+        if not (g.flags.c_contiguous and g.flags.writeable) or _owner(g) in self.held:
+            g = g.copy()
+        self.entries[id(t)] = g
+        self.held.add(_owner(g))
 
     def take(self, t: Tensor) -> np.ndarray | None:
-        return self.entries.pop(id(t), None)
-
-    def own(self, leaf: Tensor, g: np.ndarray) -> np.ndarray:
-        """The array to keep as ``leaf.grad``: g itself unless another owner may see it."""
-        if id(leaf) in self.owned:
-            return g
-        if g.base is not None or id(g) in self.given:
-            return g.copy()
-        self.given.add(id(g))
+        g = self.entries.pop(id(t), None)
+        if g is not None:
+            self.held.remove(_owner(g))
         return g
+
+
+def _owner(g: np.ndarray) -> int:
+    """Id of the array that owns g's memory."""
+    return id(g if g.base is None else g.base)
 
 
 _STATE = _ThreadState()
@@ -300,8 +297,8 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
 def make_op(data: np.ndarray, parents: Sequence[Tensor], backward: Callable[[np.ndarray], None]) -> Tensor:
     """Create a tensor that records its parents when ``records(parents)`` holds.
 
-    ``backward`` must not write to the gradient it receives: a backward pass
-    may share that array with other entries or with a leaf's ``grad``. It
+    ``backward`` must not write to the gradient it receives: it may hand
+    that array, or a view of it, on uncopied as an input's gradient. It
     may read its parents' ``.data`` again when it runs (conv2d re-gathers
     its input's patches there instead of storing them), so no op may write
     in place into an array that a recorded op took as input before backward

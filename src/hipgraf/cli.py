@@ -43,6 +43,7 @@ from .phantom import generate_dataset
 from .training import train
 
 EXIT_OK = 0
+EXIT_INTERNAL = 1
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_FORMAT = 4
@@ -169,6 +170,15 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# (error classes, exit code, message label): the first entry whose classes match wins
+_EXITS = (
+    (ConfigError, EXIT_CONFIG, "config"),
+    (FormatError, EXIT_FORMAT, "format"),
+    ((DataError, OSError), EXIT_DATA, "data"),
+    (NumericError, EXIT_NUMERIC, "numeric"),
+    (HipgrafError, EXIT_INTERNAL, "internal"),
+)
+
 _COMMANDS = {
     "generate": cmd_generate,
     "train": cmd_train,
@@ -183,21 +193,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except ConfigError as exc:
-        print(f"error: config: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except FormatError as exc:
-        print(f"error: format: {exc}", file=sys.stderr)
-        return EXIT_FORMAT
-    except (DataError, OSError) as exc:
-        print(f"error: data: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except NumericError as exc:
-        print(f"error: numeric: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except HipgrafError as exc:
-        print(f"error: internal: {exc}", file=sys.stderr)
-        return 1
+    except Exception as exc:
+        for classes, code, label in _EXITS:
+            if isinstance(exc, classes):
+                print(f"error: {label}: {exc}", file=sys.stderr)
+                return code
+        raise
 
 
 if __name__ == "__main__":

@@ -115,10 +115,6 @@ class Adam:
         self.v = {k: np.zeros(p.shape, dtype=p.dtype) for k, p in params.items()}
         self._scratch = {p.dtype: np.empty((2, ADAM_BLOCK), dtype=p.dtype) for p in params.values()}
 
-    def zero_grad(self) -> None:
-        for p in self.params.values():
-            p.grad = None
-
     def step(self) -> None:
         self.t += 1
         c1 = 1.0 - self.beta1**self.t
@@ -217,7 +213,7 @@ def train(samples: list[ImageSample], model: LandmarkNet, cfg: TrainConfig, log_
                     raise NumericError(f"non-finite loss {total} at step {step + 1} (epoch {epoch})")
                 l_landmark = losses.landmark.item()
                 l_classify = 0.0 if losses.classify is None else losses.classify.item()
-                optimizer.zero_grad()
+                model.zero_grad()
                 losses.total.backward()
                 del out, losses  # free this step's tape before the update and the next forward
                 optimizer.step()

@@ -9,10 +9,21 @@ import weakref
 import numpy as np
 import pytest
 
-from hipgraf import checkpoint
+from hipgraf import checkpoint, cli
 from hipgraf.cli import main
 from hipgraf.config import KEY_SPECS, parse_config_file
 from hipgraf.dataset import load_image, read_manifest, read_pgm
+from hipgraf.errors import (
+    ConfigError,
+    ContractError,
+    DataError,
+    DegenerateGeometryError,
+    DimensionError,
+    FormatError,
+    GenerationError,
+    IncompleteCheckpointError,
+    NumericError,
+)
 from hipgraf.experiments import detect
 from hipgraf.metrics import METRICS_CSV_HEADER, decode_landmarks, write_overlay
 from hipgraf.nets.model import LandmarkNet
@@ -621,6 +632,41 @@ class TestRunConfigValidation:
         err = capsys.readouterr().err
         assert code == 2
         assert "error: config:" in err and str(config) in err and "UTF-8" in err
+
+
+class TestExitCodes:
+    """Each error class a command raises maps to one exit code and one ``error: <label>:`` prefix."""
+
+    @pytest.mark.parametrize(
+        "error, code, label",
+        [
+            (ConfigError, 2, "config"),
+            (FormatError, 4, "format"),
+            (IncompleteCheckpointError, 4, "format"),
+            (DataError, 3, "data"),
+            (GenerationError, 3, "data"),
+            (DegenerateGeometryError, 3, "data"),
+            (OSError, 3, "data"),
+            (NumericError, 5, "numeric"),
+            (ContractError, 1, "internal"),
+            (DimensionError, 1, "internal"),
+        ],
+    )
+    def test_error_class_sets_exit_code_and_label(self, monkeypatch, capsys, error, code, label):
+        def fail(args):
+            raise error("boom")
+
+        monkeypatch.setitem(cli._COMMANDS, "eval", fail)
+        assert main(["eval", "--checkpoint", "m.ckpt", "--data", "manifest.csv"]) == code
+        assert capsys.readouterr().err == f"error: {label}: boom\n"
+
+    def test_other_exceptions_propagate(self, monkeypatch):
+        def fail(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setitem(cli._COMMANDS, "eval", fail)
+        with pytest.raises(RuntimeError, match="boom"):
+            main(["eval", "--checkpoint", "m.ckpt", "--data", "manifest.csv"])
 
 
 class TestAblate:

@@ -34,7 +34,8 @@ from hipgraf.autodiff import (
     transpose_conv2d,
     unfold_neighborhoods,
 )
-from hipgraf.autodiff import ops
+from hipgraf.autodiff import ops, tensor
+from hipgraf.config import ModelConfig
 from hipgraf.errors import ConfigError, ContractError, DimensionError
 from hipgraf.nets.graph import build_node_features
 from hipgraf.nets.model import build_model
@@ -826,6 +827,14 @@ def leaf_cases():
     # a's first contribution is the array add() also hands to b; its second must not change b's
     a, b, d = Tensor(rnd(2, 3, seed=72), requires_grad=True), Tensor(rnd(2, 3, seed=73), requires_grad=True), rnd(2, 3, seed=74)
     yield "shared, then added", add(mul(add(a, b), Tensor(c)), mul(a, Tensor(d))).sum(), [a, b], [c + d, c]
+    # two disjoint views of one gradient reach one leaf
+    a, e = Tensor(rnd(2, 3, seed=77), requires_grad=True), rnd(4, 3, seed=78)
+    yield "concat([a, a])", (concat([a, a], axis=0) * Tensor(e)).sum(), [a], [e[:2] + e[2:]]
+    # sub hands g to a, then adds -g onto that same entry; add's second operand is a copy
+    a = Tensor(rnd(2, 3, seed=79), requires_grad=True)
+    yield "sub(a, a)", (add(sub(a, a), a) * Tensor(c)).sum(), [a], [c]
+    a = Tensor(rnd(2, 3, seed=80), requires_grad=True)
+    yield "reshape into a leaf", (reshape(a, (6,)) * Tensor(c.reshape(6))).sum(), [a], [c]
 
 
 CASES = len(list(leaf_cases()))
@@ -907,6 +916,52 @@ class TestLeafGradients:
         loss.backward()
         for p, g in zip(params, first):
             np.testing.assert_array_equal(p.grad, 2 * g)
+
+
+def watch_pass_add(monkeypatch):
+    """Wrap ``_Pass.add`` to count, after every call, pairs of entries that share memory and second contributions that replaced an entry."""
+    events = {"shared": 0, "replaced": 0, "calls": 0}
+    original = tensor._Pass.add
+
+    def add(self, t, g):
+        before = self.entries.get(id(t))
+        original(self, t, g)
+        events["calls"] += 1
+        if before is not None and self.entries[id(t)] is not before:
+            events["replaced"] += 1
+        entries = list(self.entries.values())
+        events["shared"] += sum(np.shares_memory(x, y) for i, x in enumerate(entries) for y in entries[i + 1 :])
+
+    monkeypatch.setattr(tensor._Pass, "add", add)
+    return events
+
+
+class TestOneOwnerPerGradient:
+    """No two gradient entries of a backward pass share memory, and a second contribution is added in place."""
+
+    @pytest.mark.parametrize("case", range(CASES))
+    def test_leaf_cases(self, case, monkeypatch):
+        name, loss, _, _ = list(leaf_cases())[case]
+        events = watch_pass_add(monkeypatch)
+        loss.backward()
+        assert events["calls"] and events["shared"] == 0 and events["replaced"] == 0, (name, events)
+
+    @pytest.mark.parametrize("config", ["toy", "default"])
+    def test_model_backward(self, config, toy_model_config, monkeypatch):
+        config = toy_model_config if config == "toy" else ModelConfig()
+        size = config.backbone.input_size
+        out = build_model(config, seed=0).forward(rnd(2, size, size, seed=81))
+        loss = total_loss(out.heatmaps, out.refined, rnd(*out.heatmaps.shape, seed=82), out.logit, np.array([0.0, 1.0]), 0.5).total
+        events = watch_pass_add(monkeypatch)
+        loss.backward()
+        assert events["calls"] > 100 and events["shared"] == 0 and events["replaced"] == 0, events
+
+    @pytest.mark.parametrize("case", range(CASES))
+    def test_leaf_grad_owns_its_memory(self, case):
+        # a leaf whose entry is a view (a reshape pass-through, a concat piece) keeps a copy, not the larger array
+        name, loss, leaves, _ = list(leaf_cases())[case]
+        loss.backward()
+        assert all(leaf.grad.base is None for leaf in leaves), name
 
 
 class TestShapeOps:
