@@ -6,17 +6,20 @@ calls of one forward pass of the default ``full`` model at batch 2 (128 px
 input), in float32. The first conv's input is the image, which needs no
 gradient, so its backward times the weight gradient alone, as a training
 step does. The non-conv cases are one MMF route (``modulated_fuse`` on the
-(n,32,32,32) maps), the attention softmax over the (n,4,256,256) scores with
-its 1/sqrt(head_dim) scale, and the matmuls whose right operand is a 2-D
-weight: the TGCN's (n,6,1024) @ (1024,1024) and a transformer MLP's
-(n,256,32) @ (32,64). Backward times one call of the op's backward closure
-with a fixed upstream gradient, so tape bookkeeping outside the op is not
-included. Every forward is also timed tape-free (inside ``no_grad``) at
-batch 8, the batch ``evaluate_model`` runs; there conv2d reuses one patch
-tile buffer for every sample. Each conv and transposed-conv case also runs
-once under ``tracemalloc`` before it is timed and records the peak traced
-memory of that call, output and gradients included, as ``peak_mb`` in the
-case's ``extra_info`` (``--benchmark-json`` writes it out).
+(n,32,32,32) maps), one encoder layer's attention op (``attention`` on the
+(n,256,32) queries, keys and values, 4 heads, scale 1/sqrt(head_dim)), and
+the matmuls whose right operand is a 2-D weight: the TGCN's
+(n,6,1024) @ (1024,1024) and a transformer MLP's (n,256,32) @ (32,64). The
+attention op's recorded batch-2 forward also records ``peak_mb``: its
+(n,4,256,256) probabilities are the one score-sized array it allocates.
+Backward times one call of the op's backward closure with a fixed upstream
+gradient, so tape bookkeeping outside the op is not included. Every forward
+is also timed tape-free (inside ``no_grad``) at batch 8, the batch
+``evaluate_model`` runs; there conv2d reuses one patch tile buffer for every
+sample. Each conv and transposed-conv case also runs once under
+``tracemalloc`` before it is timed and records the peak traced memory of
+that call, output and gradients included, as ``peak_mb`` in the case's
+``extra_info`` (``--benchmark-json`` writes it out).
 
 The UNet's ten 3x3 convs run as ``conv2d_relu``, one tape node that clamps
 conv2d's output in place, so each of their shapes also has a recorded-forward
@@ -48,7 +51,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hipgraf.autodiff import Tensor, conv2d, conv2d_relu, matmul, maxpool2d, no_grad, softmax, transpose_conv2d
+from hipgraf.autodiff import Tensor, attention, conv2d, conv2d_relu, matmul, maxpool2d, no_grad, transpose_conv2d
 from hipgraf.config import ModelConfig
 from hipgraf.nets.fusion import modulated_fuse
 from hipgraf.nets.model import INPUT_GAIN, N_LANDMARKS, build_model
@@ -100,7 +103,7 @@ MATMUL_SHAPES = [
 # (channels, h, window): the maps one MMF route fuses
 FUSE_SHAPE = (32, 32, 3)
 
-# (heads, tokens, head_dim): the attention scores one encoder layer softmaxes
+# (heads, tokens, head_dim): the attention of one encoder layer
 ATTENTION_SHAPE = (4, 256, 8)
 
 
@@ -144,8 +147,9 @@ def _fuse(batch=BATCH):
 
 def _attention(batch=BATCH):
     heads, tokens, head_dim = ATTENTION_SHAPE
-    scores = Tensor(np.random.default_rng(0).standard_normal((batch, heads, tokens, tokens)).astype(np.float32), requires_grad=True)
-    return scores, lambda: softmax(scores, axis=-1, scale=1.0 / np.sqrt(head_dim))
+    rng = np.random.default_rng(0)
+    q, k, v = (Tensor(rng.standard_normal((batch, tokens, heads * head_dim)).astype(np.float32), requires_grad=True) for _ in range(3))
+    return (q, k, v), lambda: attention(q, k, v, heads, 1.0 / np.sqrt(head_dim))[0]
 
 
 @functools.cache
@@ -320,14 +324,19 @@ def test_modulated_fuse_backward(benchmark):
     benchmark(_run_backward(op, source, guide))
 
 
-def test_attention_softmax_forward_no_grad_batch8(benchmark):
+def test_attention_forward(benchmark):
+    _, op = _attention()
+    _timed_with_peak(benchmark, op)
+
+
+def test_attention_forward_no_grad_batch8(benchmark):
     _, op = _attention(batch=EVAL_BATCH)
     benchmark(_no_grad(op))
 
 
-def test_attention_softmax_backward(benchmark):
-    scores, op = _attention()
-    benchmark(_run_backward(op, scores))
+def test_attention_backward(benchmark):
+    inputs, op = _attention()
+    benchmark(_run_backward(op, *inputs))
 
 
 @pytest.mark.parametrize("layer", LAYER_CASES)

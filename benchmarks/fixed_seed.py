@@ -9,11 +9,14 @@ output before and after a change checks it. In a temporary directory it runs
     hipgraf infer --image sample_0000.tgt --overlay
     hipgraf train --seed 4 --max_steps 6 --lr 1e-3 --variant <variant>
 
-and prints one ``<sha256>  <name>`` line each for the checkpoint ``m.ckpt``,
-its loss log, the metrics CSV ``e.csv``, the overlay, the line ``infer``
-prints and the checkpoint of each other variant (``no_mmf``, ``no_tgcn`` and
-``concat_baseline``). BLAS runs on one thread, since its summation order can
-depend on the thread count. Run from the repository root (about 4 s):
+and prints one ``<sha256>  <name>  ok|DIFFERS`` line each for the checkpoint
+``m.ckpt``, its loss log, the metrics CSV ``e.csv``, the overlay, the line
+``infer`` prints and the checkpoint of each other variant (``no_mmf``,
+``no_tgcn`` and ``concat_baseline``). Each hash is compared with its line in
+``fixed_seed.sha256`` next to this script, and the script exits 1 when any
+differs. A change that moves these bits on purpose updates that file and
+says why. BLAS runs on one thread, since its summation order can depend on
+the thread count. Run from the repository root (about 4 s):
 
     python benchmarks/fixed_seed.py
 
@@ -30,6 +33,7 @@ import tempfile
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+EXPECTED = Path(__file__).resolve().with_suffix(".sha256")  # "<sha256>  <name>" lines
 VARIANTS = ("no_mmf", "no_tgcn", "concat_baseline")  # besides the default, full
 ONE_THREAD = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
 
@@ -40,7 +44,7 @@ def hipgraf(work: Path, *args: str) -> bytes:
     return subprocess.run([sys.executable, "-m", "hipgraf", *args], cwd=work, env=env, check=True, capture_output=True).stdout
 
 
-def main() -> None:
+def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         hipgraf(work, "generate", "--out", "data", "--n_samples", "8", "--seed", "4")
@@ -55,9 +59,15 @@ def main() -> None:
         outputs = {name: (work / name).read_bytes() for name in ("m.ckpt", "m.ckpt.losses.csv", "e.csv", "overlay.pgm")}
         outputs["infer line"] = infer_line
         outputs.update({f"{variant}.ckpt": (work / f"{variant}.ckpt").read_bytes() for variant in VARIANTS})
+    expected = {name: digest for digest, name in (line.split(None, 1) for line in EXPECTED.read_text().splitlines() if line.strip())}
+    differs = False
     for name, data in outputs.items():
-        print(f"{hashlib.sha256(data).hexdigest()}  {name}")
+        digest = hashlib.sha256(data).hexdigest()
+        same = expected.get(name) == digest
+        differs |= not same
+        print(f"{digest}  {name}  {'ok' if same else 'DIFFERS'}")
+    return 1 if differs else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

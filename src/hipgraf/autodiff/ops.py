@@ -39,7 +39,11 @@ exactly where ``x > 0``, NaN and -0.0 included), so a conv + relu block is
 one node too and keeps no pre-activation map, as the in-place activations
 of Rota Bulò et al. 2018, "In-Place Activated BatchNorm for
 Memory-Optimized Training of DNNs". The clamp is safe under the contract
-below because no op has read that array yet.
+below because no op has read that array yet. For the same reason the
+attention op scales, exponentiates and normalizes its fresh score array in
+place (``softmax_inplace``), so multi-head attention is one tape node that
+keeps its probabilities and no score array, the fused op of Dao et al. 2022,
+"FlashAttention", except that P is kept rather than recomputed.
 
 That recompute rests on the tape's contract (see ``make_op``): a recorded
 op may read its inputs' ``.data`` again when backward runs, so no op may
@@ -348,43 +352,84 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def softmax(x: Tensor, axis: int = -1, scale: float | None = None) -> Tensor:
-    """Normalized exponential of ``scale * x`` along one axis, computed with max subtraction.
-
-    ``scale`` (attention's 1/sqrt(d)) multiplies x in the one new array the
-    op allocates, so a scaled softmax is one pass and one tape node, with the
-    bits of ``softmax(mul(x, scale))``. x.data is left as it is.
-    """
+def softmax(x: Tensor, axis: int = -1) -> Tensor:
+    """Normalized exponential of x along one axis, computed with max subtraction; x.data is left as it is."""
     if not -x.ndim <= axis < x.ndim:
         raise DimensionError(f"softmax axis {axis} out of range for shape {x.shape}")
-    factor = None if scale is None else np.asarray(scale, dtype=x.dtype)
-    data = softmax_array(x.data, axis, factor)
+    data = softmax_inplace(x.data.copy(), axis)
 
     def backward(g: np.ndarray) -> None:
-        grad = softmax_backward(data, g, axis)
-        if factor is not None:
-            grad *= factor
-        _accumulate(x, grad)
+        _accumulate(x, softmax_backward(data, g, axis))
 
     return make_op(data, (x,), backward)
 
 
-def softmax_array(x: np.ndarray, axis: int, scale: np.ndarray | None = None) -> np.ndarray:
-    """softmax of ``scale * x`` along ``axis`` as a new array; exp and the divide run in place on it."""
-    if scale is None:
-        out = x - x.max(axis=axis, keepdims=True)
-    else:
-        out = x * scale
-        out -= out.max(axis=axis, keepdims=True)
-    np.exp(out, out=out)
-    out /= out.sum(axis=axis, keepdims=True)
-    return out
+def softmax_inplace(scores: np.ndarray, axis: int) -> np.ndarray:
+    """softmax of ``scores`` along ``axis``, computed with max subtraction in place and returned.
+
+    Only for an array the caller just allocated and no op has read, such as
+    the score arrays the attention op and the fusion module compute.
+    """
+    scores -= scores.max(axis=axis, keepdims=True)
+    np.exp(scores, out=scores)
+    scores /= scores.sum(axis=axis, keepdims=True)
+    return scores
 
 
 def softmax_backward(data: np.ndarray, g: np.ndarray, axis: int) -> np.ndarray:
     """Gradient of the softmax input, for output ``data`` and output gradient ``g``."""
     dot = (g * data).sum(axis=axis, keepdims=True)
     return data * (g - dot)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, scale: float) -> tuple[Tensor, np.ndarray]:
+    """Multi-head attention of (b, n, d) queries, keys and values as one tape node.
+
+    Returns the attended (b, n, d) tokens, a tape node with parents (q, k, v),
+    and the (b, heads, n, n) row-stochastic probabilities
+    P = softmax(scale * Q K^T) as a plain array. Each head is the
+    d // heads wide column block of q, k and v, read as a strided view. The
+    scores are computed into one fresh array, which is then scaled and
+    normalized in place: no op has read it yet. The heads of P V are merged
+    into a fresh C-contiguous output. The closure keeps P and reads the
+    parents' data again; nothing else of the forward stays on the tape.
+    Backward: dV = P^T g, dS = scale * softmax'(P, g V^T), dQ = dS K and
+    dK = dS^T Q, each merged into a fresh C-contiguous (b, n, d) array.
+    """
+    if q.ndim != 3 or not q.shape == k.shape == v.shape:
+        raise DimensionError(f"attention expects equal (b,n,d) queries, keys and values, got {q.shape}, {k.shape}, {v.shape}")
+    b, n, d = q.shape
+    if heads < 1 or d % heads:
+        raise DimensionError(f"attention width {d} does not split into {heads} heads")
+
+    def split(x: np.ndarray) -> np.ndarray:
+        """(b, n, d) -> (b, heads, n, d // heads) view."""
+        return x.reshape(b, n, heads, d // heads).transpose(0, 2, 1, 3)
+
+    def merged(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Each head's product x @ y, merged into one fresh (b, n, d) array by the reshape's copy."""
+        return np.matmul(x, y).transpose(0, 2, 1, 3).reshape(b, n, d)
+
+    qs, ks, vs = split(q.data), split(k.data), split(v.data)
+    probabilities = np.matmul(qs, ks.swapaxes(-1, -2))
+    probabilities *= scale
+    softmax_inplace(probabilities, -1)
+    data = merged(probabilities, vs)
+
+    def backward(g: np.ndarray) -> None:
+        gs = split(g)
+        if v.requires_grad:
+            _accumulate(v, merged(probabilities.swapaxes(-1, -2), gs))
+        if not (q.requires_grad or k.requires_grad):
+            return
+        d_scores = softmax_backward(probabilities, np.matmul(gs, vs.swapaxes(-1, -2)), -1)
+        d_scores *= scale
+        if q.requires_grad:
+            _accumulate(q, merged(d_scores, ks))
+        if k.requires_grad:
+            _accumulate(k, merged(d_scores.swapaxes(-1, -2), qs))
+
+    return make_op(data, (q, k, v), backward), probabilities
 
 
 def layer_norm(x: Tensor, axis: int = -1, eps: float = 1e-5) -> Tensor:

@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..autodiff import Module, Tensor, concat, conv2d, glorot_uniform, unfold_neighborhoods
-from ..autodiff.ops import softmax_array, softmax_backward
+from ..autodiff.ops import softmax_backward, softmax_inplace
 from ..autodiff.tensor import _accumulate, make_op
 from ..config import FusionConfig
 from ..errors import DimensionError
@@ -31,9 +31,10 @@ from ..errors import DimensionError
 def _weights(neighbors: np.ndarray, guide: np.ndarray) -> np.ndarray:
     """Softmax over slots of each neighbor's channel dot product with the guide pixel.
 
-    ``neighbors`` is the (n, window^2, c, h, w) unfold of the source map.
+    ``neighbors`` is the (n, window^2, c, h, w) unfold of the source map. The
+    scores are a fresh array, normalized in place.
     """
-    return softmax_array(np.einsum("nkchw,nchw->nkhw", neighbors, guide), axis=1)
+    return softmax_inplace(np.einsum("nkchw,nchw->nkhw", neighbors, guide), axis=1)
 
 
 def modulated_fuse(source: Tensor, guide: Tensor, window: int) -> Tensor:

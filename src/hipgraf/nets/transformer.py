@@ -17,17 +17,16 @@ from ..autodiff import (
     Module,
     Tensor,
     add,
+    attention,
     conv2d,
     glorot_uniform,
     layer_norm,
     linear,
-    matmul,
     mul,
     no_grad,
     ones_param,
     relu,
     reshape,
-    softmax,
     table_param,
     transpose,
     zeros_param,
@@ -91,20 +90,13 @@ class SelfAttention(Module):
         self.bv = zeros_param((dim,))
         self.bo = zeros_param((dim,))
 
-    def _split(self, t: Tensor) -> Tensor:
-        """(b, n, dim) -> (b, heads, n, head_dim)."""
-        b, n, _ = t.shape
-        return transpose(reshape(t, (b, n, self.heads, self.head_dim)), (0, 2, 1, 3))
-
-    def forward(self, x: Tensor) -> tuple[Tensor, Tensor]:
+    def forward(self, x: Tensor) -> tuple[Tensor, np.ndarray]:
         """The attended tokens, and the row-stochastic (b, heads, n, n) attention of x over itself."""
-        b, n, d = x.shape
-        q = self._split(linear(x, self.wq, self.bq))
-        k = self._split(linear(x, self.wk))
-        attention = softmax(matmul(q, transpose(k, (0, 1, 3, 2))), axis=-1, scale=1.0 / math.sqrt(self.head_dim))
-        mixed = matmul(attention, self._split(linear(x, self.wv, self.bv)))
-        merged = reshape(transpose(mixed, (0, 2, 1, 3)), (b, n, d))
-        return linear(merged, self.wo, self.bo), attention
+        q = linear(x, self.wq, self.bq)
+        k = linear(x, self.wk)
+        v = linear(x, self.wv, self.bv)
+        attended, probabilities = attention(q, k, v, self.heads, 1.0 / math.sqrt(self.head_dim))
+        return linear(attended, self.wo, self.bo), probabilities
 
 
 class EncoderLayer(Module):
@@ -120,11 +112,11 @@ class EncoderLayer(Module):
         self.w2 = glorot_uniform(rng, (hidden, dim), hidden, dim)
         self.b2 = zeros_param((dim,))
 
-    def forward(self, x: Tensor) -> tuple[Tensor, Tensor]:
-        attended, attention = self.attention.forward(self.norm1.forward(x))
+    def forward(self, x: Tensor) -> tuple[Tensor, np.ndarray]:
+        attended, probabilities = self.attention.forward(self.norm1.forward(x))
         x = add(x, attended)
         mlp = linear(relu(linear(self.norm2.forward(x), self.w1, self.b1)), self.w2, self.b2)
-        return add(x, mlp), attention
+        return add(x, mlp), probabilities
 
 
 class TransformerBranch(Module):
@@ -201,14 +193,14 @@ class TransformerBranch(Module):
     def attention_maps(self, image: Tensor) -> list[np.ndarray]:
         """Each encoder layer's (n, heads, grid^2, grid^2) attention for ``image``.
 
-        One encoder pass on no tape, one softmax per layer; the branch keeps no state.
+        One encoder pass on no tape, one attention op per layer; the branch keeps no state.
         """
         maps = []
         with no_grad():
             x = self.embed(image)
             for layer in self.layers:
-                x, attention = layer.forward(x)
-                maps.append(attention.data)
+                x, probabilities = layer.forward(x)
+                maps.append(probabilities)
         return maps
 
 

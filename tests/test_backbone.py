@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hipgraf.autodiff import Tensor, conv2d, layer_norm, mse_loss, no_grad, reshape, softmax, using_dtype
+from hipgraf.autodiff import Tensor, attention, conv2d, layer_norm, mse_loss, no_grad, reshape, using_dtype
 from hipgraf.config import BackboneConfig, ModelConfig
 from hipgraf.errors import ConfigError, DimensionError
 from hipgraf.nets import transformer
@@ -82,7 +82,7 @@ class TestTransformerBranch:
         # neither forward nor attention_maps leaves anything behind on the modules
         assert {id(m): dict(vars(m)) for layer in branch.layers for m in (layer, layer.attention)} == state
 
-    def test_attention_maps_run_one_softmax_per_layer(self, monkeypatch):
+    def test_attention_maps_run_one_attention_op_per_layer(self, monkeypatch):
         config = BackboneConfig(
             input_size=16, feature_size=4, channels=8, unet_depth=2, patch_size=4, token_dim=8, transformer_layers=3, heads=2
         )
@@ -91,20 +91,20 @@ class TestTransformerBranch:
         outputs = []
 
         def spy(*args, **kwargs):
-            out = softmax(*args, **kwargs)
-            outputs.append(out.data)
-            return out
+            out, probabilities = attention(*args, **kwargs)
+            outputs.append(probabilities)
+            return out, probabilities
 
-        monkeypatch.setattr(transformer, "softmax", spy)
+        monkeypatch.setattr(transformer, "attention", spy)
         maps = branch.attention_maps(x)
         assert len(outputs) == len(branch.layers)
         outputs.clear()
         with no_grad():
             branch.forward(x)
         assert len(outputs) == len(maps) == len(branch.layers)
-        for attention, computed in zip(maps, outputs):
-            assert attention.dtype == computed.dtype and attention.shape == computed.shape
-            assert attention.tobytes() == computed.tobytes()
+        for attention_map, computed in zip(maps, outputs):
+            assert attention_map.dtype == computed.dtype and attention_map.shape == computed.shape
+            assert attention_map.tobytes() == computed.tobytes()
 
     def test_patch_permutation_equivariance_with_zero_pos_embedding(self):
         # Swapping two input patches must swap the corresponding output tokens.

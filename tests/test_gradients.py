@@ -16,6 +16,7 @@ import pytest
 from hipgraf.autodiff import (
     no_grad,
     Tensor,
+    attention,
     bce_loss,
     concat,
     conv2d,
@@ -127,10 +128,17 @@ class TestPointwiseOps:
         weights = rnd(3, 5, seed=26)
         assert_grads_match(lambda t: (softmax(t["x"], axis=1) * Tensor(weights, dtype=t["x"].dtype)).sum(), values)
 
-    def test_scaled_softmax(self):
-        values = {"x": rnd(2, 3, 5, seed=29)}
-        weights = rnd(2, 3, 5, seed=30)
-        assert_grads_match(lambda t: (softmax(t["x"], axis=-1, scale=0.35) * Tensor(weights, dtype=t["x"].dtype)).sum(), values)
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    def test_attention(self, heads):
+        # the scale is not 1/sqrt(head_dim), so a scale applied twice or not at all shows
+        values = {"q": rnd(2, 5, 8, seed=29), "k": rnd(2, 5, 8, seed=30), "v": rnd(2, 5, 8, seed=31)}
+        weights = rnd(2, 5, 8, seed=32)
+        assert_grads_match(lambda t: (attention(t["q"], t["k"], t["v"], heads, 0.35)[0] * Tensor(weights, dtype=t["q"].dtype)).sum(), values)
+
+    def test_attention_of_one_tensor_with_itself(self):
+        values = {"x": rnd(2, 5, 8, seed=33)}
+        weights = rnd(2, 5, 8, seed=34)
+        assert_grads_match(lambda t: (attention(t["x"], t["x"], t["x"], 2, 0.35)[0] * Tensor(weights, dtype=t["x"].dtype)).sum(), values)
 
     def test_layer_norm(self):
         values = {"x": rnd(2, 8, seed=27)}

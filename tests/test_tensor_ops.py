@@ -13,6 +13,7 @@ from hypothesis.extra import numpy as hnp
 from hipgraf.autodiff import (
     Tensor,
     add,
+    attention,
     bce_loss,
     concat,
     conv2d,
@@ -37,10 +38,12 @@ from hipgraf.autodiff import (
 from hipgraf.autodiff import ops, tensor
 from hipgraf.config import ModelConfig
 from hipgraf.errors import ConfigError, ContractError, DimensionError
+from hipgraf.nets import transformer
 from hipgraf.nets.graph import build_node_features
 from hipgraf.nets.model import build_model
 from hipgraf.training import total_loss
 
+from attention_reference import COMPOSED_NODES, composed_attention
 from gradcheck import check_gradients
 
 
@@ -688,29 +691,118 @@ class TestSoftmax:
 
     def test_leaves_its_input_unmodified(self):
         x = rnd(3, 9, seed=11)
-        for scale in (None, 0.25):
-            t = Tensor(x.copy())
-            softmax(t, axis=1, scale=scale)
-            np.testing.assert_array_equal(t.data, x)
-
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_scale_matches_a_separate_multiply(self, dtype):
-        # attention's scores times 1/sqrt(head_dim), as the transformer passes it
-        scale = 1.0 / math.sqrt(8)
-        g = rnd(2, 4, 6, 6, seed=12, dtype=dtype)
-        results = []
-        for fused in (True, False):
-            x = Tensor(rnd(2, 4, 6, 6, seed=13, dtype=dtype), requires_grad=True)
-            out = softmax(x, axis=-1, scale=scale) if fused else softmax(mul(x, scale), axis=-1)
-            (out * Tensor(g)).sum().backward()
-            results.append((out.data, x.grad))
-        for fused, separate in zip(*results):
-            np.testing.assert_array_equal(fused, separate)
+        t = Tensor(x.copy())
+        softmax(t, axis=1)
+        np.testing.assert_array_equal(t.data, x)
 
     def test_rows_sum_to_one_and_positive(self):
         out = softmax(Tensor(rnd(4, 7, seed=10)), axis=1).data
         np.testing.assert_allclose(out.sum(axis=1), np.ones(4), atol=1e-6)
         assert (out > 0).all() and (out < 1).all()
+
+
+def recorded_nodes(out: Tensor) -> int:
+    """Number of recorded ops in the graph that produced out."""
+    seen, stack = set(), [out]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen and node._backward is not None:
+            seen.add(id(node))
+            stack.extend(node._parents)
+    return len(seen)
+
+
+def attention_case(shape, dtype, seed=0):
+    """Leaves q, k, v of ``shape`` and an upstream gradient, scaled so that some rows of P are peaked."""
+    rng = np.random.default_rng(seed)
+    q, k, v = (Tensor((2 * rng.standard_normal(shape)).astype(dtype), requires_grad=True) for _ in range(3))
+    return q, k, v, rng.standard_normal(shape).astype(dtype)
+
+
+class TestAttention:
+    """The fused op against the composed tape ops it replaced (``attention_reference``)."""
+
+    CASES = [((2, 256, 32), 4), ((3, 7, 12), 3), ((2, 16, 8), 1)]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape, heads", CASES, ids=["default_layer", "three_heads", "one_head"])
+    def test_bit_identical_to_composed_route(self, shape, heads, dtype):
+        # the same per-head products, and the scale inside the fresh score array
+        # has the bits of a separate multiply
+        scale = 1.0 / math.sqrt(shape[-1] // heads)
+        results = []
+        for route in (attention, composed_attention):
+            q, k, v, g = attention_case(shape, dtype)
+            out, p = route(q, k, v, heads, scale)
+            (out * Tensor(g)).sum().backward()
+            results.append((out.data, p.data if isinstance(p, Tensor) else p, q.grad, k.grad, v.grad))
+        for fused, composed in zip(*results):
+            assert fused.dtype == composed.dtype == dtype
+            assert fused.tobytes() == composed.tobytes()
+
+    def test_is_one_node_with_parents_q_k_v(self):
+        q, k, v, _ = attention_case((2, 5, 8), np.float32)
+        out, p = attention(q, k, v, 2, 0.5)
+        assert out._parents == (q, k, v) and isinstance(p, np.ndarray)
+        assert p.shape == (2, 2, 5, 5) and out.shape == (2, 5, 8)
+        np.testing.assert_allclose(p.sum(axis=-1), np.ones((2, 2, 5)), atol=1e-6)
+        assert recorded_nodes(out) == 1
+
+    def test_no_grad_forward_bit_equal_to_recorded(self):
+        q, k, v, _ = attention_case((2, 9, 8), np.float32, seed=1)
+        recorded = attention(q, k, v, 2, 0.5)
+        with no_grad():
+            out, p = attention(q, k, v, 2, 0.5)
+        assert not out.requires_grad and out._parents == () and out._backward is None
+        assert out.data.tobytes() == recorded[0].data.tobytes() and p.tobytes() == recorded[1].tobytes()
+
+    def test_leaves_its_inputs_unmodified(self):
+        q, k, v, g = attention_case((2, 6, 4), np.float32, seed=2)
+        before = [t.data.copy() for t in (q, k, v)]
+        out, _ = attention(q, k, v, 2, 0.25)
+        out._backward(g)
+        for t, data in zip((q, k, v), before):
+            np.testing.assert_array_equal(t.data, data)
+
+    def test_closure_leaves_its_gradient_unwritten(self):
+        q, k, v, g = attention_case((2, 6, 8), np.float32, seed=3)
+        out, _ = attention(q, k, v, 2, 0.5)
+        g.flags.writeable = False  # an in-place write raises
+        out._backward(g)
+        assert g.tobytes() == attention_case((2, 6, 8), np.float32, seed=3)[3].tobytes()
+        for t in (q, k, v):
+            assert t.grad.shape == (2, 6, 8) and t.grad.flags.c_contiguous
+
+    @pytest.mark.parametrize("frozen", [0, 1, 2], ids=["q", "k", "v"])
+    def test_only_the_gradients_asked_for(self, frozen):
+        q, k, v, g = attention_case((2, 6, 8), np.float32, seed=5)
+        attention(q, k, v, 2, 0.5)[0]._backward(g)
+        expected = [t.grad for t in (q, k, v)]
+        leaves = attention_case((2, 6, 8), np.float32, seed=5)[:3]
+        leaves[frozen].requires_grad = False
+        attention(*leaves, 2, 0.5)[0]._backward(g)
+        for i, t in enumerate(leaves):
+            assert t.grad is None if i == frozen else t.grad.tobytes() == expected[i].tobytes()
+
+    def test_shapes_checked(self):
+        q, k, v, _ = attention_case((2, 6, 8), np.float32)
+        with pytest.raises(DimensionError, match="heads"):
+            attention(q, k, v, 3, 0.5)
+        with pytest.raises(DimensionError, match="equal"):
+            attention(q, Tensor(rnd(2, 5, 8)), v, 2, 0.5)
+        with pytest.raises(DimensionError, match="equal"):
+            attention(Tensor(rnd(6, 8)), Tensor(rnd(6, 8)), Tensor(rnd(6, 8)), 2, 0.5)
+
+    def test_encoder_layer_records_eleven_fewer_nodes(self, monkeypatch):
+        # before the fused op a layer recorded 32 nodes, 12 of them attention
+        # (the scale rode the softmax node); the reference spells the scale as a mul
+        layer = transformer.EncoderLayer(np.random.default_rng(6), 8, 2)
+        x = Tensor(rnd(2, 16, 8, seed=7), requires_grad=True)
+        fused = recorded_nodes(layer.forward(x)[0])
+        monkeypatch.setattr(transformer, "attention", composed_attention)
+        composed = recorded_nodes(layer.forward(x)[0])
+        assert fused == 32 - 11
+        assert composed == fused - 1 + COMPOSED_NODES
 
 
 class TestPointwise:
