@@ -3,8 +3,7 @@
 A ``Module`` is a plain object whose trainable tensors (and child modules)
 live in instance attributes. Parameter names follow attribute paths, so a
 given architecture always enumerates in the same order, which keeps
-initialization and checkpoints deterministic. New parameters take the
-calling thread's dtype: float32, or float64 inside ``using_dtype``.
+initialization and checkpoints deterministic. New parameters are float32.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from ..errors import ConfigError, IncompleteCheckpointError
-from .tensor import Tensor, default_dtype
+from .tensor import Tensor
 
 
 class Module:
@@ -85,7 +84,7 @@ def parameter_shapes(shapes: Iterable[tuple[int, ...]]) -> Iterator[None]:
 
     A parameter whose shape has no unused entry left raises
     IncompleteCheckpointError. The others are created as read-only
-    zero-stride placeholders of the thread's dtype: nothing is drawn, no
+    float32 zero-stride placeholders: nothing is drawn, no
     parameter-sized array is allocated, and the caller then sets each
     parameter's ``data`` to an array of its own (``restore_model`` sets the
     checkpoint's). A constructor that writes into a placeholder in place
@@ -106,18 +105,18 @@ def _claim(shape: tuple[int, ...]) -> bool:
         if not left[shape]:
             raise IncompleteCheckpointError(f"checkpoint does not match model: it holds no tensor for a parameter of shape {shape}")
         left[shape] -= 1
-    if math.prod(shape) * np.dtype(default_dtype()).itemsize > np.iinfo(np.intp).max:
+    if math.prod(shape) * np.dtype(np.float32).itemsize > np.iinfo(np.intp).max:
         raise ConfigError(f"a parameter of shape {shape} is larger than numpy can address; reduce the widths that set it")
     return left is not None
 
 
 def _placeholder(shape: tuple[int, ...]) -> Tensor:
     # one zero seen through zero strides: reads as zeros, refuses writes
-    return Tensor(np.broadcast_to(np.zeros((), default_dtype()), shape), requires_grad=True)
+    return Tensor(np.broadcast_to(np.zeros((), np.float32), shape), requires_grad=True)
 
 
 def glorot_uniform(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int, fan_out: int) -> Tensor:
-    """Uniform(-a, a) with a = sqrt(6/(fan_in+fan_out)), drawn in float64 and rounded to the thread's dtype.
+    """Uniform(-a, a) with a = sqrt(6/(fan_in+fan_out)), drawn in float64 and rounded to float32.
 
     The draws go straight into the parameter's own array, ``_DRAW_SLICE``
     elements at a time in C order, which consumes ``rng`` as one draw of the
@@ -127,7 +126,7 @@ def glorot_uniform(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int
     if _claim(shape):
         return _placeholder(shape)
     a = np.sqrt(6.0 / (fan_in + fan_out))
-    data = np.empty(shape, dtype=default_dtype())
+    data = np.empty(shape, dtype=np.float32)
     flat = data.reshape(-1)
     for start in range(0, flat.size, _DRAW_SLICE):
         part = flat[start : start + _DRAW_SLICE]
@@ -138,20 +137,20 @@ def glorot_uniform(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int
 def zeros_param(shape: tuple[int, ...]) -> Tensor:
     if _claim(shape):
         return _placeholder(shape)
-    return Tensor(np.zeros(shape, dtype=default_dtype()), requires_grad=True)
+    return Tensor(np.zeros(shape, dtype=np.float32), requires_grad=True)
 
 
 def ones_param(shape: tuple[int, ...]) -> Tensor:
     if _claim(shape):
         return _placeholder(shape)
-    return Tensor(np.ones(shape, dtype=default_dtype()), requires_grad=True)
+    return Tensor(np.ones(shape, dtype=np.float32), requires_grad=True)
 
 
 def table_param(shape: tuple[int, ...], table: Callable[[], np.ndarray]) -> Tensor:
-    """A parameter initialised to ``table()`` (any layout of ``shape``'s size), rounded to the thread's dtype, C-contiguous.
+    """A parameter initialised to ``table()`` (any layout of ``shape``'s size), rounded to float32, C-contiguous.
 
     Inside ``parameter_shapes`` the table is not built.
     """
     if _claim(shape):
         return _placeholder(shape)
-    return Tensor(np.array(table(), dtype=default_dtype(), order="C").reshape(shape), requires_grad=True)
+    return Tensor(np.array(table(), dtype=np.float32, order="C").reshape(shape), requires_grad=True)

@@ -352,18 +352,6 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Normalized exponential of x along one axis, computed with max subtraction; x.data is left as it is."""
-    if not -x.ndim <= axis < x.ndim:
-        raise DimensionError(f"softmax axis {axis} out of range for shape {x.shape}")
-    data = softmax_inplace(x.data.copy(), axis)
-
-    def backward(g: np.ndarray) -> None:
-        _accumulate(x, softmax_backward(data, g, axis))
-
-    return make_op(data, (x,), backward)
-
-
 def softmax_inplace(scores: np.ndarray, axis: int) -> np.ndarray:
     """softmax of ``scores`` along ``axis``, computed with max subtraction in place and returned.
 

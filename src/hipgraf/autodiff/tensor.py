@@ -13,8 +13,10 @@ accumulates into the existing buffers. Gradients land on leaves only (tensors
 with no recorded closure, such as parameters), as in PyTorch's default; each
 leaf's ``grad`` is its own array, sharing memory with no other tensor.
 
-Training runs in float32. A float64 mode (``using_dtype(np.float64)``, per
-thread like ``no_grad``) exists for gradient checking only.
+Training and inference run in float32: a ``Tensor`` made from anything but
+a floating-point ndarray is float32, and so is every parameter a ``Module``
+creates. Each op follows its inputs' dtype, so a built model whose
+parameters are cast to float64, as the gradient checks do, runs in float64.
 """
 
 from __future__ import annotations
@@ -56,24 +58,6 @@ def _keep_freed_memory() -> None:
 _keep_freed_memory()
 
 
-def default_dtype() -> np.dtype:
-    return np.dtype(_STATE.dtype)
-
-
-@contextlib.contextmanager
-def using_dtype(dtype) -> Iterator[None]:
-    """Temporarily switch the dtype of this thread's newly created tensors to float32 or float64."""
-    dtype = np.dtype(dtype)
-    if dtype not in (np.dtype(np.float32), np.dtype(np.float64)):
-        raise ContractError(f"unsupported default dtype {dtype}; use float32 or float64")
-    previous = _STATE.dtype
-    _STATE.dtype = dtype.type
-    try:
-        yield
-    finally:
-        _STATE.dtype = previous
-
-
 class Tensor:
     """An n-dimensional array with an optional gradient buffer.
 
@@ -90,7 +74,7 @@ class Tensor:
         elif isinstance(data, np.ndarray) and np.issubdtype(data.dtype, np.floating):
             arr = data
         else:
-            arr = np.asarray(data, dtype=default_dtype())
+            arr = np.asarray(data, dtype=np.float32)
         self.data = arr
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
@@ -218,7 +202,6 @@ class _ThreadState(threading.local):
     """Per-thread tape state; the class attributes are each thread's defaults."""
 
     recording = True  # cleared inside no_grad()
-    dtype = np.float32  # of new tensors; switched by using_dtype
     grads: "_Pass | None" = None  # the running backward pass
 
 

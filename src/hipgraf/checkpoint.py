@@ -132,10 +132,9 @@ def restore_model(checkpoint: Checkpoint) -> LandmarkNet:
     the file before it is created, so a header that declares a larger model
     than the file holds is rejected without building it. Building draws
     and allocates no parameter; after the name and shape check each
-    parameter takes its tensor, matched by name, as its ``data``: the array
-    itself in float32, a float64 copy inside ``using_dtype(np.float64)``.
-    A float32 model therefore shares memory with ``checkpoint.arrays``, and
-    training it changes them.
+    parameter takes its tensor, matched by name, as its ``data``: the file's
+    float32 array itself. The model therefore shares memory with
+    ``checkpoint.arrays``, and training it changes them.
     """
     arrays = checkpoint.param_arrays()
     with parameter_shapes(arr.shape for arr in arrays.values()):
@@ -143,5 +142,5 @@ def restore_model(checkpoint: Checkpoint) -> LandmarkNet:
     params = model.parameters()
     _check_state(params, arrays, "checkpoint")
     for name, p in params.items():
-        p.data = np.asarray(arrays[name], dtype=p.data.dtype)
+        p.data = arrays[name]
     return model

@@ -56,10 +56,6 @@ class HipLandmarkDetector:
 
     # -- sklearn plumbing ------------------------------------------------------
 
-    @classmethod
-    def _param_names(cls) -> list[str]:
-        return list(PARAMS)
-
     def get_params(self, deep: bool = True) -> dict:
         return {name: getattr(self, name) for name in PARAMS}
 

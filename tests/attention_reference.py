@@ -6,11 +6,29 @@ the score product, the scale, the softmax, the product with the values, and
 the merge transpose and reshape: 13 tape nodes where the fused op records
 one. ``SelfAttention`` ran the scale inside its softmax node, with the same
 bits, so it recorded 12.
+
+``softmax`` is the tape node of that route and of the composed fusion route
+in ``test_fusion.py``: the library keeps only the array kernels it is made
+of, ``softmax_inplace`` and ``softmax_backward``.
 """
 
-from hipgraf.autodiff import Tensor, matmul, mul, reshape, softmax, transpose
+import numpy as np
+
+from hipgraf.autodiff import Tensor, matmul, mul, reshape, transpose
+from hipgraf.autodiff.ops import softmax_backward, softmax_inplace
+from hipgraf.autodiff.tensor import _accumulate, make_op
 
 COMPOSED_NODES = 13
+
+
+def softmax(x: Tensor, axis: int = -1) -> Tensor:
+    """Normalized exponential of x along one axis as one tape node; x.data is left as it is."""
+    data = softmax_inplace(x.data.copy(), axis)
+
+    def backward(g: np.ndarray) -> None:
+        _accumulate(x, softmax_backward(data, g, axis))
+
+    return make_op(data, (x,), backward)
 
 
 def composed_attention(q: Tensor, k: Tensor, v: Tensor, heads: int, scale: float) -> tuple[Tensor, Tensor]:

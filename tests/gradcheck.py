@@ -8,7 +8,8 @@ error would reject exact gradients on entries that merely happen to be tiny.
 The numeric side may run at a higher precision than the tape under test:
 checking a float32 model against a float64 central-difference oracle isolates
 formula errors from float32 rounding. ``assert_grads_match`` does exactly
-that for a loss built from a dict of leaf values.
+that for a loss built from a dict of leaf values, and ``as_float64`` gives a
+built model its float64 twin.
 """
 
 from __future__ import annotations
@@ -17,9 +18,16 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from hipgraf.autodiff import Tensor
+from hipgraf.autodiff import Module, Tensor
 
 TINY = 1e-12
+
+
+def as_float64(module: Module) -> Module:
+    """Recast every parameter of a freshly built ``module`` to float64 in place and return it; its ops then run in float64."""
+    for _, p in module.named_parameters():
+        p.data = p.data.astype(np.float64)
+    return module
 
 
 def numeric_gradient(loss_fn: Callable[[], float], param: Tensor, h: float = 1e-4, indices=None) -> np.ndarray:

@@ -21,10 +21,8 @@ from hipgraf.autodiff import (
     mse_loss,
     relu,
     sigmoid,
-    softmax,
     transpose_conv2d,
     unfold_neighborhoods,
-    using_dtype,
 )
 from hipgraf.checkpoint import load_checkpoint, restore_model, save_checkpoint
 from hipgraf.cli import main as cli_main
@@ -39,8 +37,9 @@ from hipgraf.nets.model import build_model
 from hipgraf.phantom import generate_dataset
 from hipgraf.training import make_gt_heatmaps, total_loss, train
 
+from attention_reference import softmax
 from fusion_reference import extract_neighborhood, modulation_weight_map, modulation_weights
-from gradcheck import check_gradients
+from gradcheck import as_float64, check_gradients
 
 TOY16 = ModelConfig(
     backbone=BackboneConfig(
@@ -182,9 +181,7 @@ class TestCriterion1Gradients:
 
         # full model joint loss on the 16x16 toy config, float32 vs float64 oracle
         model32 = build_model(TOY16, seed=0)
-        with using_dtype(np.float64):
-            model64 = build_model(TOY16, seed=0)
-        model64.load_state(model32.state_arrays(), source="float64 clone")
+        model64 = as_float64(build_model(TOY16, seed=0))
         images = np.random.default_rng(34).random((1, 16, 16)).astype(np.float32)
         gt = make_gt_heatmaps(np.full((6, 2), 8.0), 1.0, 4, 16)[None]
         labels_full = np.array([1.0])

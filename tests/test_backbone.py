@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hipgraf.autodiff import Tensor, attention, conv2d, layer_norm, mse_loss, no_grad, reshape, using_dtype
+from hipgraf.autodiff import Tensor, attention, conv2d, layer_norm, mse_loss, no_grad, reshape
 from hipgraf.config import BackboneConfig, ModelConfig
 from hipgraf.errors import ConfigError, DimensionError
 from hipgraf.nets import transformer
@@ -18,6 +18,7 @@ from hipgraf.nets.transformer import TransformerBranch
 from hipgraf.nets.unet import UNetBranch
 
 from conftest import toy_backbone
+from gradcheck import as_float64
 
 
 def rng(seed=0):
@@ -152,8 +153,9 @@ class TestHeatmapHead:
 
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
     def test_bias_rides_conv2d_with_the_bits_of_a_separate_add(self, dtype):
-        with using_dtype(dtype):
-            head = HeatmapHead(rng(11), 8)
+        head = HeatmapHead(rng(11), 8)
+        if dtype == "float64":
+            as_float64(head)
         head.bias.data = rng(12).standard_normal(6).astype(dtype)
         fused = Tensor(rng(13).standard_normal((2, 8, 4, 4)).astype(dtype), requires_grad=True)
         upstream = rng(14).standard_normal((2, 6, 4, 4)).astype(dtype)
@@ -243,25 +245,30 @@ class TestBranchShapeContract:
 
 
 # sha256 over (name, dtype, bytes) of build_model(ModelConfig(variant=v), seed=11).state_arrays(),
-# recorded on x86-64 from one float64 draw of each whole weight, which the sliced draw must reproduce
+# recorded on x86-64 from one float64 draw of each whole weight, which the sliced draw must reproduce;
+# the float64 entries hash the as_float64 cast of that float32 build, the model the gradient checks use
 INIT_SHA256 = {
     ("float32", "full"): "e4ddabbe82bf02706afa4ac19582dd6458469eb999e3ecbb79b75e49dedfffdf",
     ("float32", "no_mmf"): "e4ddabbe82bf02706afa4ac19582dd6458469eb999e3ecbb79b75e49dedfffdf",
     ("float32", "no_tgcn"): "0720552152a5b7ece6c0d19b616a7d7387290f56c8d9f62275af9255286225eb",
     ("float32", "concat_baseline"): "0720552152a5b7ece6c0d19b616a7d7387290f56c8d9f62275af9255286225eb",
-    ("float64", "full"): "12b8e2e15093ccf336bae65110af6fe7848a302dd9d01a4dfd11aa70de93c6c3",
-    ("float64", "no_mmf"): "12b8e2e15093ccf336bae65110af6fe7848a302dd9d01a4dfd11aa70de93c6c3",
-    ("float64", "no_tgcn"): "658546ac533e1b5de1e64ad1d1af0211558ab21c752b56d14967145ef6ec038a",
-    ("float64", "concat_baseline"): "658546ac533e1b5de1e64ad1d1af0211558ab21c752b56d14967145ef6ec038a",
+    ("float64", "full"): "7afeaedfdddd512266428765fca0018354ba9c2db7a244084ec52c005506cb82",
+    ("float64", "no_mmf"): "7afeaedfdddd512266428765fca0018354ba9c2db7a244084ec52c005506cb82",
+    ("float64", "no_tgcn"): "3600205471154e62b027e610a348c7f28738f4ab8320c6e808b766be0376f46c",
+    ("float64", "concat_baseline"): "3600205471154e62b027e610a348c7f28738f4ab8320c6e808b766be0376f46c",
 }
+
+
+def build_in(dtype, variant):
+    model = build_model(ModelConfig(variant=variant), seed=11)
+    return as_float64(model) if dtype == "float64" else model
 
 
 class TestInitBits:
     @pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"), reason="digests recorded on x86-64")
     @pytest.mark.parametrize("dtype, variant", sorted(INIT_SHA256))
     def test_default_init_is_pinned(self, dtype, variant):
-        with using_dtype(dtype):
-            model = build_model(ModelConfig(variant=variant), seed=11)
+        model = build_in(dtype, variant)
         digest = hashlib.sha256()
         for name, arr in model.state_arrays().items():
             digest.update(name.encode())
@@ -271,8 +278,7 @@ class TestInitBits:
 
     @pytest.mark.parametrize("dtype, variant", sorted(INIT_SHA256))
     def test_built_parameters_are_c_contiguous_and_writeable(self, dtype, variant):
-        with using_dtype(dtype):
-            model = build_model(ModelConfig(variant=variant), seed=11)
+        model = build_in(dtype, variant)
         for name, p in model.named_parameters():
             assert p.data.dtype == dtype and p.data.flags.c_contiguous and p.data.flags.writeable, name
 

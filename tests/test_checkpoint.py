@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hipgraf.autodiff import tensorfile, using_dtype
+from hipgraf.autodiff import tensorfile
 from hipgraf.checkpoint import load_checkpoint, restore_model, save_checkpoint
 from hipgraf.config import default_run_config, merge_run_config, model_config_from, run_config_to_items
 from hipgraf.errors import FormatError, IncompleteCheckpointError
@@ -52,21 +52,6 @@ def test_round_trip_forward_is_bitwise_identical(tmp_path, toy_model_config):
     restored = restore_model(loaded)
     after = restored.forward(x).heatmaps.data
     assert np.array_equal(before, after)
-
-
-def test_restore_inside_using_dtype_gives_float64_parameters_equal_to_the_file(tmp_path, toy_model_config):
-    model = build_model(toy_model_config, seed=4)
-    _, items = toy_items(seed=4)
-    path = tmp_path / "model.ckpt"
-    save_checkpoint(path, model, items)
-    with using_dtype(np.float64):
-        restored = restore_model(load_checkpoint(path))
-    saved, loaded = model.state_arrays(), restored.state_arrays()
-    assert saved.keys() == loaded.keys()
-    for name, arr in loaded.items():
-        assert arr.dtype == np.float64, name
-        assert np.array_equal(arr, saved[name]), name
-    assert restore_model(load_checkpoint(path)).head.weight.dtype == np.float32
 
 
 def test_load_holds_the_file_bytes_once(tmp_path, toy_model_config_32):
@@ -277,10 +262,6 @@ def test_restored_float32_parameters_are_the_files_arrays(tmp_path, toy_model_co
     for name, arr in restore_model(loaded).state_arrays().items():
         assert np.shares_memory(arr, loaded.arrays[f"param.{name}"]), name
         assert arr.flags.writeable, name
-    with using_dtype(np.float64):
-        restored64 = restore_model(loaded)
-    for name, arr in restored64.state_arrays().items():
-        assert arr.dtype == np.float64 and not np.shares_memory(arr, loaded.arrays[f"param.{name}"]), name
 
 
 def rewrite_tensors(path, out, edit):
@@ -320,11 +301,8 @@ def test_restore_builds_no_position_table_and_gives_c_contiguous_writeable_param
     table = transformer.sincos_position_grid
     monkeypatch.setattr(transformer, "sincos_position_grid", lambda *args: calls.append(args) or table(*args))
     loaded = load_checkpoint(default_checkpoint)
-    for dtype in ("float32", "float64"):
-        with using_dtype(dtype):
-            restored = restore_model(loaded)
-        for name, p in restored.named_parameters():
-            assert p.data.dtype == dtype and p.data.flags.c_contiguous and p.data.flags.writeable, name
+    for name, p in restore_model(loaded).named_parameters():
+        assert p.data.dtype == np.float32 and p.data.flags.c_contiguous and p.data.flags.writeable, name
     assert calls == []
     build_model(loaded.model_config)
     assert len(calls) == 2  # the spy sees a build: the pos_embedding and output_pos tables

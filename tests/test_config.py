@@ -203,13 +203,10 @@ PINNED_KEYWORDS = [
 def test_hipgraf_names_the_benchmark_reaches_exist():
     """Every hipgraf attribute the benchmarks read, probe by name or pass a keyword to is still there."""
     passed: dict[str, set[str]] = {}
-    for script in (
-        "perfbench/workloads.py",
-        "perfbench/spans.py",
-        "benchmarks/bench_window.py",
-        "benchmarks/bench_train_step.py",
-    ):
-        tree = ast.parse((ROOT / script).read_text())
+    scripts = [ROOT / "perfbench/workloads.py", ROOT / "perfbench/spans.py", *sorted((ROOT / "benchmarks").glob("*.py"))]
+    for path in scripts:
+        script = path.relative_to(ROOT).as_posix()
+        tree = ast.parse(path.read_text())
         bound = _hipgraf_bindings(tree)
 
         def resolve(node: ast.expr):

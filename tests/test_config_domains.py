@@ -25,7 +25,7 @@ from hipgraf.config import (
     train_config_from,
 )
 from hipgraf.errors import ConfigError
-from hipgraf.estimator import PARAM_ALIASES, HipLandmarkDetector
+from hipgraf.estimator import PARAM_ALIASES, PARAMS, HipLandmarkDetector
 from hipgraf.nets.model import build_model
 
 from test_estimator import dataset_arrays, toy_params
@@ -168,7 +168,7 @@ def test_numpy_int_sizes_build_the_parameters_of_python_ints(kind, variant):
 
 def estimator_cases():
     keys = {**MODEL_KEYS, **TRAIN_KEYS, "spacing": GENERATOR_KEYS["spacing"]}
-    for name in HipLandmarkDetector._param_names():
+    for name in PARAMS:
         key = PARAM_ALIASES.get(name, name)
         kind, out_of_range = keys[key]
         for value in [*WRONG_TYPE[kind], *out_of_range]:
@@ -228,7 +228,7 @@ ANY_VALUE = st.one_of(
 
 
 @settings(max_examples=300, deadline=None)
-@given(params=st.fixed_dictionaries({}, optional={name: ANY_VALUE for name in HipLandmarkDetector._param_names()}))
+@given(params=st.fixed_dictionaries({}, optional={name: ANY_VALUE for name in PARAMS}))
 def test_arbitrary_estimator_parameters_raise_only_config_error(params):
     # the values as given, numpy scalars included, and as the estimator passes them on
     given_values = {**default_run_config(), **{PARAM_ALIASES.get(name, name): value for name, value in params.items()}}

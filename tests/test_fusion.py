@@ -17,12 +17,12 @@ from hipgraf.autodiff import (
     no_grad,
     reduce_sum,
     reshape,
-    softmax,
     unfold_neighborhoods,
 )
 from hipgraf.errors import ConfigError, DimensionError
 from hipgraf.nets.fusion import ConcatFusion, MutualModulationFusion, modulated_fuse
 
+from attention_reference import softmax
 from fusion_reference import extract_neighborhood, modulation_weight_map, modulation_weights
 from gradcheck import assert_grads_match
 

@@ -21,7 +21,6 @@ from hipgraf.autodiff import (
     concat,
     conv2d,
     conv2d_relu,
-    default_dtype,
     layer_norm,
     linear,
     matmul,
@@ -31,14 +30,11 @@ from hipgraf.autodiff import (
     reduce_mean,
     relu,
     sigmoid,
-    softmax,
     transpose_conv2d,
     unfold_neighborhoods,
-    using_dtype,
 )
-from hipgraf.errors import ContractError
-from hipgraf.nets.model import build_model
 
+from attention_reference import softmax
 from gradcheck import assert_grads_match
 
 
@@ -262,43 +258,3 @@ class TestNoGrad:
         assert not worker.is_alive()
         assert main_out.requires_grad and main_out._parents == (w, w)
         assert not seen["worker"].requires_grad and seen["worker"]._parents == ()
-
-
-class TestDefaultDtype:
-    def test_using_dtype_is_scoped_to_the_calling_thread(self, toy_model_config):
-        inside = threading.Event()
-        release = threading.Event()
-        seen = {}
-
-        def hold_block_open():
-            with using_dtype(np.float64):
-                inside.set()
-                release.wait(timeout=30)
-                seen["worker"] = Tensor([1.0, 2.0]).dtype
-                seen["worker_model"] = build_model(toy_model_config, seed=0)
-
-        worker = threading.Thread(target=hold_block_open)
-        worker.start()
-        try:
-            assert inside.wait(timeout=30)
-            main_dtype = Tensor([1.0, 2.0]).dtype  # while the worker is inside its block
-            release.set()
-            main_model = build_model(toy_model_config, seed=0)  # while the worker may be building its own
-        finally:
-            release.set()
-            worker.join(timeout=30)
-        assert not worker.is_alive()
-        assert main_dtype == np.float32
-        assert seen["worker"] == np.float64
-        assert Tensor([1.0]).dtype == np.float32
-        worker_params, main_params = seen["worker_model"].state_arrays(), main_model.state_arrays()
-        assert worker_params.keys() == main_params.keys()
-        assert all(a.dtype == np.float64 for a in worker_params.values())
-        assert all(a.dtype == np.float32 for a in main_params.values())
-
-    @pytest.mark.parametrize("dtype", [np.float16, np.int32])
-    def test_using_dtype_rejects_other_dtypes(self, dtype):
-        with pytest.raises(ContractError, match="use float32 or float64"):
-            with using_dtype(dtype):
-                pass
-        assert default_dtype() == np.float32

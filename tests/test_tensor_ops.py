@@ -29,22 +29,22 @@ from hipgraf.autodiff import (
     relu,
     reshape,
     sigmoid,
-    softmax,
     sub,
     transpose,
     transpose_conv2d,
     unfold_neighborhoods,
 )
 from hipgraf.autodiff import ops, tensor
-from hipgraf.config import ModelConfig
+from hipgraf.config import VARIANTS, ModelConfig, TrainConfig
 from hipgraf.errors import ConfigError, ContractError, DimensionError
 from hipgraf.nets import transformer
 from hipgraf.nets.graph import build_node_features
 from hipgraf.nets.model import build_model
-from hipgraf.training import total_loss
+from hipgraf.training import make_batch, total_loss
 
-from attention_reference import COMPOSED_NODES, composed_attention
-from gradcheck import check_gradients
+from attention_reference import COMPOSED_NODES, composed_attention, softmax
+from conftest import make_samples, toy_backbone
+from gradcheck import as_float64, check_gradients
 
 
 def rnd(*shape, seed=0, dtype=np.float32):
@@ -674,29 +674,30 @@ class TestConv2dRelu:
 class TestSoftmax:
     def test_equal_inputs_give_uniform_weights(self):
         n = 3
-        out = softmax(Tensor(np.zeros(n * n, dtype=np.float32)), axis=0)
-        np.testing.assert_allclose(out.data, np.full(n * n, 1.0 / (n * n)), atol=1e-7)
+        out = ops.softmax_inplace(np.zeros(n * n, dtype=np.float32), axis=0)
+        np.testing.assert_allclose(out, np.full(n * n, 1.0 / (n * n)), atol=1e-7)
 
     def test_log_two_case(self):
-        out = softmax(Tensor(np.array([0.0, math.log(2.0)])), axis=0)
-        np.testing.assert_allclose(out.data, [1.0 / 3.0, 2.0 / 3.0], atol=1e-7)
+        out = ops.softmax_inplace(np.array([0.0, math.log(2.0)]), axis=0)
+        np.testing.assert_allclose(out, [1.0 / 3.0, 2.0 / 3.0], atol=1e-7)
 
     @given(st.lists(st.floats(-30, 30), min_size=2, max_size=8), st.floats(-50, 50))
     @settings(max_examples=40, deadline=None)
     def test_shift_invariance(self, values, shift):
         x = np.asarray(values, dtype=np.float64)
-        a = softmax(Tensor(x), axis=0).data
-        b = softmax(Tensor(x + shift), axis=0).data
+        a = ops.softmax_inplace(x.copy(), axis=0)
+        b = ops.softmax_inplace(x + shift, axis=0)
         assert np.abs(a - b).max() < 1e-6
 
     def test_leaves_its_input_unmodified(self):
+        # the composed oracles' tape node copies before softmax_inplace
         x = rnd(3, 9, seed=11)
         t = Tensor(x.copy())
         softmax(t, axis=1)
         np.testing.assert_array_equal(t.data, x)
 
     def test_rows_sum_to_one_and_positive(self):
-        out = softmax(Tensor(rnd(4, 7, seed=10)), axis=1).data
+        out = ops.softmax_inplace(rnd(4, 7, seed=10), axis=1)
         np.testing.assert_allclose(out.sum(axis=1), np.ones(4), atol=1e-6)
         assert (out > 0).all() and (out < 1).all()
 
@@ -1008,6 +1009,24 @@ class TestLeafGradients:
         loss.backward()
         for p, g in zip(params, first):
             np.testing.assert_array_equal(p.grad, 2 * g)
+
+
+class TestOneDtypePerTape:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_every_node_and_gradient_has_the_models_dtype(self, variant, dtype):
+        # the float32 half catches a silent float64 promotion on the training tape
+        model = build_model(ModelConfig(backbone=toy_backbone(16), variant=variant), seed=0)
+        if dtype == np.float64:
+            as_float64(model)
+        images, gt, labels = make_batch(make_samples(2, size=16), TrainConfig(), model)
+        out = model.forward(images)
+        loss = total_loss(out.heatmaps, out.refined, gt, out.logit, labels, 0.1).total
+        tensors = graph_tensors(loss)
+        assert {id(p) for p in model.parameters().values()} <= {id(t) for t in tensors}
+        assert [repr(t) for t in tensors if t.dtype != dtype] == []
+        loss.backward()
+        assert [name for name, p in model.named_parameters() if p.grad.dtype != dtype] == []
 
 
 def watch_pass_add(monkeypatch):
