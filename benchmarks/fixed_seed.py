@@ -5,18 +5,21 @@ output before and after a change checks it. In a temporary directory it runs
 
     hipgraf generate --n_samples 8 --seed 4
     hipgraf train --seed 4 --max_steps 6 --lr 1e-3
-    hipgraf eval
+    hipgraf eval --overlay-dir overlays
     hipgraf infer --image sample_0000.tgt --overlay
     hipgraf train --seed 4 --max_steps 6 --lr 1e-3 --variant <variant>
+    hipgraf ablate --seed 4 --max_steps 2 --lr 1e-3 --folds 2
 
 and prints one ``<sha256>  <name>  ok|DIFFERS`` line each for the checkpoint
-``m.ckpt``, its loss log, the metrics CSV ``e.csv``, the overlay, the line
-``infer`` prints and the checkpoint of each other variant (``no_mmf``,
-``no_tgcn`` and ``concat_baseline``). Each hash is compared with its line in
-``fixed_seed.sha256`` next to this script, and the script exits 1 when any
-differs. A change that moves these bits on purpose updates that file and
-says why. BLAS runs on one thread, since its summation order can depend on
-the thread count. Run from the repository root (about 4 s):
+``m.ckpt``, its loss log, the metrics CSV ``e.csv``, the overlay ``infer``
+writes, the line ``infer`` prints, the checkpoint of each other variant
+(``no_mmf``, ``no_tgcn`` and ``concat_baseline``), the ablation table
+``ablate.csv`` and the overlay ``eval --overlay-dir`` writes for
+``sample_0000``. Each hash is compared with its line in ``fixed_seed.sha256``
+next to this script, and the script exits 1 when any differs. A change that
+moves these bits on purpose updates that file and says why. BLAS runs on one
+thread, since its summation order can depend on the thread count. Run from
+the repository root (about 6 s):
 
     python benchmarks/fixed_seed.py
 
@@ -51,14 +54,17 @@ def main() -> int:
         manifest = str(Path("data") / "manifest.csv")
         train = ("train", "--data", manifest, "--seed", "4", "--max_steps", "6", "--lr", "1e-3")
         hipgraf(work, *train, "--out", "m.ckpt")
-        hipgraf(work, "eval", "--checkpoint", "m.ckpt", "--data", manifest, "--out", "e.csv")
+        hipgraf(work, "eval", "--checkpoint", "m.ckpt", "--data", manifest, "--out", "e.csv", "--overlay-dir", "overlays")
         image = str(Path("data") / "sample_0000.tgt")
         infer_line = hipgraf(work, "infer", "--checkpoint", "m.ckpt", "--image", image, "--overlay", "overlay.pgm")
         for variant in VARIANTS:
             hipgraf(work, *train, "--variant", variant, "--out", f"{variant}.ckpt")
+        hipgraf(work, "ablate", "--data", manifest, "--seed", "4", "--max_steps", "2", "--lr", "1e-3", "--folds", "2", "--out", "ablate.csv")
         outputs = {name: (work / name).read_bytes() for name in ("m.ckpt", "m.ckpt.losses.csv", "e.csv", "overlay.pgm")}
         outputs["infer line"] = infer_line
         outputs.update({f"{variant}.ckpt": (work / f"{variant}.ckpt").read_bytes() for variant in VARIANTS})
+        outputs["ablate.csv"] = (work / "ablate.csv").read_bytes()
+        outputs["overlays/sample_0000_overlay.pgm"] = (work / "overlays" / "sample_0000_overlay.pgm").read_bytes()
     expected = {name: digest for digest, name in (line.split(None, 1) for line in EXPECTED.read_text().splitlines() if line.strip())}
     differs = False
     for name, data in outputs.items():

@@ -31,14 +31,14 @@ class Module:
     def state_arrays(self) -> dict[str, np.ndarray]:
         return {name: p.data for name, p in self.named_parameters()}
 
-    def load_state(self, arrays: dict[str, np.ndarray], source: str = "checkpoint") -> None:
+    def load_state(self, arrays: dict[str, np.ndarray]) -> None:
         """Copy arrays into this module's parameters; all-or-nothing.
 
         Name or shape mismatches raise before any parameter is touched. The
         parameters own their copies, so training them leaves ``arrays`` as it was.
         """
         params = self.parameters()
-        _check_state(params, arrays, source)
+        _check_state(params, arrays)
         for name, p in params.items():
             p.data = np.array(arrays[name], dtype=p.data.dtype)
             p.grad = None
@@ -48,17 +48,17 @@ class Module:
             p.grad = None
 
 
-def _check_state(params: dict[str, Tensor], arrays: dict[str, np.ndarray], source: str) -> None:
+def _check_state(params: dict[str, Tensor], arrays: dict[str, np.ndarray]) -> None:
     """Raise IncompleteCheckpointError unless ``arrays`` holds exactly one array of the right shape per parameter name."""
     missing = sorted(set(params) - set(arrays))
     extra = sorted(set(arrays) - set(params))
     if missing or extra:
         raise IncompleteCheckpointError(
-            f"{source} does not match model: missing={missing or 'none'} unexpected={extra or 'none'}"
+            f"checkpoint does not match model: missing={missing or 'none'} unexpected={extra or 'none'}"
         )
     bad = [n for n in params if tuple(arrays[n].shape) != params[n].shape]
     if bad:
-        raise IncompleteCheckpointError(f"{source} tensor shapes disagree with model for: {bad}")
+        raise IncompleteCheckpointError(f"checkpoint tensor shapes disagree with model for: {bad}")
 
 
 def _walk(name: str, value) -> Iterator[tuple[str, Tensor]]:

@@ -140,7 +140,7 @@ def restore_model(checkpoint: Checkpoint) -> LandmarkNet:
     with parameter_shapes(arr.shape for arr in arrays.values()):
         model = build_model(checkpoint.model_config)
     params = model.parameters()
-    _check_state(params, arrays, "checkpoint")
+    _check_state(params, arrays)
     for name, p in params.items():
         p.data = arrays[name]
     return model

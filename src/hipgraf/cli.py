@@ -126,6 +126,11 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_eval(args: argparse.Namespace) -> int:
     model = ckpt.restore_model(ckpt.load_checkpoint(args.checkpoint))
     samples = read_manifest(args.data)
+    overlay_names = [f"{Path(s.name).stem}_overlay.pgm" for s in samples]
+    first: dict[str, int] = {}  # overlay name -> index of the first sample that writes it
+    for i, name in enumerate(overlay_names if args.overlay_dir else []):
+        if first.setdefault(name, i) != i:
+            raise DataError(f"manifest rows {samples[first[name]].name} and {samples[i].name} would both write overlay {name}")
     for s in samples:
         check_image_size(s.image, model.config.backbone.input_size, f"sample {s.name}")
     coords, probs = detect(model, [s.image for s in samples])
@@ -139,9 +144,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if args.overlay_dir:
         overlay_dir = Path(args.overlay_dir)
         overlay_dir.mkdir(parents=True, exist_ok=True)
-        for sample, predicted in zip(samples, coords):
-            stem = Path(sample.name).stem
-            write_overlay(overlay_dir / f"{stem}_overlay.pgm", sample.image, predicted, gt=sample.landmarks)
+        for name, sample, predicted in zip(overlay_names, samples, coords):
+            write_overlay(overlay_dir / name, sample.image, predicted, gt=sample.landmarks)
     return EXIT_OK
 
 

@@ -35,6 +35,7 @@ REFERENCE_FOOTER = (
 
 SPLIT_STREAM = 0xF01D
 FOLD_MODEL_STREAM = 0x0DE1
+DETECT_BATCH = 8  # images per forward pass in detect and evaluate_model
 
 
 def kfold_split(n: int, k: int, seed: int, groups: list[int] | None = None) -> list[np.ndarray]:
@@ -62,7 +63,7 @@ def kfold_split(n: int, k: int, seed: int, groups: list[int] | None = None) -> l
     return [np.sort(np.array(f, dtype=int)) for f in folds]
 
 
-def detect(model: LandmarkNet, images: Sequence[np.ndarray], batch_size: int = 8) -> tuple[list[np.ndarray], list[float] | None]:
+def detect(model: LandmarkNet, images: Sequence[np.ndarray], batch_size: int = DETECT_BATCH) -> tuple[list[np.ndarray], list[float] | None]:
     """Decoded (6,2) landmarks per ``(H, W)`` image, plus P(abnormal) when the model classifies.
 
     ``images`` is a list of images or an ``(n, H, W)`` array. One forward per
@@ -96,7 +97,7 @@ def score_detections(samples: list[ImageSample], coords: list[np.ndarray], probs
     )
 
 
-def evaluate_model(model: LandmarkNet, samples: list[ImageSample], fold: str = "all", batch_size: int = 8) -> FoldMetrics:
+def evaluate_model(model: LandmarkNet, samples: list[ImageSample], fold: str = "all", batch_size: int = DETECT_BATCH) -> FoldMetrics:
     """Decode the detection stack and score MRE, SDR and (if present) accuracy."""
     return score_detections(samples, *detect(model, [s.image for s in samples], batch_size), fold=fold)
 
@@ -119,10 +120,10 @@ def kfold_run(
     samples: list[ImageSample],
     model_config: ModelConfig,
     train_config: TrainConfig,
-    eval_config: EvalConfig | None = None,
+    eval_config: EvalConfig,
 ) -> MetricsReport:
     """Train and evaluate once per fold; deterministic for a fixed seed."""
-    eval_config = (eval_config or EvalConfig()).validate()
+    eval_config = eval_config.validate()
     groups = None
     if eval_config.grouped:
         if any(s.group is None for s in samples):
@@ -148,7 +149,7 @@ def ablation_run(
     samples: list[ImageSample],
     model_config: ModelConfig,
     train_config: TrainConfig,
-    eval_config: EvalConfig | None = None,
+    eval_config: EvalConfig,
 ) -> list[MetricsReport]:
     """The four variants under identical splits and seeds, in table order."""
     reports = []
@@ -160,4 +161,4 @@ def ablation_run(
 
 def ablation_csv(reports: list[MetricsReport]) -> str:
     """Comparison table: one aggregate row per variant plus a reference footer."""
-    return metrics_csv(reports, include_folds=False) + REFERENCE_FOOTER + "\n"
+    return metrics_csv(reports) + REFERENCE_FOOTER + "\n"

@@ -19,6 +19,7 @@ from .dataset import write_pgm
 from .errors import ContractError, DegenerateGeometryError, DimensionError
 
 SDR_THRESHOLDS_MM = (0.5, 1.0, 1.5)
+OVERLAY_ARM = 2  # each landmark cross of write_overlay reaches this many pixels from its center
 
 ALPHA_NORMAL_MIN_DEG = 60.0
 BETA_NORMAL_MAX_DEG = 77.0
@@ -144,32 +145,24 @@ class MetricsReport:
     folds: list[FoldMetrics] = field(default_factory=list)
     aggregate: FoldMetrics | None = None
 
-    def csv_rows(self, include_folds: bool = True) -> list[str]:
-        rows = []
-        chosen = list(self.folds) if include_folds else []
-        if self.aggregate is not None:
-            chosen.append(self.aggregate)
-        for m in chosen:
-            acc = "" if m.acc is None else f"{m.acc:.4f}"
-            rows.append(
-                f"{self.variant},{m.fold},{m.mre_mm:.4f},{m.mre_sd:.4f},"
-                f"{m.sdr[0]:.2f},{m.sdr[1]:.2f},{m.sdr[2]:.2f},{acc},{m.n}"
-            )
-        return rows
-
 
 METRICS_CSV_HEADER = "variant,fold,mre_mm,mre_sd,sdr05,sdr10,sdr15,acc,n"
 
 
-def metrics_csv(reports: list[MetricsReport], include_folds: bool = True) -> str:
-    """The header line plus each report's rows, newline-terminated."""
+def metrics_csv(reports: list[MetricsReport]) -> str:
+    """The header line plus each report's aggregate row, newline-terminated."""
     lines = [METRICS_CSV_HEADER]
     for report in reports:
-        lines.extend(report.csv_rows(include_folds=include_folds))
+        m = report.aggregate
+        acc = "" if m.acc is None else f"{m.acc:.4f}"
+        lines.append(
+            f"{report.variant},{m.fold},{m.mre_mm:.4f},{m.mre_sd:.4f},"
+            f"{m.sdr[0]:.2f},{m.sdr[1]:.2f},{m.sdr[2]:.2f},{acc},{m.n}"
+        )
     return "\n".join(lines) + "\n"
 
 
-def write_overlay(path: str | Path, image: np.ndarray, pred: np.ndarray, gt: np.ndarray | None = None, arm: int = 2) -> None:
+def write_overlay(path: str | Path, image: np.ndarray, pred: np.ndarray, gt: np.ndarray | None = None) -> None:
     """PGM with landmark crosses burned in: gray 128 for gt, 255 for pred."""
     canvas = np.array(image, dtype=np.float64)
     h, w = canvas.shape
@@ -177,7 +170,7 @@ def write_overlay(path: str | Path, image: np.ndarray, pred: np.ndarray, gt: np.
     def burn(points: np.ndarray, level: float) -> None:
         for x, y in np.asarray(points, dtype=np.float64):
             cx, cy = int(round(x)), int(round(y))
-            for d in range(-arm, arm + 1):
+            for d in range(-OVERLAY_ARM, OVERLAY_ARM + 1):
                 if 0 <= cy + d < h and 0 <= cx < w:
                     canvas[cy + d, cx] = level
                 if 0 <= cy < h and 0 <= cx + d < w:

@@ -93,10 +93,14 @@ def total_loss(
 # elements per Adam block: the dozen in-place passes over one block of
 # parameter, gradient and moments stay in cache instead of streaming memory
 ADAM_BLOCK = 1 << 16
+# Adam's beta1, beta2 and eps: the defaults of Kingma & Ba 2015, the paper's one setting
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 class Adam:
-    """Adam with bias correction.
+    """Adam with bias correction and the fixed ``ADAM_BETA1``/``ADAM_BETA2``/``ADAM_EPS``.
 
     The step runs block by block through two scratch rows per dtype, so it
     allocates nothing. Each ufunc keeps the operand order of the textbook
@@ -104,12 +108,9 @@ class Adam:
     p -= ((lr/c1)*m) / (sqrt(v/c2) + eps), so results are bit-identical to them.
     """
 
-    def __init__(self, params: dict[str, Tensor], lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: dict[str, Tensor], lr: float):
         self.params = params
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = {k: np.zeros(p.shape, dtype=p.dtype) for k, p in params.items()}
         self.v = {k: np.zeros(p.shape, dtype=p.dtype) for k, p in params.items()}
@@ -117,8 +118,8 @@ class Adam:
 
     def step(self) -> None:
         self.t += 1
-        c1 = 1.0 - self.beta1**self.t
-        c2 = 1.0 - self.beta2**self.t
+        c1 = 1.0 - ADAM_BETA1**self.t
+        c2 = 1.0 - ADAM_BETA2**self.t
         for name, p in self.params.items():
             if p.grad is None:
                 continue
@@ -129,17 +130,17 @@ class Adam:
             for start in range(0, p.size, ADAM_BLOCK):
                 w, g, m, v = (arr[start : start + ADAM_BLOCK] for arr in flat)
                 a, b = scratch[:, : g.size]
-                m *= self.beta1
-                np.multiply(1.0 - self.beta1, g, out=a)
+                m *= ADAM_BETA1
+                np.multiply(1.0 - ADAM_BETA1, g, out=a)
                 m += a
-                v *= self.beta2
-                np.multiply(1.0 - self.beta2, g, out=a)
+                v *= ADAM_BETA2
+                np.multiply(1.0 - ADAM_BETA2, g, out=a)
                 a *= g
                 v += a
                 np.multiply(self.lr / c1, m, out=a)
                 np.divide(v, c2, out=b)
                 np.sqrt(b, out=b)
-                b += self.eps
+                b += ADAM_EPS
                 a /= b
                 w -= a
 

@@ -12,8 +12,8 @@ from .dataset import ImageSample, check_finite
 from .errors import DataError, DimensionError
 
 
-def check_image_batch(X, input_size: int | None = None) -> np.ndarray:
-    """Coerce to a float32 (n, h, w) batch of square images in finite range."""
+def check_image_batch(X, input_size: int) -> np.ndarray:
+    """Coerce to a float32 (n, h, w) batch of ``input_size`` square images in finite range."""
     arr = np.asarray(X, dtype=np.float32)
     if arr.ndim == 2:
         arr = arr[None]
@@ -25,7 +25,7 @@ def check_image_batch(X, input_size: int | None = None) -> np.ndarray:
         raise DimensionError(f"expected at least one image, got shape {np.asarray(X).shape}")
     if arr.shape[1] != arr.shape[2]:
         raise DimensionError(f"images must be square, got {arr.shape[1]}x{arr.shape[2]}")
-    if input_size is not None and arr.shape[1] != input_size:
+    if arr.shape[1] != input_size:
         raise DimensionError(f"images are {arr.shape[1]}x{arr.shape[2]} but the model expects {input_size}x{input_size}")
     return check_finite(arr, "the image batch")
 

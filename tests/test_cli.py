@@ -83,6 +83,21 @@ class TestGenerate:
         assert main(["generate", "--out", str(out), "--config", str(config), "--n_samples", "3", "--input_size", "32"]) == 0
         assert len(read_manifest(out / "manifest.csv")) == 3  # CLI override wins
 
+    def test_a_file_named_writable_in_the_output_directory_survives(self, tmp_path):
+        out = tmp_path / "ds"
+        out.mkdir()
+        (out / ".writable").write_text("mine\n")
+        assert main(["generate", "--out", str(out), "--n_samples", "2", "--input_size", "32"]) == 0
+        assert (out / ".writable").read_text() == "mine\n"
+
+    def test_out_naming_a_regular_file_exits_3(self, tmp_path, capsys):
+        out = tmp_path / "ds"
+        out.write_text("mine\n")
+        assert main(["generate", "--out", str(out), "--n_samples", "2", "--input_size", "32"]) == 3
+        err = capsys.readouterr().err
+        assert "error: data:" in err and str(out) in err and "Traceback" not in err
+        assert out.read_text() == "mine\n"
+
 
 def help_flags(command, capsys) -> set[str]:
     with pytest.raises(SystemExit) as exc:
@@ -216,6 +231,33 @@ class TestTrainEvalInfer:
         assert code == 0
         assert batch_sizes == [len(samples)]
         assert {f.name: f.read_bytes() for f in overlays.iterdir()} == expected
+
+    @pytest.mark.parametrize("files", [("a/s.tgt", "b/s.tgt"), ("s.tgt", "s.pgm")])
+    def test_eval_refuses_two_samples_with_one_overlay_name(self, workspace, tmp_path, capsys, monkeypatch, files):
+        data = workspace / "data"
+        header, *rows = (data / "manifest.csv").read_text().splitlines()
+        lines = [header]
+        for index, name in enumerate(files):
+            target = tmp_path / name
+            target.parent.mkdir(exist_ok=True)
+            shutil.copy(data / f"sample_{index:04d}{target.suffix}", target)
+            lines.append(f"{name},{rows[index].split(',', 1)[1]}")
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text("\n".join(lines) + "\n")
+
+        def forward(self, images):
+            raise AssertionError("eval ran a forward pass before refusing the manifest")
+
+        monkeypatch.setattr(LandmarkNet, "forward", forward)
+        overlays, out = tmp_path / "overlays", tmp_path / "m.csv"
+        code = main([
+            "eval", "--checkpoint", str(workspace / "model.ckpt"), "--data", str(manifest),
+            "--out", str(out), "--overlay-dir", str(overlays),
+        ])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert "error: data:" in captured.err and files[0] in captured.err and files[1] in captured.err
+        assert captured.out == "" and not out.exists() and not overlays.exists()
 
     def test_infer_prints_coords_and_probability(self, workspace, capsys):
         code = main(["infer", "--checkpoint", str(workspace / "model.ckpt"), "--image", str(workspace / "data" / "sample_0000.tgt")])

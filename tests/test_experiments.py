@@ -19,7 +19,7 @@ from hipgraf.experiments import (
     kfold_run,
     kfold_split,
 )
-from hipgraf.metrics import METRICS_CSV_HEADER, FoldMetrics, decode_landmarks, mre, radial_errors_mm, sdr
+from hipgraf.metrics import METRICS_CSV_HEADER, FoldMetrics, decode_landmarks, metrics_csv, mre, radial_errors_mm, sdr
 from hipgraf.nets.model import build_model
 from hipgraf.phantom import render_phantom, sample_geometry
 
@@ -81,6 +81,15 @@ class TestKfoldRun:
             assert m.mre_mm >= 0.0
             assert 0.0 <= m.sdr[0] <= m.sdr[1] <= m.sdr[2] <= 100.0
             assert m.acc is not None and 0.0 <= m.acc <= 1.0
+
+    def test_metrics_csv_is_the_header_and_the_aggregate_row(self):
+        # the per-fold results feed the aggregate but get no row of their own
+        samples = make_samples(6, size=32, seed=22)
+        model_cfg, train_cfg = tiny_cfgs()
+        report = kfold_run(samples, model_cfg, train_cfg, EvalConfig(folds=2))
+        m = report.aggregate
+        row = f"full,all,{m.mre_mm:.4f},{m.mre_sd:.4f},{m.sdr[0]:.2f},{m.sdr[1]:.2f},{m.sdr[2]:.2f},{m.acc:.4f},6"
+        assert metrics_csv([report]) == f"{METRICS_CSV_HEADER}\n{row}\n"
 
     def test_grouped_requires_group_column(self):
         samples = make_samples(6, size=32, seed=23)

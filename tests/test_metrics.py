@@ -182,13 +182,14 @@ class TestOverlay:
         assert loaded[20, 20] == pytest.approx(128.0 / 255.0)
 
     def test_overlay_bytes_are_a_hand_assembled_pgm(self, tmp_path):
-        # out-of-range pixels clip to 0 and 255; crosses overwrite whatever lies under them
+        # out-of-range pixels clip to 0 and 255; crosses reach 2 px from their
+        # centers and overwrite whatever lies under them, pred over gt
         img = np.linspace(-0.25, 1.25, 25, dtype=np.float32).reshape(5, 5)
         path = tmp_path / "overlay.pgm"
-        write_overlay(path, img, pred=np.array([[3.2, 1.4]]), gt=np.array([[0.0, 4.0]]), arm=1)
+        write_overlay(path, img, pred=np.array([[3.2, 1.4]]), gt=np.array([[0.6, 3.0]]))
         pixels = np.round(np.clip(img.astype(np.float64), 0, 1) * 255).astype(np.uint8)
-        pixels[3:5, 0] = pixels[4, 0:2] = 128  # gt cross at (x0, y4), clipped by the border
-        pixels[0:3, 3] = pixels[1, 2:5] = 255  # pred cross at (x3, y1)
+        pixels[1:5, 1] = pixels[3, 0:4] = 128  # gt cross at (x1, y3), clipped by the border
+        pixels[0:4, 3] = pixels[1, 1:5] = 255  # pred cross at (x3, y1), clipped; it covers gt at (x1, y1) and (x3, y3)
         assert path.read_bytes() == b"P5\n5 5\n255\n" + pixels.tobytes()
 
 

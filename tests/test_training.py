@@ -13,7 +13,7 @@ from hipgraf.dataset import ImageSample
 from hipgraf.errors import ConfigError, DataError
 from hipgraf.metrics import mre
 from hipgraf.nets.model import build_model
-from hipgraf.training import Adam, augment_hflip, make_gt_heatmaps, total_loss, train
+from hipgraf.training import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, Adam, augment_hflip, make_gt_heatmaps, total_loss, train
 
 from conftest import make_samples
 
@@ -133,8 +133,9 @@ class TestAdam:
         # "big" spans several blocks of the blocked step, the last one partial
         shapes = {"big": (300, 500), "vec": (7,), "conv": (3, 2, 3, 3)}
         params = {k: Tensor(rnd(*shape, seed=i), requires_grad=True) for i, (k, shape) in enumerate(shapes.items())}
-        lr, beta1, beta2, eps = 3e-3, 0.9, 0.999, 1e-8
-        opt = Adam(params, lr=lr, beta1=beta1, beta2=beta2, eps=eps)
+        lr, beta1, beta2, eps = 3e-3, ADAM_BETA1, ADAM_BETA2, ADAM_EPS
+        assert (beta1, beta2, eps) == (0.9, 0.999, 1e-8)  # Kingma & Ba 2015's defaults
+        opt = Adam(params, lr=lr)
         ref = {k: p.data.copy() for k, p in params.items()}
         m = {k: np.zeros_like(p.data) for k, p in params.items()}
         v = {k: np.zeros_like(p.data) for k, p in params.items()}
