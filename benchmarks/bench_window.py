@@ -28,13 +28,20 @@ and a backward ``conv2d_relu`` case. Next to the plain conv2d case's
 output-sized map, where ``relu(conv2d(...))`` keeps one on the tape; the
 backward's adds the masked gradient, which relu's own node allocated.
 
-Three layers of the default model are also timed whole, each with a recorded
+Four layers of the default model are also timed whole, each with a recorded
 batch-2 forward, a tape-free batch-8 forward and the backward of
 ``(out * g).sum()`` over its recorded outputs (``Tensor.backward``, tape
-bookkeeping included), all with ``peak_mb``: ``TransformerBranch.forward`` on
-the recentered image, ``HeatmapHead.logits`` on the (n,32,32,32) fused maps,
-and ``TopologicalRefiner.forward`` on the (n,6,32,32) heatmaps and their
-logits.
+bookkeeping included), all with ``peak_mb``: ``UNetBranch.forward`` and
+``TransformerBranch.forward`` on the recentered image, ``HeatmapHead.logits``
+on the (n,32,32,32) fused maps, and ``TopologicalRefiner.forward`` on the
+(n,6,32,32) heatmaps and their logits. The UNet's tape-free ``peak_mb`` shows
+which encoder outputs it keeps: only the skips its decoder reads outlive
+their pool.
+
+End to end, ``test_detect_batch8`` times ``experiments.detect`` on 8
+default-size images, one tape-free batch-8 forward of the whole model plus
+the decode, with ``peak_mb``: the batch-8 inference latency and peak traced
+memory that ``evaluate_model`` sees per batch.
 
 Run from the repository root (pytest-benchmark prints min/median/max per
 case; pin BLAS to one thread for numbers comparable with ``perfbench``):
@@ -53,6 +60,7 @@ import pytest
 
 from hipgraf.autodiff import Tensor, attention, conv2d, conv2d_relu, matmul, maxpool2d, no_grad, transpose_conv2d
 from hipgraf.config import ModelConfig
+from hipgraf.experiments import detect
 from hipgraf.nets.fusion import modulated_fuse
 from hipgraf.nets.model import INPUT_GAIN, N_LANDMARKS, build_model
 
@@ -157,9 +165,19 @@ def _default_model():
     return build_model(ModelConfig())
 
 
-def _transformer_case(model, batch, rng):
+def _image(model, batch, rng):
+    """A batch of images recentered and amplified as ``LandmarkNet.forward`` hands them to both branches."""
     size = model.config.backbone.input_size
-    image = Tensor(((rng.random((batch, 1, size, size)) - 0.5) * INPUT_GAIN).astype(np.float32))
+    return Tensor(((rng.random((batch, 1, size, size)) - 0.5) * INPUT_GAIN).astype(np.float32))
+
+
+def _unet_case(model, batch, rng):
+    image = _image(model, batch, rng)
+    return [], lambda: [model.unet.forward(image)]
+
+
+def _transformer_case(model, batch, rng):
+    image = _image(model, batch, rng)
     return [], lambda: [model.transformer.forward(image)]
 
 
@@ -177,7 +195,7 @@ def _refiner_case(model, batch, rng):
 
 
 # layer -> (inputs that need gradients, a call returning the layer's outputs)
-LAYER_CASES = {"transformer": _transformer_case, "head_logits": _head_case, "refiner": _refiner_case}
+LAYER_CASES = {"unet": _unet_case, "transformer": _transformer_case, "head_logits": _head_case, "refiner": _refiner_case}
 
 
 def _layer(name, batch=BATCH):
@@ -354,3 +372,10 @@ def test_layer_forward_no_grad_batch8(benchmark, layer):
 @pytest.mark.parametrize("layer", LAYER_CASES)
 def test_layer_backward(benchmark, layer):
     _timed_with_peak(benchmark, _run_loss_backward(*_layer(layer)))
+
+
+def test_detect_batch8(benchmark):
+    model = _default_model()
+    size = model.config.backbone.input_size
+    images = np.random.default_rng(0).random((EVAL_BATCH, size, size)).astype(np.float32)
+    _timed_with_peak(benchmark, lambda: detect(model, images, batch_size=EVAL_BATCH))

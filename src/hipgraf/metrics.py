@@ -72,7 +72,7 @@ def _subpixel_offset(lower: float, center: float, upper: float) -> float:
     return float(np.clip(0.5 * (upper - lower) / denom, -0.5, 0.5))
 
 
-def decode_landmarks(heatmaps, upscale: int = 1) -> tuple[np.ndarray, list[bool]]:
+def decode_landmarks(heatmaps, upscale: int) -> tuple[np.ndarray, list[bool]]:
     """Peak locations of a (6,h,w) stack as (x,y) in input-scale pixels.
 
     Per channel: row-major argmax (earliest index wins ties), quadratic
@@ -119,12 +119,12 @@ def mre(pred: np.ndarray, gt: np.ndarray, spacing: float) -> float:
     return float(radial_errors_mm(pred, gt, spacing).mean())
 
 
-def sdr(distances_mm, thresholds=SDR_THRESHOLDS_MM) -> list[float]:
-    """Percentage of distances at or below each threshold (boundary counts)."""
+def sdr(distances_mm) -> list[float]:
+    """Percentage of distances at or below each of ``SDR_THRESHOLDS_MM`` (boundary counts)."""
     distances = np.asarray(distances_mm, dtype=np.float64).reshape(-1)
     if distances.size == 0:
         raise ContractError("sdr needs at least one distance")
-    return [float(100.0 * (distances <= t).sum() / distances.size) for t in thresholds]
+    return [float(100.0 * (distances <= t).sum() / distances.size) for t in SDR_THRESHOLDS_MM]
 
 
 @dataclass

@@ -4,6 +4,11 @@ The decoder stops at the shared feature resolution rather than climbing back
 to full input resolution, so its output shape matches the global branch
 directly. Channel widths double per encoder level and are sized so the last
 decoder level lands exactly on the configured channel count.
+
+The decoder therefore reads only the last ``n_up`` encoder outputs, and only
+those are kept as skips, each popped as its ``concat`` reads it. A ``no_grad``
+forward frees every other encoder output once its pool has read it; a
+recorded forward keeps them all on the tape, for the pools' backward.
 """
 
 from __future__ import annotations
@@ -85,13 +90,14 @@ class UNetBranch(Module):
             raise DimensionError(f"expected images of shape (n,1,{size},{size}), got {image.shape}")
         skips = []
         x = image
-        for encoder in self.encoders:
+        for level, encoder in enumerate(self.encoders):
             x = encoder.forward(x)
-            skips.append(x)
+            if level >= len(self.encoders) - self.n_up:
+                skips.append(x)
             x = maxpool2d(x, 2)
         x = self.bottleneck.forward(x)
-        for j, (up, decoder) in enumerate(zip(self.ups, self.decoders), start=1):
+        for up, decoder in zip(self.ups, self.decoders):
             x = up.forward(x)
-            x = concat([x, skips[len(skips) - j]], axis=1)
+            x = concat([x, skips.pop()], axis=1)
             x = decoder.forward(x)
         return x

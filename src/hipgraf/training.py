@@ -35,7 +35,7 @@ class LossBreakdown:
     total: Tensor
 
 
-def make_gt_heatmaps(landmarks: np.ndarray, sigma: float, feature_size: int, input_size: int, name: str = "?") -> np.ndarray:
+def make_gt_heatmaps(landmarks: np.ndarray, sigma: float, feature_size: int, input_size: int, name: str) -> np.ndarray:
     """(6, f, f) Gaussian targets; coordinates shrink by input/feature.
 
     The peak value is exp of minus the squared grid distance, so a landmark

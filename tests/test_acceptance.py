@@ -183,7 +183,7 @@ class TestCriterion1Gradients:
         model32 = build_model(TOY16, seed=0)
         model64 = as_float64(build_model(TOY16, seed=0))
         images = np.random.default_rng(34).random((1, 16, 16)).astype(np.float32)
-        gt = make_gt_heatmaps(np.full((6, 2), 8.0), 1.0, 4, 16)[None]
+        gt = make_gt_heatmaps(np.full((6, 2), 8.0), 1.0, 4, 16, name="probe")[None]
         labels_full = np.array([1.0])
 
         def full_loss(model):

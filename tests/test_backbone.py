@@ -1,10 +1,12 @@
 """Branch shape contracts, determinism, and the no-dead-branch property."""
 
+import contextlib
 import hashlib
 import platform
 import sys
 import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ import pytest
 from hipgraf.autodiff import Tensor, attention, conv2d, layer_norm, mse_loss, no_grad, reshape
 from hipgraf.config import BackboneConfig, ModelConfig
 from hipgraf.errors import ConfigError, DimensionError
-from hipgraf.nets import transformer
+from hipgraf.nets import transformer, unet
 from hipgraf.nets.model import HEAD_BIAS_GAIN, HEAD_INPUT_GAIN, HeatmapHead, build_model
 from hipgraf.nets.transformer import TransformerBranch
 from hipgraf.nets.unet import UNetBranch
@@ -54,6 +56,77 @@ class TestUNetBranch:
         branch = UNetBranch(toy_backbone(), rng())
         with pytest.raises(DimensionError, match="16"):
             branch.forward(Tensor(np.zeros((1, 1, 32, 32), dtype=np.float32)))
+
+    # feature_size 4, 8 and 32 from a 32 px input at depth 3: the decoder reads 0, 1 and all 3 encoder outputs
+    SKIP_GEOMETRIES = [4, 8, 32]
+
+    @staticmethod
+    def _spied_forward(monkeypatch, feature_size, record):
+        """Run the branch with spies on its ops; return (events, pooled, output, n_up).
+
+        ``pooled`` holds a weak reference to each encoder output, taken as its
+        pool reads it. Each event is (op, alive, read): which of those outputs
+        are alive when the op starts, and which the op takes as input.
+        """
+        config = BackboneConfig(
+            input_size=32, feature_size=feature_size, channels=8, unet_depth=3, patch_size=8, token_dim=8, transformer_layers=1, heads=2
+        )
+        branch = UNetBranch(config, rng())
+        pooled, events = [], []
+
+        def spy(name, op):
+            def call(*args, **kwargs):
+                inputs = args[0] if name == "concat" else args[:1]
+                alive = [ref() is not None for ref in pooled]
+                read = [any(ref() is t.data for t in inputs) for ref in pooled]
+                events.append((name, alive, read))
+                if name == "maxpool2d":
+                    pooled.append(weakref.ref(args[0].data))
+                return op(*args, **kwargs)
+
+            return call
+
+        for name in ("maxpool2d", "conv2d_relu", "transpose_conv2d", "concat"):
+            monkeypatch.setattr(unet, name, spy(name, getattr(unet, name)))
+        image = Tensor(rng(5).random((2, 1, 32, 32), dtype=np.float32))
+        with contextlib.nullcontext() if record else no_grad():
+            out = branch.forward(image)
+        return events, pooled, out, branch.n_up
+
+    @pytest.mark.parametrize("feature_size", SKIP_GEOMETRIES)
+    def test_no_grad_forward_holds_an_encoder_output_only_until_its_last_reader(self, monkeypatch, feature_size):
+        events, pooled, _, n_up = self._spied_forward(monkeypatch, feature_size, record=False)
+        depth = len(pooled)
+        assert depth == 3 and [event[0] for event in events].count("concat") == n_up
+        pools = [k for k, (name, *_) in enumerate(events) if name == "maxpool2d"]
+        for level, start in enumerate(pools):
+            later = events[start + 1 :]
+            if level < depth - n_up:
+                # not a skip: dead before the next op (the next level's first conv, or the bottleneck's)
+                name, alive, _ = later[0]
+                assert name == "conv2d_relu" and not alive[level]
+                continue
+            # a skip: alive up to the concat that reads it, and dead at the conv after it
+            reader = next(k for k, (name, _, read) in enumerate(later) if name == "concat" and read[level])
+            assert all(alive[level] for _, alive, _ in later[: reader + 1])
+            name, alive, _ = later[reader + 1]
+            assert name == "conv2d_relu" and not alive[level]
+        # the j-th concat reads the encoder output j levels from the bottom
+        concats = [read.index(True) for name, _, read in events if name == "concat"]
+        assert concats == list(range(depth - 1, depth - 1 - n_up, -1))
+
+    @pytest.mark.parametrize("feature_size", SKIP_GEOMETRIES)
+    def test_recorded_forward_tape_reaches_every_encoder_output(self, monkeypatch, feature_size):
+        _, pooled, out, _ = self._spied_forward(monkeypatch, feature_size, record=True)
+        reached, stack = {}, [out]
+        while stack:
+            node = stack.pop()
+            if id(node.data) not in reached:
+                reached[id(node.data)] = node.data
+                stack.extend(node._parents)
+        # every encoder output is alive and on the tape: the pools' backward reads them
+        assert len(pooled) == 3
+        assert all(ref() is not None and reached.get(id(ref())) is ref() for ref in pooled)
 
 
 class TestTransformerBranch:

@@ -197,6 +197,8 @@ PINNED_KEYWORDS = [
     ("evaluate_model", {"fold", "batch_size"}),
     ("save_checkpoint", {"optimizer", "epoch", "step"}),
     ("read_manifest", {"load_images"}),
+    ("make_gt_heatmaps", {"name"}),
+    ("decode_landmarks", {"upscale"}),
 ]
 
 

@@ -32,7 +32,7 @@ class TestDecodeLandmarks:
     def test_subpixel_recovery_of_offgrid_gaussian(self):
         # peak rendered between grid points must come back within 0.25 px
         true = np.array([[13.4, 9.7]] * 6) * 4.0  # input-scale coords, upscale 4
-        stack = make_gt_heatmaps(true, sigma=2.0, feature_size=32, input_size=128)
+        stack = make_gt_heatmaps(true, sigma=2.0, feature_size=32, input_size=128, name="probe")
         coords, _ = decode_landmarks(stack, upscale=1)
         np.testing.assert_allclose(coords[0], [13.4, 9.7], atol=0.25)
 
@@ -62,7 +62,7 @@ class TestDecodeLandmarks:
     def test_decode_of_gt_heatmaps_recovers_landmarks(self):
         rng = np.random.default_rng(0)
         landmarks = rng.uniform(20, 100, (6, 2))
-        stack = make_gt_heatmaps(landmarks, sigma=2.0, feature_size=32, input_size=128)
+        stack = make_gt_heatmaps(landmarks, sigma=2.0, feature_size=32, input_size=128, name="probe")
         coords, _ = decode_landmarks(stack, upscale=4)
         assert np.abs(coords - landmarks).max() <= 4.0  # one heatmap px at input scale
 

@@ -25,7 +25,7 @@ def rnd(*shape, seed=0):
 class TestGtHeatmaps:
     def test_on_grid_landmark_peaks_at_one(self):
         landmarks = np.tile([32.0, 16.0], (6, 1))  # heatmap coords (8, 4) at upscale 4
-        stack = make_gt_heatmaps(landmarks, sigma=2.0, feature_size=16, input_size=64)
+        stack = make_gt_heatmaps(landmarks, sigma=2.0, feature_size=16, input_size=64, name="probe")
         assert stack.shape == (6, 16, 16)
         assert stack[0, 4, 8] == pytest.approx(1.0)
         # symmetric decay around the peak
@@ -34,14 +34,14 @@ class TestGtHeatmaps:
 
     def test_tiny_sigma_approaches_one_hot(self):
         landmarks = np.tile([20.0, 12.0], (6, 1))
-        stack = make_gt_heatmaps(landmarks, sigma=1e-3, feature_size=16, input_size=64)
+        stack = make_gt_heatmaps(landmarks, sigma=1e-3, feature_size=16, input_size=64, name="probe")
         assert stack[0].sum() == pytest.approx(1.0)
         assert stack[0, 3, 5] == pytest.approx(1.0)
 
     def test_value_at_one_sigma(self):
         landmarks = np.tile([16.0, 16.0], (6, 1))  # heatmap (4, 4)
         sigma = 2.0
-        stack = make_gt_heatmaps(landmarks, sigma=sigma, feature_size=16, input_size=64)
+        stack = make_gt_heatmaps(landmarks, sigma=sigma, feature_size=16, input_size=64, name="probe")
         assert stack[0, 4, 4 + int(sigma)] == pytest.approx(math.exp(-0.5), abs=1e-6)
 
     def test_out_of_bounds_landmark_names_sample(self):
