@@ -157,7 +157,7 @@ def _attention(batch=BATCH):
     heads, tokens, head_dim = ATTENTION_SHAPE
     rng = np.random.default_rng(0)
     q, k, v = (Tensor(rng.standard_normal((batch, tokens, heads * head_dim)).astype(np.float32), requires_grad=True) for _ in range(3))
-    return (q, k, v), lambda: attention(q, k, v, heads, 1.0 / np.sqrt(head_dim))[0]
+    return (q, k, v), lambda: attention(q, k, v, heads, 1.0 / np.sqrt(head_dim))
 
 
 @functools.cache

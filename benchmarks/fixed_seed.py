@@ -18,8 +18,10 @@ writes, the line ``infer`` prints, the checkpoint of each other variant
 ``sample_0000``. Each hash is compared with its line in ``fixed_seed.sha256``
 next to this script, and the script exits 1 when any differs. A change that
 moves these bits on purpose updates that file and says why. BLAS runs on one
-thread, since its summation order can depend on the thread count. Run from
-the repository root (about 6 s):
+thread, since its summation order can depend on the thread count. The last
+line checks that it does not: it runs the default ``train`` again at two BLAS
+threads and compares that checkpoint with ``m.ckpt``'s line. Run from the
+repository root (about 7 s):
 
     python benchmarks/fixed_seed.py
 
@@ -38,12 +40,13 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src"
 EXPECTED = Path(__file__).resolve().with_suffix(".sha256")  # "<sha256>  <name>" lines
 VARIANTS = ("no_mmf", "no_tgcn", "concat_baseline")  # besides the default, full
-ONE_THREAD = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def hipgraf(work: Path, *args: str) -> bytes:
-    """Stdout of ``python -m hipgraf`` run in ``work`` on the source tree of this checkout."""
-    env = {**os.environ, **ONE_THREAD, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+def hipgraf(work: Path, *args: str, threads: int = 1) -> bytes:
+    """Stdout of ``python -m hipgraf`` run in ``work`` on the source tree of this checkout, on ``threads`` BLAS threads."""
+    pythonpath = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, **dict.fromkeys(BLAS_THREADS, str(threads)), "PYTHONPATH": pythonpath}
     return subprocess.run([sys.executable, "-m", "hipgraf", *args], cwd=work, env=env, check=True, capture_output=True).stdout
 
 
@@ -60,12 +63,15 @@ def main() -> int:
         for variant in VARIANTS:
             hipgraf(work, *train, "--variant", variant, "--out", f"{variant}.ckpt")
         hipgraf(work, "ablate", "--data", manifest, "--seed", "4", "--max_steps", "2", "--lr", "1e-3", "--folds", "2", "--out", "ablate.csv")
+        hipgraf(work, *train, "--out", "m2.ckpt", threads=2)
         outputs = {name: (work / name).read_bytes() for name in ("m.ckpt", "m.ckpt.losses.csv", "e.csv", "overlay.pgm")}
         outputs["infer line"] = infer_line
         outputs.update({f"{variant}.ckpt": (work / f"{variant}.ckpt").read_bytes() for variant in VARIANTS})
         outputs["ablate.csv"] = (work / "ablate.csv").read_bytes()
         outputs["overlays/sample_0000_overlay.pgm"] = (work / "overlays" / "sample_0000_overlay.pgm").read_bytes()
+        outputs["m.ckpt at 2 BLAS threads"] = (work / "m2.ckpt").read_bytes()
     expected = {name: digest for digest, name in (line.split(None, 1) for line in EXPECTED.read_text().splitlines() if line.strip())}
+    expected["m.ckpt at 2 BLAS threads"] = expected.get("m.ckpt")
     differs = False
     for name, data in outputs.items():
         digest = hashlib.sha256(data).hexdigest()

@@ -1,9 +1,11 @@
 """Parameter registry for network components.
 
-A ``Module`` is a plain object whose trainable tensors (and child modules)
-live in instance attributes. Parameter names follow attribute paths, so a
-given architecture always enumerates in the same order, which keeps
-initialization and checkpoints deterministic. New parameters are float32.
+A ``Module`` is a plain object whose parameter tensors (and child modules)
+live in instance attributes. Every ``Tensor`` attribute is a parameter,
+frozen (``requires_grad=False``) or not, so checkpoints hold frozen ones
+too. Parameter names follow attribute paths, so a given architecture always
+enumerates in the same order, which keeps initialization and checkpoints
+deterministic. New parameters are float32.
 """
 
 from __future__ import annotations
@@ -63,8 +65,7 @@ def _check_state(params: dict[str, Tensor], arrays: dict[str, np.ndarray]) -> No
 
 def _walk(name: str, value) -> Iterator[tuple[str, Tensor]]:
     if isinstance(value, Tensor):
-        if value.requires_grad:
-            yield name, value
+        yield name, value
     elif isinstance(value, Module):
         yield from value.named_parameters(f"{name}.")
     elif isinstance(value, (list, tuple)):

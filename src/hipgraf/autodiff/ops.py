@@ -370,17 +370,17 @@ def softmax_backward(data: np.ndarray, g: np.ndarray, axis: int) -> np.ndarray:
     return data * (g - dot)
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, scale: float) -> tuple[Tensor, np.ndarray]:
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, scale: float) -> Tensor:
     """Multi-head attention of (b, n, d) queries, keys and values as one tape node.
 
-    Returns the attended (b, n, d) tokens, a tape node with parents (q, k, v),
-    and the (b, heads, n, n) row-stochastic probabilities
-    P = softmax(scale * Q K^T) as a plain array. Each head is the
-    d // heads wide column block of q, k and v, read as a strided view. The
-    scores are computed into one fresh array, which is then scaled and
-    normalized in place: no op has read it yet. The heads of P V are merged
-    into a fresh C-contiguous output. The closure keeps P and reads the
-    parents' data again; nothing else of the forward stays on the tape.
+    Returns the attended (b, n, d) tokens, a tape node with parents (q, k, v).
+    Each head is the d // heads wide column block of q, k and v, read as a
+    strided view. The (b, heads, n, n) scores are computed into one fresh
+    array, which is then scaled and normalized in place into the
+    probabilities P = softmax(scale * Q K^T): no op has read it yet. The
+    heads of P V are merged into a fresh C-contiguous output. P stays inside
+    the op: the closure keeps it and reads the parents' data again, and
+    nothing else of the forward stays on the tape.
     Backward: dV = P^T g, dS = scale * softmax'(P, g V^T), dQ = dS K and
     dK = dS^T Q, each merged into a fresh C-contiguous (b, n, d) array.
     """
@@ -417,7 +417,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, scale: float) -> tupl
         if k.requires_grad:
             _accumulate(k, merged(d_scores.swapaxes(-1, -2), qs))
 
-    return make_op(data, (q, k, v), backward), probabilities
+    return make_op(data, (q, k, v), backward)
 
 
 def layer_norm(x: Tensor, axis: int = -1, eps: float = 1e-5) -> Tensor:

@@ -71,9 +71,6 @@ class HeatmapHead(Module):
         conditioned = reshape(layer_norm(flat, axis=-1), (b, c, h, w)) * HEAD_INPUT_GAIN
         return conv2d(conditioned, self.weight, HEAD_BIAS_GAIN * self.bias)
 
-    def forward(self, fused: Tensor) -> Tensor:
-        return sigmoid(self.logits(fused))
-
 
 class LandmarkNet(Module):
     def __init__(self, config: ModelConfig, seed: int):
@@ -114,7 +111,6 @@ class LandmarkNet(Module):
             arr = arr[:, None]
         elif arr.ndim != 4:
             raise DimensionError(f"expected (h,w), (n,h,w) or (n,1,h,w) images, got shape {arr.shape}")
-        # read the dtype from a tensor directly: parameters() skips frozen ones
         param_dtype = self.head.weight.data.dtype
         return Tensor(arr.astype(param_dtype, copy=False), requires_grad=False, dtype=param_dtype)
 

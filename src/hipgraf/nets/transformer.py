@@ -23,7 +23,6 @@ from ..autodiff import (
     layer_norm,
     linear,
     mul,
-    no_grad,
     ones_param,
     relu,
     reshape,
@@ -90,17 +89,15 @@ class SelfAttention(Module):
         self.bv = zeros_param((dim,))
         self.bo = zeros_param((dim,))
 
-    def forward(self, x: Tensor) -> tuple[Tensor, np.ndarray]:
-        """The attended tokens, and the row-stochastic (b, heads, n, n) attention of x over itself."""
+    def forward(self, x: Tensor) -> Tensor:
         q = linear(x, self.wq, self.bq)
         k = linear(x, self.wk)
         v = linear(x, self.wv, self.bv)
-        attended, probabilities = attention(q, k, v, self.heads, 1.0 / math.sqrt(self.head_dim))
-        return linear(attended, self.wo, self.bo), probabilities
+        return linear(attention(q, k, v, self.heads, 1.0 / math.sqrt(self.head_dim)), self.wo, self.bo)
 
 
 class EncoderLayer(Module):
-    """Pre-norm block: x + attn(norm(x)), then x + mlp(norm(x)); forward also returns the attention."""
+    """Pre-norm block: x + attn(norm(x)), then x + mlp(norm(x))."""
 
     def __init__(self, rng: np.random.Generator, dim: int, heads: int):
         self.norm1 = LayerNorm(dim)
@@ -112,11 +109,10 @@ class EncoderLayer(Module):
         self.w2 = glorot_uniform(rng, (hidden, dim), hidden, dim)
         self.b2 = zeros_param((dim,))
 
-    def forward(self, x: Tensor) -> tuple[Tensor, np.ndarray]:
-        attended, probabilities = self.attention.forward(self.norm1.forward(x))
-        x = add(x, attended)
+    def forward(self, x: Tensor) -> Tensor:
+        x = add(x, self.attention.forward(self.norm1.forward(x)))
         mlp = linear(relu(linear(self.norm2.forward(x), self.w1, self.b1)), self.w2, self.b2)
-        return add(x, mlp), probabilities
+        return add(x, mlp)
 
 
 class TransformerBranch(Module):
@@ -172,7 +168,7 @@ class TransformerBranch(Module):
         """Patch tokens after the encoder stack, shape (n, grid^2, token_dim)."""
         x = self.embed(image)
         for layer in self.layers:
-            x = layer.forward(x)[0]  # drops the attention before the next layer computes its own
+            x = layer.forward(x)
         return x
 
     def forward(self, image: Tensor) -> Tensor:
@@ -189,19 +185,6 @@ class TransformerBranch(Module):
                 if i < len(self.ups) - 1:
                     out = relu(out)
         return add(out, self.output_pos)
-
-    def attention_maps(self, image: Tensor) -> list[np.ndarray]:
-        """Each encoder layer's (n, heads, grid^2, grid^2) attention for ``image``.
-
-        One encoder pass on no tape, one attention op per layer; the branch keeps no state.
-        """
-        maps = []
-        with no_grad():
-            x = self.embed(image)
-            for layer in self.layers:
-                x, probabilities = layer.forward(x)
-                maps.append(probabilities)
-        return maps
 
 
 class _Project1x1(Module):

@@ -102,9 +102,11 @@ ADAM_EPS = 1e-8
 class Adam:
     """Adam with bias correction and the fixed ``ADAM_BETA1``/``ADAM_BETA2``/``ADAM_EPS``.
 
-    The step runs block by block through two scratch rows per dtype, so it
-    allocates nothing. Each ufunc keeps the operand order of the textbook
-    expressions m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g and
+    A parameter's moments start at zero the first time ``step`` sees it with a
+    gradient, so a frozen parameter costs nothing. After that the step runs
+    block by block through two scratch rows per dtype and allocates nothing.
+    Each ufunc keeps the operand order of the textbook expressions
+    m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g and
     p -= ((lr/c1)*m) / (sqrt(v/c2) + eps), so results are bit-identical to them.
     """
 
@@ -112,8 +114,8 @@ class Adam:
         self.params = params
         self.lr = lr
         self.t = 0
-        self.m = {k: np.zeros(p.shape, dtype=p.dtype) for k, p in params.items()}
-        self.v = {k: np.zeros(p.shape, dtype=p.dtype) for k, p in params.items()}
+        self.m: dict[str, np.ndarray] = {}
+        self.v: dict[str, np.ndarray] = {}
         self._scratch = {p.dtype: np.empty((2, ADAM_BLOCK), dtype=p.dtype) for p in params.values()}
 
     def step(self) -> None:
@@ -123,6 +125,9 @@ class Adam:
         for name, p in self.params.items():
             if p.grad is None:
                 continue
+            if name not in self.m:
+                self.m[name] = np.zeros(p.shape, dtype=p.dtype)
+                self.v[name] = np.zeros(p.shape, dtype=p.dtype)
             if not p.data.flags.c_contiguous:
                 p.data = np.ascontiguousarray(p.data)  # so the flat view below writes through
             flat = [arr.reshape(-1) for arr in (p.data, p.grad, self.m[name], self.v[name])]

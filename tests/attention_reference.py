@@ -31,8 +31,8 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return make_op(data, (x,), backward)
 
 
-def composed_attention(q: Tensor, k: Tensor, v: Tensor, heads: int, scale: float) -> tuple[Tensor, Tensor]:
-    """The attended (b, n, d) tokens and the (b, heads, n, n) probabilities, both tape nodes."""
+def composed_attention(q: Tensor, k: Tensor, v: Tensor, heads: int, scale: float) -> Tensor:
+    """The attended (b, n, d) tokens, a tape node."""
     b, n, d = q.shape
 
     def split(t: Tensor) -> Tensor:
@@ -40,4 +40,4 @@ def composed_attention(q: Tensor, k: Tensor, v: Tensor, heads: int, scale: float
 
     probabilities = softmax(mul(matmul(split(q), transpose(split(k), (0, 1, 3, 2))), scale), axis=-1)
     mixed = matmul(probabilities, split(v))
-    return reshape(transpose(mixed, (0, 2, 1, 3)), (b, n, d)), probabilities
+    return reshape(transpose(mixed, (0, 2, 1, 3)), (b, n, d))

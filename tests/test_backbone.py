@@ -11,7 +11,7 @@ import weakref
 import numpy as np
 import pytest
 
-from hipgraf.autodiff import Tensor, attention, conv2d, layer_norm, mse_loss, no_grad, reshape
+from hipgraf.autodiff import Tensor, attention, conv2d, layer_norm, mse_loss, no_grad, reshape, sigmoid
 from hipgraf.config import BackboneConfig, ModelConfig
 from hipgraf.errors import ConfigError, DimensionError
 from hipgraf.nets import transformer, unet
@@ -138,25 +138,16 @@ class TestTransformerBranch:
         out = branch.forward(x)
         assert out.shape == (1, 32, 32, 32)
 
-    def test_attention_rows_sum_to_one(self):
+    def test_forward_leaves_the_modules_unchanged(self):
         branch = TransformerBranch(toy_backbone(), rng())
-        for attn in branch.attention_maps(Tensor(rng(4).random((2, 1, 16, 16), dtype=np.float32))):
-            np.testing.assert_allclose(attn.sum(axis=-1), np.ones(attn.shape[:-1]), atol=1e-6)
-
-    def test_attention_maps_are_pure(self):
-        branch = TransformerBranch(toy_backbone(), rng())
-        x = Tensor(rng(15).random((2, 1, 16, 16), dtype=np.float32))
         state = {id(m): dict(vars(m)) for layer in branch.layers for m in (layer, layer.attention)}
-        first = branch.attention_maps(x)
-        branch.forward(Tensor(rng(16).random((3, 1, 16, 16), dtype=np.float32)))
-        second = branch.attention_maps(x)
-        assert len(first) == len(branch.layers)
-        assert all(a.shape == (2, 2, 4, 4) for a in first)
-        assert all(np.array_equal(a, b) for a, b in zip(first, second))
-        # neither forward nor attention_maps leaves anything behind on the modules
+        branch.forward(Tensor(rng(15).random((2, 1, 16, 16), dtype=np.float32)))
+        with no_grad():
+            branch.forward(Tensor(rng(16).random((3, 1, 16, 16), dtype=np.float32)))
+        # a forward leaves nothing behind on the modules, so threads may share them
         assert {id(m): dict(vars(m)) for layer in branch.layers for m in (layer, layer.attention)} == state
 
-    def test_attention_maps_run_one_attention_op_per_layer(self, monkeypatch):
+    def test_forward_runs_one_attention_op_per_layer(self, monkeypatch):
         config = BackboneConfig(
             input_size=16, feature_size=4, channels=8, unet_depth=2, patch_size=4, token_dim=8, transformer_layers=3, heads=2
         )
@@ -165,20 +156,18 @@ class TestTransformerBranch:
         outputs = []
 
         def spy(*args, **kwargs):
-            out, probabilities = attention(*args, **kwargs)
-            outputs.append(probabilities)
-            return out, probabilities
+            outputs.append(attention(*args, **kwargs))
+            return outputs[-1]
 
         monkeypatch.setattr(transformer, "attention", spy)
-        maps = branch.attention_maps(x)
+        recorded = branch.forward(x)
         assert len(outputs) == len(branch.layers)
+        assert all(isinstance(out, Tensor) and out.shape == (2, 16, 8) and out.requires_grad for out in outputs)
         outputs.clear()
         with no_grad():
-            branch.forward(x)
-        assert len(outputs) == len(maps) == len(branch.layers)
-        for attention_map, computed in zip(maps, outputs):
-            assert attention_map.dtype == computed.dtype and attention_map.shape == computed.shape
-            assert attention_map.tobytes() == computed.tobytes()
+            unrecorded = branch.forward(x)
+        assert len(outputs) == len(branch.layers) and not any(out.requires_grad for out in outputs)
+        assert unrecorded.data.tobytes() == recorded.data.tobytes()
 
     def test_patch_permutation_equivariance_with_zero_pos_embedding(self):
         # Swapping two input patches must swap the corresponding output tokens.
@@ -213,7 +202,7 @@ class TestHeatmapHead:
         config = default_backbone()
         head = HeatmapHead(rng(7), config.channels)
         fused = Tensor(rng(8).standard_normal((1, 32, 32, 32)).astype(np.float32))
-        out = head.forward(fused)
+        out = sigmoid(head.logits(fused))
         assert out.shape == (1, 6, 32, 32)
         assert (out.data > 0).all() and (out.data < 1).all()
 
@@ -221,7 +210,7 @@ class TestHeatmapHead:
         head = HeatmapHead(rng(9), 8)
         head.weight.data[:] = 0.0
         head.bias.data[:] = 0.0
-        out = head.forward(Tensor(rng(10).standard_normal((1, 8, 4, 4)).astype(np.float32)))
+        out = sigmoid(head.logits(Tensor(rng(10).standard_normal((1, 8, 4, 4)).astype(np.float32))))
         np.testing.assert_allclose(out.data, np.full_like(out.data, 0.5))
 
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
@@ -260,7 +249,7 @@ class TestBranchShapeContract:
         expected = model.forward(images)
         for _, p in model.named_parameters():
             p.requires_grad = False
-        assert model.parameters() == {}
+        assert model.parameters() and not any(p.requires_grad for p in model.parameters().values())
         out = model.forward(images)
         assert out.heatmaps.dtype == np.float32 and not out.heatmaps.requires_grad
         np.testing.assert_array_equal(out.heatmaps.data, expected.heatmaps.data)

@@ -54,6 +54,22 @@ def test_round_trip_forward_is_bitwise_identical(tmp_path, toy_model_config):
     assert np.array_equal(before, after)
 
 
+def test_frozen_parameter_is_saved_and_restored(tmp_path, toy_model_config):
+    model = build_model(toy_model_config, seed=0)
+    frozen = model.transformer.pos_embedding
+    frozen.requires_grad = False
+    frozen.data = frozen.data * np.float32(0.5)  # not its init, so only the file can supply it
+    x = np.random.default_rng(0).random((1, 16, 16), dtype=np.float32)
+    before = model.forward(x).heatmaps.data.copy()
+
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, model, toy_items(seed=0)[1])
+    loaded = load_checkpoint(path)
+    assert "param.transformer.pos_embedding" in loaded.arrays
+    restored = restore_model(loaded)
+    assert restored.forward(x).heatmaps.data.tobytes() == before.tobytes()
+
+
 def test_load_holds_the_file_bytes_once(tmp_path, toy_model_config_32):
     model = build_model(toy_model_config_32, seed=9)
     optimizer = Adam(model.parameters(), lr=1e-3)

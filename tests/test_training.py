@@ -122,6 +122,17 @@ class TestAdam:
             opt.step()
         assert np.array_equal(p.data, before)
 
+    def test_parameter_without_gradient_holds_no_moments(self):
+        frozen = Tensor(rnd(4, 4, seed=14))
+        trained = Tensor(rnd(4, 4, seed=15), requires_grad=True)
+        before = frozen.data.copy()
+        opt = Adam({"frozen": frozen, "trained": trained}, lr=0.1)
+        for _ in range(3):
+            trained.grad = rnd(4, 4, seed=16)
+            opt.step()
+        assert list(opt.m) == list(opt.v) == ["trained"]
+        assert np.array_equal(frozen.data, before)
+
     def test_step_moves_against_gradient(self):
         p = Tensor(np.ones((3,), dtype=np.float32), requires_grad=True)
         opt = Adam({"p": p}, lr=0.1)
